@@ -40,7 +40,6 @@ from .dp import (
     suggest_grid,
     terminal_value,
     transition,
-    value_at,
 )
 from .thresholds import (
     BracketError,

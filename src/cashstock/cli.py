@@ -44,6 +44,21 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _positive_int(value, what: str) -> int:
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and np.isfinite(value) and value == int(value) and value >= 1)
+    _require(ok, f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _number_pair(value, what: str) -> tuple[float, float]:
+    ok = isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+        for v in value)
+    _require(ok, f"{what} must be a list of two numbers [x, y], got {value!r}")
+    return float(value[0]), float(value[1])
+
+
 def parse_demand(spec, where: str) -> Demand:
     _require(isinstance(spec, dict) and "kind" in spec, f"{where}: demand needs a 'kind' field")
     kind = spec["kind"]
@@ -87,7 +102,7 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
     def horizon(self, demand: Demand | None = None, n_periods: int | None = None) -> HorizonSpec:
-        n = n_periods or self.n_periods
+        n = self.n_periods if n_periods is None else n_periods
         periods = list(self.periods) if len(self.periods) == n else [self.periods[0]] * n
         if demand is not None:
             demands = [demand] * n
@@ -115,8 +130,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     for key in ("N", "salvage", "periods", "demands", "grid"):
         _require(key in raw, f"config is missing required field '{key}'")
-    n = int(raw["N"])
-    _require(n >= 1, "N must be at least 1")
+    n = _positive_int(raw["N"], "N")
     periods_raw = raw["periods"]
     _require(isinstance(periods_raw, list) and periods_raw, "periods must be a nonempty list")
     _require(len(periods_raw) in (1, n), f"periods must have 1 or N={n} entries")
@@ -129,6 +143,9 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     for key in ("x_max", "y_min", "y_max", "nx", "ny"):
         _require(key in g, f"grid is missing field '{key}'")
     solver = raw.get("solver", {})
+    _require(isinstance(solver, dict), "solver must be an object")
+    horizons = raw.get("table_horizons", [n, 2 * n])
+    _require(isinstance(horizons, list) and horizons, "table_horizons must be a nonempty list")
     overrides = overrides or {}
     scale = float(overrides.get("grid_scale", 1.0))
     nx = max(2, int(round((int(g["nx"]) - 1) * scale)) + 1)
@@ -144,12 +161,14 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         demands=demands,
         grid=grid,
         epsilon=float(overrides.get("epsilon", solver.get("epsilon", 1e-3))),
-        quadrature_nodes=int(solver.get("quadrature_nodes", 8)),
+        quadrature_nodes=_positive_int(solver.get("quadrature_nodes", 8),
+                                       "solver.quadrature_nodes"),
         mc_paths=int(overrides.get("paths", solver.get("mc_paths", 100_000))),
         seed=int(overrides.get("seed", solver.get("seed", 0))),
-        initial=tuple(raw.get("initial", (0.0, 0.0))),
+        initial=_number_pair(raw.get("initial", [0.0, 0.0]), "initial"),
         table_states=[float(v) for v in raw.get("table_states", [0.0, 7.0, 14.0])],
-        table_horizons=[int(v) for v in raw.get("table_horizons", [n, 2 * n])],
+        table_horizons=[_positive_int(v, f"table_horizons[{k}]")
+                        for k, v in enumerate(horizons)],
         raw=raw,
     )
     # per-scenario horizons are validated when commands build them

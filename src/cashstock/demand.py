@@ -249,3 +249,11 @@ class DiscreteEmpirical(_Atoms):
         mean = float(self.atoms @ self.probs)
         var = float(((self.atoms - mean) ** 2) @ self.probs)
         return mean, np.sqrt(var)
+
+    @property
+    def label(self) -> str:
+        """Atom count, support, mean and sd; the repr lists every atom."""
+        lo, hi = self.support
+        mean, sd = self._mean_sd()
+        return (f"DiscreteEmpirical({len(self.atoms)} atoms on [{lo:.6g} {hi:.6g}] "
+                f"mean={mean:.6g} sd={sd:.6g})")

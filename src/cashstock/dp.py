@@ -8,8 +8,10 @@ the post-order stock level z >= x; the dynamics in normalized units are
 
 with xi = x + y and (p', h', c') the period economics divided by next
 period's unit cost. Stage values are expectations of the interpolated
-next-period table over demand; per node the concave maximization over z is
-done by golden-section search plus explicit kink candidates.
+next-period table over demand. They depend on a node only through its net
+worth xi and are concave in z, so the maximization over z runs once per
+distinct net worth (golden-section search plus explicit kink candidates),
+and each node takes that maximizer clipped to its own range [x, hi].
 """
 
 from __future__ import annotations
@@ -123,11 +125,6 @@ class PolicyTable:
         return self.order_up_to - self.grid.x_nodes[:, None]
 
 
-def value_at(table: ValueTable, x, y):
-    """Bilinear table lookup; one-sided linear extension outside the grid."""
-    return table(x, y)
-
-
 def partials(table: ValueTable, x, y):
     """(dV/dx, dV/dy) from central differences on the grid, interpolated.
 
@@ -235,6 +232,45 @@ def golden_max(f, lo, hi, tol: float, candidates=()):
     return z_best, best
 
 
+def worth_grid(grid: Grid) -> np.ndarray:
+    """Deduplicated union of x + y node sums."""
+    sums = (grid.x_nodes[:, None] + grid.y_nodes[None, :]).ravel()
+    return np.unique(np.round(sums, 9))
+
+
+def worth_search(f, grid: Grid, hi, tol: float, candidates=()):
+    """Maximize f(z, xi) over z in [x, hi] at every node (x, y), xi = x + y.
+
+    f must depend on a node only through xi and be concave in z. Then one
+    golden-section search per distinct net worth w over [x_nodes[0],
+    max(hi)], with the kink z = w and the scalar `candidates` evaluated
+    exactly, gives a maximizer z*(w), and clip(z*(w), x, hi) is the node's
+    maximizer. Where the clip does not bind the node takes the search's
+    value; where it binds f is evaluated at the clipped point. `hi` is a
+    scalar or one bound per node in grid.mesh() order, as are the results.
+    Returns (argmax, value).
+    """
+    X, Y = grid.mesh()
+    x_flat = X.ravel()
+    xi_flat = x_flat + Y.ravel()
+    hi = np.maximum(np.broadcast_to(np.asarray(hi, dtype=float), x_flat.shape), x_flat)
+    worth = worth_grid(grid)
+    # worth_grid rounds the same sums, so every node finds its exact entry
+    at = np.searchsorted(worth, np.round(xi_flat, 9))
+
+    def f_worth(z):
+        return f(z, worth)
+
+    z_w, v_w = golden_max(f_worth, np.full(worth.shape, grid.x_nodes[0]), float(hi.max()),
+                          tol, candidates=[worth, *candidates])
+    z = np.clip(z_w[at], x_flat, hi)
+    v = v_w[at]
+    bind = z != z_w[at]
+    if np.any(bind):
+        v[bind] = f(z[bind], xi_flat[bind])
+    return z, v
+
+
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
     # deferred import: thresholds builds on this module
     from .thresholds import myopic_lower, myopic_upper
@@ -269,18 +305,21 @@ def _terminal_tables(horizon: HorizonSpec, grid: Grid) -> tuple[ValueTable, Poli
     return ValueTable(n, grid, vals), PolicyTable(n, grid, X + q)
 
 
-def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-3,
+def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
                     order: int = DEFAULT_QUAD_ORDER, z_cap=None,
                     initial_states=None, bank=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
     The terminal table is the closed-form single-period optimum. Earlier
-    periods maximize the stage value per node over z in [x, z_max] by
-    golden-section, with the kink z = xi and the myopic order-up-to levels
-    evaluated explicitly. `z_cap(x, y)` optionally tightens the upper
-    search bound per node (loan limits). When `initial_states` is given,
-    reachable capital is interval-propagated from those states and a
-    GridEscapeError is raised if it leaves the extrapolation trust region.
+    periods maximize the stage value over z in [x, z_max] with worth_search:
+    one golden-section search per distinct net worth, with the kink z = xi
+    and the myopic order-up-to levels evaluated explicitly, clipped to each
+    node's range. `z_cap(x, y)` optionally tightens the upper bound per node
+    (loan limits). `bank` replaces the two-rate bank term; it must keep the
+    stage value concave in z, which whole-balance tiers do not (see
+    piecewise_dp). When `initial_states` is given, reachable capital is
+    interval-propagated from those states and a GridEscapeError is raised if
+    it leaves the extrapolation trust region.
     """
     require_valid(horizon)
     if grid.x_nodes[0] < -1e-12:
@@ -294,19 +333,15 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-3,
     values[-1], policies[-1] = vt, pt
 
     X, Y = grid.mesh()
-    x_flat, y_flat = X.ravel(), Y.ravel()
-    xi_flat = x_flat + y_flat
     for n in range(n_periods - 1, 0, -1):
         next_table = values[n]
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
-        hi = np.minimum(z_cap(x_flat, y_flat), z_max) if z_cap is not None else z_max
-        hi = np.maximum(np.broadcast_to(hi, x_flat.shape), x_flat)
+        hi = np.minimum(z_cap(X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
 
-        def f(z, _n=n, _tab=next_table):
-            return _expected_next(z, xi_flat, horizon, _n, _tab, order, bank=bank)
+        def f(z, xi, _n=n, _tab=next_table):
+            return _expected_next(z, xi, horizon, _n, _tab, order, bank=bank)
 
-        cands = [xi_flat] + _myopic_targets(horizon, n)
-        z_star, v_star = golden_max(f, x_flat, hi, z_tol, candidates=cands)
+        z_star, v_star = worth_search(f, grid, hi, z_tol, _myopic_targets(horizon, n))
         values[n - 1] = ValueTable(n, grid, v_star.reshape(grid.shape))
         policies[n - 1] = PolicyTable(n, grid, z_star.reshape(grid.shape))
     return DPSolution(horizon, grid, values, policies)

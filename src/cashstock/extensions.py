@@ -21,6 +21,7 @@ from .dp import (
     ValueTable,
     backward_induct,
     golden_max,
+    worth_search,
 )
 from .model import HorizonSpec, PeriodParams, require_valid
 
@@ -155,7 +156,9 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Gr
     """Backward induction with the bank term replaced by the tiered schedule.
 
     The stage value is concave between tier crossings but can jump where the
-    balance changes tier, so each tier's z-interval is searched separately.
+    balance changes tier, so each tier's z-interval is searched separately,
+    per node: the value tables are not concave, so backward_induct's
+    clipped net-worth search does not apply.
     """
     require_valid(horizon)
     n_last = horizon.n_periods
@@ -252,8 +255,12 @@ def loan_limited_policy(x, y, bands: single_period.OrderBands, limit_units: floa
 
 
 def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid, *,
-                    z_tol: float = 1e-3, order: int = DEFAULT_QUAD_ORDER) -> DPSolution:
-    """Backward induction with the z-search capped at x + y^+ + limit units."""
+                    z_tol: float = 1e-4, order: int = DEFAULT_QUAD_ORDER) -> DPSolution:
+    """Backward induction with the z-search capped at x + y^+ + limit units.
+
+    The cap only lowers each node's upper bound, so the net-worth search of
+    backward_induct still applies: the clipped maximizer stays optimal.
+    """
 
     def z_cap(x, y, _h=horizon):
         # capacity varies per period only through the unit cost; use the
@@ -339,11 +346,14 @@ class BackorderSolution:
 
 
 def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
-                 z_tol: float = 1e-3, order: int = DEFAULT_QUAD_ORDER) -> BackorderSolution:
+                 z_tol: float = 1e-4, order: int = DEFAULT_QUAD_ORDER) -> BackorderSolution:
     """Backward induction with backlogged demand: x' = z - D, penalty b.
 
     The grid's inventory axis must extend below zero (see backorder_grid).
-    The post-order level keeps the two-threshold trichotomy in net worth.
+    The stage value depends on a node only through its net worth and is
+    concave in z, so each period is searched once per net worth from the
+    lowest inventory node (worth_search) and clipped to [x, z_max]; the
+    post-order level keeps the two-threshold trichotomy in net worth.
     """
     require_valid(horizon)
     from .model import normalized_params
@@ -353,9 +363,6 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
     values: list = [None] * n_last
     policies: list = [None] * n_last
     values[-1], policies[-1] = vt, pt
-    X, Y = grid.mesh()
-    x_flat, y_flat = X.ravel(), Y.ravel()
-    xi_flat = x_flat + y_flat
     for n in range(n_last - 1, 0, -1):
         next_table = values[n]
         pp, hp, cp = normalized_params(horizon, n)
@@ -366,11 +373,11 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
         z_max = float(grid.x_nodes[-1] + demand.quantile(0.999))
         dep, loan = 1.0 + params.deposit_rate, 1.0 + params.loan_rate
 
-        def f(z, _t=next_table, _pp=pp, _hp=hp, _cp=cp, _bp=bp):
+        def f(z, xi, _t=next_table, _pp=pp, _hp=hp, _cp=cp, _bp=bp):
             z = np.asarray(z, dtype=float)
             nodes, w = demand.expectation_nodes(z, order)
             x_next = z[:, None] - nodes
-            bank = _cp * (xi_flat - z) * np.where(z <= xi_flat, dep, loan)
+            bank = _cp * (xi - z) * np.where(z <= xi, dep, loan)
             y_next = ((_pp + _bp) * z[:, None]
                       - (_pp + _hp + _bp) * np.maximum(x_next, 0.0)
                       - _bp * mean_d + bank[:, None])
@@ -379,10 +386,9 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
         eff = PeriodParams(params.price + b.penalty, params.cost,
                            params.holding, params.deposit_rate, params.loan_rate)
         ratios = single_period.fractiles(eff, -params.holding)
-        cands = [xi_flat,
-                 float(demand.quantile(min(max(ratios.borrow, 0.0), 1.0))),
+        cands = [float(demand.quantile(min(max(ratios.borrow, 0.0), 1.0))),
                  float(demand.quantile(min(max(ratios.deposit, 0.0), 1.0)))]
-        z_star, v_star = golden_max(f, x_flat, z_max, z_tol, candidates=cands)
+        z_star, v_star = worth_search(f, grid, z_max, z_tol, cands)
         values[n - 1] = ValueTable(n, grid, v_star.reshape(grid.shape))
         policies[n - 1] = PolicyTable(n, grid, z_star.reshape(grid.shape))
     return BackorderSolution(horizon, grid, values, policies, terminal_bands)

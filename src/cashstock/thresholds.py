@@ -23,7 +23,7 @@ import numpy as np
 
 from . import single_period
 from .demand import DEFAULT_QUAD_ORDER
-from .dp import DPSolution, Grid, ValueTable, backward_induct, partials
+from .dp import DPSolution, Grid, ValueTable, backward_induct, partials, worth_grid
 from .model import HorizonSpec, normalized_params, require_valid
 
 
@@ -165,12 +165,6 @@ class ThresholdTable:
 
     def period(self, n: int) -> PeriodThresholds:
         return self.periods[n - 1]
-
-
-def worth_grid(grid: Grid) -> np.ndarray:
-    """Deduplicated union of x + y node sums."""
-    sums = (grid.x_nodes[:, None] + grid.y_nodes[None, :]).ravel()
-    return np.unique(np.round(sums, 9))
 
 
 def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution | None = None,

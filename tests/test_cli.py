@@ -54,6 +54,30 @@ def test_invalid_horizon_rejected(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_initial_state_needs_two_numbers(tmp_path, capsys):
+    path = write_config(tmp_path, initial=[0, 0, 0])
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "initial must be a list of two numbers" in capsys.readouterr().err
+
+
+def test_quadrature_nodes_must_be_positive(tmp_path, capsys):
+    path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": 0})
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "quadrature_nodes must be a positive integer" in capsys.readouterr().err
+
+
+def test_table_horizon_zero_rejected_not_replaced(tmp_path, capsys):
+    path = write_config(tmp_path, table_horizons=[0])
+    out = tmp_path / "o"
+    assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 2
+    assert "table_horizons[0] must be a positive integer" in capsys.readouterr().err
+    assert not (out / "table2.csv").exists()
+    # an explicit horizon is used as given, never swapped for the config's N
+    cfg = load_config(str(write_config(tmp_path)))
+    with pytest.raises(ValueError, match="at least one period"):
+        cfg.horizon(n_periods=0)
+
+
 def test_solve_outputs_and_manifest(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "run"

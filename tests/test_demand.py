@@ -135,3 +135,11 @@ def test_uniform_validation():
         Uniform(-1, 5)
     with pytest.raises(ValueError):
         ZeroInflatedPoisson(1.0, 5.0)
+
+
+def test_discrete_empirical_label_is_compact():
+    values = tuple(float(k) for k in range(21))
+    label = DiscreteEmpirical(values, (1.0 / 21,) * 21).label
+    assert label == "DiscreteEmpirical(21 atoms on [0 20] mean=10 sd=6.0553)"
+    assert "," not in label
+    assert U20.label == "Uniform(lo=0 hi=20)"

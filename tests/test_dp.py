@@ -218,3 +218,37 @@ def test_suggest_grid_covers_reachable_capital():
     hz = make_horizon("u0_20", 6)
     g = suggest_grid(hz, nx=41, ny=51)
     cs.backward_induct(hz, g, initial_states=[(0.0, 0.0)])  # no escape
+
+
+def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
+    """Value tables of a golden-section search at every node over [x, hi],
+    with the kink z = x + y and the myopic levels as candidates."""
+    X, Y = grid.mesh()
+    x, y = X.ravel(), Y.ravel()
+    values = [None] * hz.n_periods
+    values[-1] = _terminal_tables(hz, grid)[0]
+    for n in range(hz.n_periods - 1, 0, -1):
+        z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
+        hi = np.minimum(z_cap(x, y), z_max) if z_cap is not None else z_max
+        cands = [x + y, *cs.myopic_lower(hz, n)[:2], *cs.myopic_upper(hz, n)[:2]]
+        _, v = golden_max(lambda z, _n=n: cs.stage_value(z, x, y, _n, hz, values[_n]),
+                          x, hi, z_tol, candidates=cands)
+        values[n - 1] = ValueTable(n, grid, v.reshape(grid.shape))
+    return values
+
+
+def loan_cap(x, y):
+    return x + np.maximum(y, 0.0) + 3.0
+
+
+@pytest.mark.parametrize("key, z_cap", [("u0_20", None), ("zip18", None),
+                                        ("iu0_20", None), ("u0_20", loan_cap)])
+def test_worth_search_matches_per_node_search(small_grid, key, z_cap):
+    hz = make_horizon(key, 4)
+    sol = cs.backward_induct(hz, small_grid, z_cap=z_cap)
+    for got, want in zip(sol.values, per_node_oracle(hz, small_grid, z_cap=z_cap)):
+        rel = (got.values - want.values) / np.abs(want.values)
+        assert np.abs(rel).max() < 1e-4
+        if key == "u0_20" and z_cap is None:
+            # continuous demand keeps the stage value concave: never worse
+            assert rel.min() > -1e-8
