@@ -12,10 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,17 +46,31 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
-def _positive_int(value, what: str) -> int:
-    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and np.isfinite(value) and value == int(value) and value >= 1)
-    _require(ok, f"{what} must be a positive integer, got {value!r}")
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _number(value, what: str, low: float = -np.inf, *, strict: bool = False) -> float:
+    ok = _is_number(value) and (value > low if strict else value >= low)
+    bound = "" if low == -np.inf else f" {'>' if strict else '>='} {low:g}"
+    _require(ok, f"{what} must be a number{bound}, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str, least: int = 1) -> int:
+    ok = _is_number(value) and value == int(value) and value >= least
+    bound = "a positive integer" if least == 1 else f"an integer >= {least}"
+    _require(ok, f"{what} must be {bound}, got {value!r}")
     return int(value)
 
 
 def _number_pair(value, what: str) -> tuple[float, float]:
-    ok = isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
-        for v in value)
+    ok = isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
     _require(ok, f"{what} must be a list of two numbers [x, y], got {value!r}")
     return float(value[0]), float(value[1])
 
@@ -71,7 +87,7 @@ def parse_demand(spec, where: str) -> Demand:
             return DiscreteEmpirical(tuple(spec["values"]), tuple(spec["probs"]))
     except KeyError as exc:
         raise ConfigError(f"{where}: demand kind '{kind}' is missing field {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown demand kind '{kind}' "
                       "(expected uniform, zip, or empirical)")
@@ -81,8 +97,7 @@ def parse_period(spec, where: str) -> PeriodParams:
     _require(isinstance(spec, dict), f"{where}: period must be an object")
     missing = [k for k in ("p", "c", "h", "i", "l") if k not in spec]
     _require(not missing, f"{where}: period is missing field(s) {missing}")
-    return PeriodParams(float(spec["p"]), float(spec["c"]), float(spec["h"]),
-                        float(spec["i"]), float(spec["l"]))
+    return PeriodParams(*(_number(spec[k], f"{where}.{k}") for k in ("p", "c", "h", "i", "l")))
 
 
 @dataclass
@@ -130,7 +145,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     for key in ("N", "salvage", "periods", "demands", "grid"):
         _require(key in raw, f"config is missing required field '{key}'")
-    n = _positive_int(raw["N"], "N")
+    n = _integer(raw["N"], "N")
     periods_raw = raw["periods"]
     _require(isinstance(periods_raw, list) and periods_raw, "periods must be a nonempty list")
     _require(len(periods_raw) in (1, n), f"periods must have 1 or N={n} entries")
@@ -140,35 +155,40 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     demands = [parse_demand(d, f"demands[{k}]") for k, d in enumerate(demands_raw)]
 
     g = raw["grid"]
+    _require(isinstance(g, dict), "grid must be an object")
     for key in ("x_max", "y_min", "y_max", "nx", "ny"):
         _require(key in g, f"grid is missing field '{key}'")
     solver = raw.get("solver", {})
     _require(isinstance(solver, dict), "solver must be an object")
     horizons = raw.get("table_horizons", [n, 2 * n])
     _require(isinstance(horizons, list) and horizons, "table_horizons must be a nonempty list")
+    states = raw.get("table_states", [0.0, 7.0, 14.0])
+    _require(isinstance(states, list) and states, "table_states must be a nonempty list")
     overrides = overrides or {}
-    scale = float(overrides.get("grid_scale", 1.0))
-    nx = max(2, int(round((int(g["nx"]) - 1) * scale)) + 1)
-    ny = max(2, int(round((int(g["ny"]) - 1) * scale)) + 1)
-    _require(float(g["y_min"]) < float(g["y_max"]), "grid needs y_min < y_max")
-    _require(float(g["x_max"]) > 0, "grid needs x_max > 0")
-    grid = Grid.regular(float(g["x_max"]), float(g["y_min"]), float(g["y_max"]), nx, ny)
+    scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
+    nx = max(2, int(round((_integer(g["nx"], "grid.nx", least=2) - 1) * scale)) + 1)
+    ny = max(2, int(round((_integer(g["ny"], "grid.ny", least=2) - 1) * scale)) + 1)
+    x_max = _number(g["x_max"], "grid.x_max", 0.0, strict=True)
+    y_min, y_max = _number(g["y_min"], "grid.y_min"), _number(g["y_max"], "grid.y_max")
+    _require(y_min < y_max, "grid needs y_min < y_max")
+    grid = Grid.regular(x_max, y_min, y_max, nx, ny)
 
     cfg = RunConfig(
         n_periods=n,
-        salvage=float(raw["salvage"]),
+        salvage=_number(raw["salvage"], "salvage"),
         periods=periods,
         demands=demands,
         grid=grid,
-        epsilon=float(overrides.get("epsilon", solver.get("epsilon", 1e-3))),
-        quadrature_nodes=_positive_int(solver.get("quadrature_nodes", 8),
-                                       "solver.quadrature_nodes"),
-        mc_paths=int(overrides.get("paths", solver.get("mc_paths", 100_000))),
-        seed=int(overrides.get("seed", solver.get("seed", 0))),
+        epsilon=_number(overrides.get("epsilon", solver.get("epsilon", 1e-3)),
+                        "solver.epsilon", 0.0, strict=True),
+        quadrature_nodes=_integer(solver.get("quadrature_nodes", 8), "solver.quadrature_nodes"),
+        mc_paths=_integer(overrides.get("paths", solver.get("mc_paths", 100_000)),
+                          "solver.mc_paths"),
+        seed=_integer(overrides.get("seed", solver.get("seed", 0)), "solver.seed", least=0),
         initial=_number_pair(raw.get("initial", [0.0, 0.0]), "initial"),
-        table_states=[float(v) for v in raw.get("table_states", [0.0, 7.0, 14.0])],
-        table_horizons=[_positive_int(v, f"table_horizons[{k}]")
-                        for k, v in enumerate(horizons)],
+        table_states=[_number(v, f"table_states[{k}]", 0.0)
+                      for k, v in enumerate(states)],
+        table_horizons=[_integer(v, f"table_horizons[{k}]") for k, v in enumerate(horizons)],
         raw=raw,
     )
     # per-scenario horizons are validated when commands build them
@@ -197,10 +217,18 @@ class Emitter:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) if not isinstance(v, str) else v for v in row)
-                  for row in rows]
-        (self.out_dir / name).write_text("\n".join(lines) + "\n")
+        """Write `rows`, a 2-D array or an iterable of rows, under `header`.
+
+        Numbers are written as `_fmt` writes them and string cells as they
+        are; each column holds numbers or strings throughout, as its first
+        row does.
+        """
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+        text = ",".join(header) + "\n"
+        if rows:
+            line = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
+            text += "\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows)) + "\n"
+        (self.out_dir / name).write_text(text)
         self.files.append(name)
 
     def write_manifest(self, command: str, cfg: RunConfig) -> None:
@@ -227,17 +255,17 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
                                initial_states=initial)
     table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon,
                              order=cfg.quadrature_nodes)
-    xs, ys = cfg.grid.x_nodes, cfg.grid.y_nodes
+    X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
-        vt, pt = solution.value(n), solution.policy(n)
-        rows = ((x, y, vt.values[i, j], pt.order_up_to[i, j], pt.order_up_to[i, j] - x)
-                for i, x in enumerate(xs) for j, y in enumerate(ys))
-        out.write_csv(f"value_period_{n}.csv", ["x", "y", "value", "order_up_to", "q"], rows)
-    thr_rows = []
-    for row in table.periods:
-        for k, w in enumerate(row.worth):
-            thr_rows.append((row.n, w, row.lower.borrow, row.borrow[k], row.upper.borrow,
-                             row.lower.deposit, row.deposit[k], row.upper.deposit))
+        z = solution.policy(n).order_up_to
+        cols = (X, Y, solution.value(n).values, z, z - X)
+        out.write_csv(f"value_period_{n}.csv", ["x", "y", "value", "order_up_to", "q"],
+                      np.column_stack([c.ravel() for c in cols]))
+    thr_rows = np.concatenate([
+        np.column_stack(np.broadcast_arrays(
+            row.n, row.worth, row.lower.borrow, row.borrow, row.upper.borrow,
+            row.lower.deposit, row.deposit, row.upper.deposit))
+        for row in table.periods])
     out.write_csv("thresholds.csv",
                   ["period", "net_worth", "borrow_lo", "borrow", "borrow_hi",
                    "deposit_lo", "deposit", "deposit_hi"], thr_rows)
@@ -291,15 +319,15 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
     bands = single_period.order_bands(single_period.fractiles(params, cfg.salvage), demand)
     ys = np.linspace(-bands.deposit, 2.0 * bands.deposit, 241)
     out.write_csv("fig_order_quantity.csv", ["y", "q"],
-                  ((y, q) for y, q in zip(ys, single_period.optimal_order(0.0, ys, bands))))
+                  np.column_stack([ys, single_period.optimal_order(0.0, ys, bands)]))
 
     solution = backward_induct(horizon, cfg.grid, order=cfg.quadrature_nodes)
     vt = solution.value(1)
     xi = np.linspace(0, len(cfg.grid.x_nodes) - 1, min(41, len(cfg.grid.x_nodes))).astype(int)
     yi = np.linspace(0, len(cfg.grid.y_nodes) - 1, min(41, len(cfg.grid.y_nodes))).astype(int)
+    xs, ys = np.meshgrid(cfg.grid.x_nodes[xi], cfg.grid.y_nodes[yi], indexing="ij")
     out.write_csv("fig_value_surface.csv", ["x", "y", "value"],
-                  ((cfg.grid.x_nodes[i], cfg.grid.y_nodes[j], vt.values[i, j])
-                   for i in xi for j in yi))
+                  np.column_stack([xs.ravel(), ys.ravel(), vt.values[np.ix_(xi, yi)].ravel()]))
 
     worth = default_worth_grid(cfg.grid)
     rows = []

@@ -8,12 +8,13 @@ Objects are immutable and safe to share across workers.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 #: discrete tails are truncated once the retained mass reaches 1 - TAIL_MASS
 TAIL_MASS = 1e-12
@@ -83,9 +84,18 @@ class Demand(ABC):
         return self.quantile(rng.random(size))
 
 
+@cache
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [-1, 1], read-only and shared."""
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx.flags.writeable = False
+    gw.flags.writeable = False
+    return gx, gw
+
+
 def _gauss_segments(edges_lo, edges_hi, density, order):
     """GL nodes/weights on per-element segments [lo, hi] with constant density."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx, gw = _gauss_legendre(order)
     half = 0.5 * (edges_hi - edges_lo)
     mid = 0.5 * (edges_hi + edges_lo)
     nodes = mid[..., None] + half[..., None] * gx
@@ -208,7 +218,8 @@ class ZeroInflatedPoisson(_Atoms):
         # truncate the Poisson tail once the residual mass drops below TAIL_MASS
         k_hi = int(self.lam + 12.0 * np.sqrt(self.lam) + 30.0)
         k = np.arange(k_hi + 1)
-        log_pois = -self.lam + k * np.log(self.lam) - gammaln(k + 1)
+        log_fact = np.array([math.lgamma(kk + 1.0) for kk in range(k_hi + 1)])
+        log_pois = -self.lam + k * np.log(self.lam) - log_fact
         pois = np.exp(log_pois)
         keep = np.nonzero(np.cumsum(pois) < 1.0 - TAIL_MASS)[0]
         k_cut = (keep[-1] + 2) if len(keep) else 1

@@ -12,6 +12,13 @@ next-period table over demand. They depend on a node only through its net
 worth xi and are concave in z, so the maximization over z runs once per
 distinct net worth (golden-section search plus explicit kink candidates),
 and each node takes that maximizer clipped to its own range [x, hi].
+
+Every expectation looks the next table up bilinearly. One kernel serves
+values and gradient fields: on an evenly spaced axis (every Grid.regular
+grid) a query's cell is found by arithmetic, i = floor((q - x0) / h)
+clipped to the edge cells, and on any other axis by binary search; the
+fraction is left unclipped, so queries outside the grid extend linearly
+along the edge cell.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ class Grid:
             if arr.ndim != 1 or len(arr) < 2 or np.any(np.diff(arr) <= 0):
                 raise ValueError(f"{name} nodes must be strictly increasing, length >= 2")
             object.__setattr__(self, f"{name}_nodes", arr)
+        object.__setattr__(self, "_steps", (_axis_step(self.x_nodes), _axis_step(self.y_nodes)))
 
     @classmethod
     def regular(cls, x_max: float, y_min: float, y_max: float, nx: int, ny: int,
@@ -63,36 +71,58 @@ class Grid:
         return np.meshgrid(self.x_nodes, self.y_nodes, indexing="ij")
 
 
-def _locate(nodes: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _axis_step(nodes: np.ndarray) -> float:
+    # the spacing h when nodes[k] is nodes[0] + k h to rounding (as linspace
+    # and arange build them), else 0: the axis is searched, not indexed
+    n = len(nodes)
+    h = (nodes[-1] - nodes[0]) / (n - 1)
+    even = nodes[0] + h * np.arange(n)
+    ulps = 8.0 * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
+    return float(h) if np.max(np.abs(nodes - even)) <= ulps else 0.0
+
+
+def _locate(nodes: np.ndarray, step: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # cell index clipped to the edge cells; the fraction is left unclipped so
     # points outside the grid extend linearly along the boundary cell
+    if step:
+        u = (q - nodes[0]) / step
+        # fmax/fmin send NaN to cell 0 (its fraction stays NaN); for u >= 0
+        # the cast truncates, which is floor
+        idx = np.fmin(np.fmax(u, 0.0), len(nodes) - 2).astype(np.intp)
+        return idx, u - idx
     idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
-    frac = (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
-    return idx, frac
+    return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+
+
+def _lerp(flat_values: np.ndarray, at, t):
+    a = flat_values[at]
+    return a + t * (flat_values[at + 1] - a)
+
+
+def _bilinear(fields, grid: Grid, xq, yq) -> list:
+    """Each (nx, ny) field in `fields` interpolated at the queries, one lookup."""
+    ix, tx = _locate(grid.x_nodes, grid._steps[0], np.asarray(xq, dtype=float))
+    iy, ty = _locate(grid.y_nodes, grid._steps[1], np.asarray(yq, dtype=float))
+    ny = len(grid.y_nodes)
+    flat = ix * ny + iy
+    out = []
+    for table in fields:
+        v = np.ravel(table)
+        lo = _lerp(v, flat, ty)
+        out.append(lo + tx * (_lerp(v, flat + ny, ty) - lo))
+    return out
 
 
 def interp1(nodes: np.ndarray, values: np.ndarray, q):
     """Piecewise-linear interpolation, one-sided linear outside the nodes."""
-    idx, t = _locate(np.asarray(nodes, dtype=float), np.asarray(q, dtype=float))
-    return (1.0 - t) * values[idx] + t * values[idx + 1]
+    nodes = np.asarray(nodes, dtype=float)
+    idx, t = _locate(nodes, _axis_step(nodes), np.asarray(q, dtype=float))
+    return _lerp(np.asarray(values), idx, t)
 
 
 def interp2(values: np.ndarray, grid: Grid, xq, yq):
     """Bilinear interpolation of a (nx, ny) table, linear one-sided outside."""
-    xq = np.asarray(xq, dtype=float)
-    yq = np.asarray(yq, dtype=float)
-    ix, tx = _locate(grid.x_nodes, xq)
-    iy, ty = _locate(grid.y_nodes, yq)
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
-    return (
-        (1.0 - tx) * (1.0 - ty) * v00
-        + tx * (1.0 - ty) * v10
-        + (1.0 - tx) * ty * v01
-        + tx * ty * v11
-    )
+    return _bilinear((values,), grid, xq, yq)[0]
 
 
 @dataclass(eq=False)
@@ -129,10 +159,10 @@ def partials(table: ValueTable, x, y):
     """(dV/dx, dV/dy) from central differences on the grid, interpolated.
 
     Differences are one-sided at the boundary rows/columns; the difference
-    fields themselves are interpolated bilinearly.
+    fields themselves are interpolated bilinearly, both from one lookup.
     """
-    gx, gy = table._gradients
-    return interp2(gx, table.grid, x, y), interp2(gy, table.grid, x, y)
+    gx, gy = _bilinear(table._gradients, table.grid, x, y)
+    return gx, gy
 
 
 def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -> State:

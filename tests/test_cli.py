@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cashstock.cli import ConfigError, load_config, main
+from cashstock.cli import ConfigError, Emitter, load_config, main
+from cashstock.demand import DiscreteEmpirical
 
 BASE_CONFIG = {
     "N": 3,
@@ -76,6 +77,60 @@ def test_table_horizon_zero_rejected_not_replaced(tmp_path, capsys):
     cfg = load_config(str(write_config(tmp_path)))
     with pytest.raises(ValueError, match="at least one period"):
         cfg.horizon(n_periods=0)
+
+
+SOLVER = BASE_CONFIG["solver"]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"table_states": ["a"]}, "table_states[0] must be a number >= 0"),
+    ({"grid": {**BASE_CONFIG["grid"], "nx": "a"}}, "grid.nx must be an integer >= 2"),
+    ({"grid": {**BASE_CONFIG["grid"], "ny": 1}}, "grid.ny must be an integer >= 2"),
+    ({"grid": 5}, "grid must be an object"),
+    ({"salvage": "x"}, "salvage must be a number"),
+    ({"salvage": 10 ** 400}, "salvage must be a number"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "l": "x"}]}, "periods[0].l must be a number"),
+    ({"demands": [{"kind": "uniform", "lo": None, "hi": 20}]}, "demands[0]: float()"),
+    ({"solver": {**SOLVER, "seed": "x"}}, "solver.seed must be an integer >= 0"),
+    ({"solver": {**SOLVER, "mc_paths": 0}}, "solver.mc_paths must be a positive integer"),
+    ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon must be a number > 0"),
+    ({"solver": {**SOLVER, "epsilon": 0}}, "solver.epsilon must be a number > 0"),
+], ids=["table_states", "grid_nx", "grid_ny", "grid", "salvage", "salvage_huge", "period_field",
+        "demand_field", "seed", "mc_paths", "epsilon_negative", "epsilon_zero"])
+def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
+    path = write_config(tmp_path, **changes)
+    assert main(["tables", "--which", "table2", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_grid_scale_must_be_positive(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--grid-scale", "0"]) == 2
+    assert "grid scale must be a number > 0" in capsys.readouterr().err
+
+
+def per_cell_csv(header, rows) -> str:
+    """Reference: every cell formatted on its own, numbers as %.6g."""
+    return "".join(",".join(v if isinstance(v, str) else f"{float(v):.6g}" for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def test_write_csv_bytes_match_per_cell_format(tmp_path):
+    label = DiscreteEmpirical(tuple(range(21)), (1 / 21,) * 21).label  # as `tables` writes it
+    cells = [-0.0, 1e-7, 123456789.0, 123456789, 4.0, float("nan"), float("inf"),
+             np.float64(0.1) + 0.2, np.int64(5000), -2.5e-300]
+    rows = [(label, *cells), (label, *cells[::-1])]
+    header = ["demand", *(f"c{k}" for k in range(len(cells)))]
+    out = Emitter(tmp_path)
+    out.write_csv("rows.csv", header, rows)
+    out.write_csv("array.csv", header[1:], np.array([row[1:] for row in rows], dtype=float))
+    out.write_csv("empty.csv", ["x"], np.empty((0, 1)))
+    assert (tmp_path / "rows.csv").read_bytes() == per_cell_csv(header, rows).encode()
+    assert (tmp_path / "array.csv").read_bytes() == per_cell_csv(
+        header[1:], [row[1:] for row in rows]).encode()
+    assert (tmp_path / "empty.csv").read_bytes() == b"x\n"
 
 
 def test_solve_outputs_and_manifest(tmp_path):

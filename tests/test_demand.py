@@ -1,6 +1,13 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cashstock
 from cashstock.demand import (
     DiscreteEmpirical,
     Uniform,
@@ -84,6 +91,25 @@ def test_moments():
     assert poisson.cv == pytest.approx(np.sqrt(0.1), abs=1e-12)  # 0.316
     with pytest.raises(ValueError):
         DiscreteEmpirical((0.0,), (1.0,)).moments()
+
+
+@pytest.mark.parametrize("pi, lam", [(0.18, 10.0), (0.0, 10.0), (0.5, 3.5), (0.02, 40.0)])
+def test_zip_pmf_matches_closed_form(pi, lam):
+    atoms, probs = ZeroInflatedPoisson(pi, lam).quadrature()
+    exact = np.array([(1.0 - pi) * math.exp(-lam) * lam ** k / math.factorial(k)
+                      for k in range(len(atoms))])
+    exact[0] += pi
+    assert np.all(np.abs(probs - exact) <= 1e-12 * exact)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(cashstock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, cashstock.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 def test_quadrature_weights_are_probabilities():

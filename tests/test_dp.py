@@ -12,6 +12,7 @@ from cashstock.dp import (
     reachable_worth_bounds,
     suggest_grid,
 )
+from cashstock.extensions import backorder_grid
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
@@ -53,6 +54,92 @@ def test_interp1_linear_extension():
     vals = np.array([0.0, 2.0, 4.0])
     assert interp1(nodes, vals, np.array([-1.0, 0.5, 2.0, 5.0])) == pytest.approx(
         [-2.0, 1.0, 3.0, 6.0])
+
+
+def _search_locate(nodes, q):
+    idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
+    return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+
+
+def search_interp1(nodes, values, q):
+    """Reference: binary-search lookup and two-weight sum."""
+    idx, t = _search_locate(nodes, np.asarray(q, dtype=float))
+    return (1.0 - t) * values[idx] + t * values[idx + 1]
+
+
+def search_interp2(values, grid, xq, yq):
+    """Reference: binary-search lookup per axis and the four-weight sum."""
+    ix, tx = _search_locate(grid.x_nodes, np.asarray(xq, dtype=float))
+    iy, ty = _search_locate(grid.y_nodes, np.asarray(yq, dtype=float))
+    return ((1.0 - tx) * (1.0 - ty) * values[ix, iy] + tx * (1.0 - ty) * values[ix + 1, iy]
+            + (1.0 - tx) * ty * values[ix, iy + 1] + tx * ty * values[ix + 1, iy + 1])
+
+
+def _kernel_queries(x_nodes, y_nodes):
+    """(xq, yq) pairs: every node (the last included), points outside on all
+    four sides, and scalar, 1-D, 2-D and broadcast query shapes."""
+    rng = np.random.default_rng(11)
+    x0, x1, y0, y1 = x_nodes[0], x_nodes[-1], y_nodes[0], y_nodes[-1]
+    sx, sy = 0.2 * (x1 - x0), 0.2 * (y1 - y0)
+    X, Y = np.meshgrid(x_nodes, y_nodes, indexing="ij")
+    side = rng.uniform(y0, y1, 50)
+    across = rng.uniform(x0, x1, 50)
+    return [
+        (X.ravel(), Y.ravel()),
+        (float(x1), float(y1)),
+        (float(x0 - 0.3 * sx), float(y0 + 0.5 * sy)),
+        (rng.uniform(x0 - sx, x0, 50), side),          # below x
+        (rng.uniform(x1, x1 + sx, 50), side),          # above x
+        (across, rng.uniform(y0 - sy, y0, 50)),        # below y
+        (across, rng.uniform(y1, y1 + sy, 50)),        # above y
+        (rng.uniform(x0 - sx, x1 + sx, (7, 9)), rng.uniform(y0 - sy, y1 + sy, (7, 9))),
+        (rng.uniform(x0, x1, (6, 1)), rng.uniform(y0, y1, (1, 5))),
+    ]
+
+
+def _kernel_grids():
+    regular = Grid.regular(40, -60, 120, 41, 51)
+    return {"regular": regular,
+            "backorder": backorder_grid(make_horizon("u0_20", 3), regular)}
+
+
+@pytest.mark.parametrize("name", ["regular", "backorder"])
+def test_bilinear_kernel_matches_search_reference(name):
+    grid = _kernel_grids()[name]
+    # arithmetic cell index on evenly spaced axes only; the backorder
+    # grid's inventory axis has a short step at zero and is searched
+    assert grid._steps[1] > 0
+    assert (grid._steps[0] > 0) == (name == "regular")
+    X, Y = grid.mesh()
+    rng = np.random.default_rng(5)
+    table = ValueTable(1, grid, 900.0 * np.sqrt(X - X.min() + 1.0) + 35.0 * Y
+                       - 0.1 * Y ** 2 + 2.0 * X * Y + rng.normal(0.0, 40.0, grid.shape))
+    gx, gy = (np.gradient(table.values, grid.x_nodes, axis=0),
+              np.gradient(table.values, grid.y_nodes, axis=1))
+    for xq, yq in _kernel_queries(grid.x_nodes, grid.y_nodes):
+        got = interp2(table.values, grid, xq, yq)
+        want = search_interp2(table.values, grid, xq, yq)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(table.values))
+        dx, dy = cs.partials(table, xq, yq)
+        for field, d in ((gx, dx), (gy, dy)):
+            ref = search_interp2(field, grid, xq, yq)
+            assert np.shape(d) == np.shape(ref)
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(field))
+
+
+@pytest.mark.parametrize("nodes", [np.linspace(-3.0, 17.0, 41),
+                                   np.array([0.0, 0.5, 2.0, 2.25, 6.0, 10.0])])
+def test_interp1_matches_search_reference(nodes):
+    values = np.sin(nodes) * 50.0 + nodes ** 2
+    lo, hi = nodes[0], nodes[-1]
+    queries = [nodes, float(hi), float(lo), lo - np.array([0.1, 2.0, 5.0]),
+               hi + np.array([0.1, 2.0, 5.0]),
+               np.random.default_rng(2).uniform(lo - 3.0, hi + 3.0, (4, 6))]
+    for q in queries:
+        got, want = interp1(nodes, values, q), search_interp1(nodes, values, q)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_partials_linear_field():
