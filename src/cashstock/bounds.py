@@ -19,30 +19,30 @@ from .dp import (
     DPSolution,
     Grid,
     _expected_next,
+    _next_state,
     backward_induct,
     golden_max,
     interp1,
     policy_value_tables,
 )
-from .model import HorizonSpec, normalized_params, require_valid
+from .model import HorizonSpec, require_valid
 from .thresholds import myopic_upper
 
 
 def xi_transition(worth, z, d, n: int, horizon: HorizonSpec):
-    """Next net worth when current stock plus cash is fungible.
+    """Next net worth x' + y' when current stock plus cash is fungible.
 
     w' = p' z - (p' + h' - 1)(z - d)^+ + c'(w - z)[(1+i) if z <= w else (1+l)];
     the leftover (z - d)^+ is carried at full next-period cost, hence the
     coefficient drops by one relative to the two-dimensional dynamics.
     """
-    pp, hp, cp = normalized_params(horizon, n)
-    params = horizon.period(n)
-    worth = np.asarray(worth, dtype=float)
+    if not 1 <= n <= horizon.n_periods - 1:
+        raise ValueError(f"net-worth transition defined for 1 <= n <= N-1, got n={n}")
     z = np.asarray(z, dtype=float)
     if np.any(z < -1e-12):
         raise ValueError("target stock must be nonnegative")
-    rate = np.where(z <= worth, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-    return pp * z - (pp + hp - 1.0) * np.maximum(z - d, 0.0) + cp * (worth - z) * rate
+    x_next, y_next = _next_state(z, np.asarray(worth, dtype=float), d, n, horizon)
+    return x_next + y_next
 
 
 @dataclass(eq=False)
@@ -97,7 +97,8 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
         z_max = float(max(worth_nodes[-1], 0.0) + horizon.demand_in(n).quantile(0.999))
 
         def f(z, _n=n, _nxt=nxt):
-            return _stage(z, worth_nodes, _n, horizon, _nxt, order)
+            return _expected_next(z, worth_nodes, horizon, _n,
+                                  lambda xn, yn: _nxt(xn + yn), order)
 
         target, vals = golden_max(f, zeros, z_max, z_tol,
                                   candidates=[np.clip(worth_nodes, 0.0, z_max)])
@@ -105,18 +106,6 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
         tables[n - 1] = WorthValueTable(n, worth_nodes, vals, target,
                                         float(target[0]), float(target[-1]))
     return tables
-
-
-def _stage(z, worth, n, horizon, next_table: WorthValueTable, order):
-    pp, hp, cp = normalized_params(horizon, n)
-    params = horizon.period(n)
-    nodes, w = horizon.demand_in(n).expectation_nodes(np.asarray(z, dtype=float), order)
-    z = np.asarray(z, dtype=float)
-    rate = np.where(z <= worth, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-    w_next = (pp * z[:, None]
-              - (pp + hp - 1.0) * np.maximum(z[:, None] - nodes, 0.0)
-              + (cp * (worth - z) * rate)[:, None])
-    return np.sum(next_table(w_next) * w, axis=1)
 
 
 def liquidation_value(x, y, n: int, horizon: HorizonSpec, solution: DPSolution, *,
@@ -183,12 +172,7 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     pairs = [myopic_upper(horizon, n) for n in range(1, horizon.n_periods + 1)]
 
     def upper_policy(n, x, y):
-        pair = pairs[n - 1]
-        worth = x + y
-        return np.where(
-            worth >= pair.deposit, np.maximum(pair.deposit - x, 0.0),
-            np.where(worth >= pair.borrow, np.maximum(y, 0.0),
-                     np.maximum(pair.borrow - x, 0.0)))
+        return single_period.optimal_order(x, y, pairs[n - 1])
 
     lower_tables = policy_value_tables(horizon, grid, upper_policy, order=order)
     sell_back = selling_back_dp(horizon, default_worth_grid(grid), order=order)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -25,9 +25,9 @@ import numpy as np
 from . import single_period
 from .bounds import compare_bounds, default_worth_grid, selling_back_dp
 from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
-from .dp import Grid, GridEscapeError, backward_induct, policy_value_tables
+from .dp import Grid, GridEscapeError, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
-from .sim import MyopicPolicy, ThresholdPolicy, run_policy
+from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policy
 from .thresholds import BracketError, solve_thresholds
 
 ENV_PREFIX = "CASHSTOCK_"
@@ -164,6 +164,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(horizons, list) and horizons, "table_horizons must be a nonempty list")
     states = raw.get("table_states", [0.0, 7.0, 14.0])
     _require(isinstance(states, list) and states, "table_states must be a nonempty list")
+    check = raw.get("check_reachability", False)
+    _require(isinstance(check, bool), f"check_reachability must be true or false, got {check!r}")
     overrides = overrides or {}
     scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
     nx = max(2, int(round((_integer(g["nx"], "grid.nx", least=2) - 1) * scale)) + 1)
@@ -171,7 +173,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     x_max = _number(g["x_max"], "grid.x_max", 0.0, strict=True)
     y_min, y_max = _number(g["y_min"], "grid.y_min"), _number(g["y_max"], "grid.y_max")
     _require(y_min < y_max, "grid needs y_min < y_max")
-    grid = Grid.regular(x_max, y_min, y_max, nx, ny)
+    try:
+        grid = Grid.regular(x_max, y_min, y_max, nx, ny)
+    except ValueError as exc:  # a span too small for the nodes to differ
+        raise ConfigError(f"grid: {exc}") from None
 
     cfg = RunConfig(
         n_periods=n,
@@ -277,21 +282,9 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
 
 def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     if which == "table1":
-        rows = []
-        for dem in cfg.demands:
-            horizon = cfg.horizon(demand=dem)
-            solution = backward_induct(horizon, cfg.grid, order=cfg.quadrature_nodes)
-            x0, y0 = cfg.initial
-            v = float(solution.value(1)(x0, y0))
-            vals = {}
-            for kind in ("lower", "upper"):
-                tabs = policy_value_tables(horizon, cfg.grid, MyopicPolicy(horizon, kind),
-                                           order=cfg.quadrature_nodes)
-                vals[kind] = float(tabs[0](x0, y0))
-            m = dem.moments()
-            rows.append((dem.label, m.cv, v,
-                         vals["lower"], 100.0 * (v - vals["lower"]) / v,
-                         vals["upper"], 100.0 * (v - vals["upper"]) / v))
+        rows = [astuple(gap_report(cfg.horizon(demand=dem), cfg.grid, State(*cfg.initial),
+                                   order=cfg.quadrature_nodes, demand_label=dem.label))
+                for dem in cfg.demands]
         out.write_csv("table1.csv",
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
                        "v_myopic_upper", "gap_upper_pct"], rows)

@@ -1,13 +1,20 @@
 """Multi-period solution by backward induction on an inventory-capital grid.
 
 State is (x, y): on-hand stock and capital in product units. The decision is
-the post-order stock level z >= x; the dynamics in normalized units are
+the post-order stock level z >= x. Every solver moves between periods with
+one transition, `_next_state`; in normalized units it is
 
     x' = (z - D)^+
     y' = p' z - (p' + h')(z - D)^+ + c'(xi - z) [(1+i) if z <= xi else (1+l)]
 
 with xi = x + y and (p', h', c') the period economics divided by next
-period's unit cost. Stage values are expectations of the interpolated
+period's unit cost. In the last period y' is terminal wealth in currency,
+with (p', h', c') = (p, -s, c). The extensions are parameters of it: `bank`
+replaces the two-rate bank term (tiered rates) and `backlog` carries unmet
+demand as negative stock (backorders).
+
+Every grid solver runs one backward loop, `_induct`, from a terminal table
+and a per-period step. Stage values are expectations of the interpolated
 next-period table over demand. They depend on a node only through its net
 worth xi and are concave in z, so the maximization over z runs once per
 distinct net worth (golden-section search plus explicit kink candidates),
@@ -165,43 +172,52 @@ def partials(table: ValueTable, x, y):
     return gx, gy
 
 
-def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -> State:
-    """Next inventory-capital state after ordering up to z and selling d."""
-    if z < state.x - 1e-12:
-        raise ValueError(f"post-order stock {z} below on-hand inventory {state.x}")
-    pp, hp, cp = normalized_params(horizon, n)
+def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=None):
+    """(x', y') after ordering up to z from net worth xi and meeting demand d.
+
+    Before the last period y' is in next period's units; in period N it is
+    terminal wealth in currency, with h' = -s. `bank` maps a currency bank
+    position to its end-of-period value (default: the two rates). `backlog`
+    is a backorder penalty b: unmet demand stays as negative stock and
+    b E[D] is charged (the horizon's prices then include b).
+    """
     params = horizon.period(n)
-    worth = state.x + state.y
-    rate = 1.0 + params.deposit_rate if z <= worth else 1.0 + params.loan_rate
-    leftover = max(z - d, 0.0)
-    return State(leftover, pp * z - (pp + hp) * leftover + cp * (worth - z) * rate)
-
-
-def _linear_bank(params):
-    dep, loan = 1.0 + params.deposit_rate, 1.0 + params.loan_rate
-    def bank(amount):
-        return amount * np.where(amount >= 0.0, dep, loan)
-    return bank
-
-
-def _expected_next(z, xi, horizon, n, next_value, order, bank=None):
-    """E_D[ next_value(x', y') ] for per-element (z, xi) under period n."""
-    pp, hp, cp = normalized_params(horizon, n)
-    params = horizon.period(n)
-    demand = horizon.demand_in(n)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = demand.expectation_nodes(z, order)
-    leftover = np.maximum(z[:, None] - nodes, 0.0)
+    if n < horizon.n_periods:
+        pp, hp, cp = normalized_params(horizon, n)
+        c_next = horizon.period(n + 1).cost
+    else:
+        pp, hp, cp, c_next = params.price, -horizon.salvage, params.cost, 1.0
+    leftover = np.maximum(z - d, 0.0)
     if bank is None:
         dep, loan = 1.0 + params.deposit_rate, 1.0 + params.loan_rate
         bank_units = cp * (xi - z) * np.where(z <= xi, dep, loan)
     else:
-        c_next = horizon.period(n + 1).cost
         bank_units = bank(params.cost * (xi - z)) / c_next
-    y_next = pp * z[:, None] - (pp + hp) * leftover + bank_units[:, None]
-    vals = next_value(leftover, y_next)
-    return np.sum(vals * weights, axis=1)
+    y_next = pp * z - (pp + hp) * leftover + bank_units
+    if backlog is None:
+        return leftover, y_next
+    return z - d, y_next - backlog / c_next * horizon.demand_in(n).mean()
+
+
+def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -> State:
+    """Next inventory-capital state after ordering up to z and selling d.
+
+    In the last period the capital is terminal wealth in currency.
+    """
+    if z < state.x - 1e-12:
+        raise ValueError(f"post-order stock {z} below on-hand inventory {state.x}")
+    x, y = _next_state(z, state.x + state.y, d, n, horizon)
+    return State(float(x), float(y))
+
+
+def _expected_next(z, xi, horizon, n, next_value, order, bank=None, backlog=None):
+    """E_D[ next_value(x', y') ] for per-element (z, xi) under period n."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    nodes, weights = horizon.demand_in(n).expectation_nodes(z, order)
+    x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, horizon,
+                                 bank=bank, backlog=backlog)
+    return np.sum(next_value(x_next, y_next) * weights, axis=1)
 
 
 def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable,
@@ -335,9 +351,26 @@ def _terminal_tables(horizon: HorizonSpec, grid: Grid) -> tuple[ValueTable, Poli
     return ValueTable(n, grid, vals), PolicyTable(n, grid, X + q)
 
 
+def _induct(horizon: HorizonSpec, grid: Grid, terminal, step):
+    """The backward recursion of every grid solver.
+
+    `terminal` is period N's (order-up-to, value) pair on the grid nodes, and
+    `step(n, next_table)` gives period n's pair from period n+1's value
+    table. Returns the value and the policy tables, period 1 first.
+    """
+    values, policies = [], []
+    z, v = terminal
+    for n in range(horizon.n_periods, 0, -1):
+        if values:
+            z, v = step(n, values[-1])
+        values.append(ValueTable(n, grid, np.reshape(v, grid.shape)))
+        policies.append(PolicyTable(n, grid, np.reshape(z, grid.shape)))
+    return values[::-1], policies[::-1]
+
+
 def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
                     order: int = DEFAULT_QUAD_ORDER, z_cap=None,
-                    initial_states=None, bank=None) -> DPSolution:
+                    initial_states=None, bank=None, backlog=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
     The terminal table is the closed-form single-period optimum. Earlier
@@ -347,33 +380,34 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
     node's range. `z_cap(x, y)` optionally tightens the upper bound per node
     (loan limits). `bank` replaces the two-rate bank term; it must keep the
     stage value concave in z, which whole-balance tiers do not (see
-    piecewise_dp). When `initial_states` is given, reachable capital is
-    interval-propagated from those states and a GridEscapeError is raised if
-    it leaves the extrapolation trust region.
+    piecewise_dp). `backlog` is a backorder penalty (see _next_state and
+    backorder_dp); the grid may then hold negative stock. When
+    `initial_states` is given, reachable capital is interval-propagated from
+    those states and a GridEscapeError is raised if it leaves the
+    extrapolation trust region.
     """
     require_valid(horizon)
-    if grid.x_nodes[0] < -1e-12:
+    if backlog is None and grid.x_nodes[0] < -1e-12:
         raise ValueError("inventory nodes must be nonnegative under lost sales")
     if initial_states is not None:
         check_reachability(horizon, grid, initial_states)
-    n_periods = horizon.n_periods
     vt, pt = _terminal_tables(horizon, grid)
-    values: list = [None] * n_periods
-    policies: list = [None] * n_periods
-    values[-1], policies[-1] = vt, pt
-
+    v_last = vt.values
+    if backlog is not None:
+        v_last = v_last - backlog * horizon.demand_in(horizon.n_periods).mean()
     X, Y = grid.mesh()
-    for n in range(n_periods - 1, 0, -1):
-        next_table = values[n]
+
+    def step(n, next_table):
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
         hi = np.minimum(z_cap(X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
 
-        def f(z, xi, _n=n, _tab=next_table):
-            return _expected_next(z, xi, horizon, _n, _tab, order, bank=bank)
+        def f(z, xi):
+            return _expected_next(z, xi, horizon, n, next_table, order,
+                                  bank=bank, backlog=backlog)
 
-        z_star, v_star = worth_search(f, grid, hi, z_tol, _myopic_targets(horizon, n))
-        values[n - 1] = ValueTable(n, grid, v_star.reshape(grid.shape))
-        policies[n - 1] = PolicyTable(n, grid, z_star.reshape(grid.shape))
+        return worth_search(f, grid, hi, z_tol, _myopic_targets(horizon, n))
+
+    values, policies = _induct(horizon, grid, (pt.order_up_to, v_last), step)
     return DPSolution(horizon, grid, values, policies)
 
 
@@ -384,18 +418,16 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy, *,
     `policy(n, x, y)` returns the order quantity per node (vectorized).
     """
     require_valid(horizon)
-    n_periods = horizon.n_periods
     X, Y = grid.mesh()
-    x_flat, y_flat = X.ravel(), Y.ravel()
-    q_term = np.maximum(policy(n_periods, x_flat, y_flat), 0.0)
-    vals = terminal_value(q_term, x_flat, y_flat, horizon)
-    tables: list = [None] * n_periods
-    tables[-1] = ValueTable(n_periods, grid, vals.reshape(grid.shape))
-    for n in range(n_periods - 1, 0, -1):
-        z = x_flat + np.maximum(policy(n, x_flat, y_flat), 0.0)
-        w = _expected_next(z, x_flat + y_flat, horizon, n, tables[n], order)
-        tables[n - 1] = ValueTable(n, grid, w.reshape(grid.shape))
-    return tables
+    x, y = X.ravel(), Y.ravel()
+    q_last = np.maximum(policy(horizon.n_periods, x, y), 0.0)
+
+    def step(n, next_table):
+        z = x + np.maximum(policy(n, x, y), 0.0)
+        return z, _expected_next(z, x + y, horizon, n, next_table, order)
+
+    terminal = (x + q_last, terminal_value(q_last, x, y, horizon))
+    return _induct(horizon, grid, terminal, step)[0]
 
 
 def reachable_worth_bounds(horizon: HorizonSpec, initial_states) -> list[tuple[float, float]]:
@@ -412,22 +444,16 @@ def reachable_worth_bounds(horizon: HorizonSpec, initial_states) -> list[tuple[f
     y_lo, y_hi = float(states[:, 1].min()), float(states[:, 1].max())
     out = [(y_lo, y_hi)]
     for n in range(1, horizon.n_periods):
-        pp, hp, cp = normalized_params(horizon, n)
-        params, demand = horizon.period(n), horizon.demand_in(n)
-        d_hi = float(demand.quantile(0.999))
+        d_hi = float(horizon.demand_in(n).quantile(0.999))
         pair = myopic_upper(horizon, n) if horizon.upper_myopic_valid else myopic_lower(horizon, n)
         z_hi = max(x_hi, pair.deposit)
-        lo = np.inf
-        hi = -np.inf
-        for z in (x_lo, min(max(x_lo + y_lo, x_lo), z_hi), z_hi):
-            for d in (0.0, d_hi):
-                for xi in (x_lo + y_lo, x_hi + y_hi):
-                    rate = 1.0 + (params.deposit_rate if z <= xi else params.loan_rate)
-                    y_next = pp * z - (pp + hp) * max(z - d, 0.0) + cp * (xi - z) * rate
-                    lo, hi = min(lo, y_next), max(hi, y_next)
-        out.append((lo, hi))
+        ends = [float(_next_state(z, xi, d, n, horizon)[1])
+                for z in (x_lo, min(max(x_lo + y_lo, x_lo), z_hi), z_hi)
+                for d in (0.0, d_hi)
+                for xi in (x_lo + y_lo, x_hi + y_hi)]
+        out.append((min(ends), max(ends)))
         x_lo, x_hi = 0.0, z_hi
-        y_lo, y_hi = lo, hi
+        y_lo, y_hi = out[-1]
     return out
 
 

@@ -1,28 +1,22 @@
 """Model extensions: tiered interest schedules, loan limits, backorders.
 
-Each keeps the two-threshold structure of the base model. Tiered rates turn
-the single pair of order-up-to levels into ladders (one level per rate
-tier); a loan limit caps the feasible order; backordering carries unmet
-demand as negative stock at a per-unit penalty.
+Each keeps the two-threshold structure of the base model and is a parameter
+of the one backward recursion in dp. Tiered rates turn the single pair of
+order-up-to levels into ladders (one level per rate tier) and replace the
+transition's bank term; a loan limit caps the feasible order; backorders are
+the transition's `backlog`: unmet demand is carried as negative stock at a
+per-unit penalty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import single_period
 from .demand import DEFAULT_QUAD_ORDER, Demand
-from .dp import (
-    DPSolution,
-    Grid,
-    PolicyTable,
-    ValueTable,
-    backward_induct,
-    golden_max,
-    worth_search,
-)
+from .dp import DPSolution, Grid, PolicyTable, _expected_next, _induct, backward_induct, golden_max
 from .model import HorizonSpec, PeriodParams, require_valid
 
 
@@ -171,31 +165,25 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Gr
             xx, yy, params_n, horizon.salvage, schedule, demand_n, ladder_n)
     )(X, Y)
     v_term = _piecewise_G(q_term, X, Y, params_n, horizon.salvage, schedule, demand_n)
-    values: list = [None] * n_last
-    policies: list = [None] * n_last
-    values[-1] = ValueTable(n_last, grid, v_term)
-    policies[-1] = PolicyTable(n_last, grid, X + q_term)
-
-    from .dp import _expected_next  # shared stage expectation
 
     x_flat, y_flat = X.ravel(), Y.ravel()
     xi_flat = x_flat + y_flat
-    for n in range(n_last - 1, 0, -1):
-        next_table = values[n]
-        params = horizon.period(n)
+
+    def step(n, next_table):
+        cost = horizon.period(n).cost
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
 
-        def f(z, _n=n, _t=next_table):
-            return _expected_next(z, xi_flat, horizon, _n, _t, order,
+        def f(z):
+            return _expected_next(z, xi_flat, horizon, n, next_table, order,
                                   bank=schedule.bank_flow)
 
         # z-interval edges where the bank balance c(xi - z) crosses a tier break
         edge_sets = [x_flat, np.minimum(np.maximum(xi_flat, x_flat), z_max),
                      np.full_like(x_flat, z_max)]
         for brk in schedule.deposit_breaks:
-            edge_sets.append(np.clip(xi_flat - brk / params.cost, x_flat, z_max))
+            edge_sets.append(np.clip(xi_flat - brk / cost, x_flat, z_max))
         for brk in schedule.loan_breaks:
-            edge_sets.append(np.clip(xi_flat + brk / params.cost, x_flat, z_max))
+            edge_sets.append(np.clip(xi_flat + brk / cost, x_flat, z_max))
         edges = np.sort(np.stack(edge_sets), axis=0)
         z_parts, v_parts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -205,9 +193,9 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Gr
         zs, vs = np.stack(z_parts), np.stack(v_parts)
         best_v = vs.max(axis=0)
         tie = best_v - 1e-9 * (1.0 + np.abs(best_v))
-        best_z = np.where(vs >= tie, zs, np.inf).min(axis=0)
-        values[n - 1] = ValueTable(n, grid, best_v.reshape(grid.shape))
-        policies[n - 1] = PolicyTable(n, grid, best_z.reshape(grid.shape))
+        return np.where(vs >= tie, zs, np.inf).min(axis=0), best_v
+
+    values, policies = _induct(horizon, grid, (X + q_term, v_term), step)
     return DPSolution(horizon, grid, values, policies)
 
 
@@ -232,25 +220,11 @@ class LoanLimit:
 def loan_limited_policy(x, y, bands: single_period.OrderBands, limit_units: float):
     """Two-threshold rule with orders capped at cash plus loan capacity.
 
-    Below net worth (borrow level - capacity) the target is out of reach and
-    the order is the projection onto the feasible set, q = y^+ + capacity.
+    The single-period objective is concave in q, so the capped optimum is
+    the free rule's order cut to the feasible q <= y^+ + capacity.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    worth = x + y
-    q = np.where(
-        worth >= bands.deposit,
-        np.maximum(bands.deposit - x, 0.0),
-        np.where(
-            worth >= bands.borrow,
-            np.maximum(y, 0.0),
-            np.where(
-                worth >= bands.borrow - limit_units,
-                np.maximum(bands.borrow - x, 0.0),
-                np.maximum(y, 0.0) + limit_units,
-            ),
-        ),
-    )
+    cap = np.maximum(np.asarray(y, dtype=float), 0.0) + limit_units
+    q = np.minimum(single_period.optimal_order(x, y, bands), cap)
     return q if q.ndim else float(q)
 
 
@@ -296,30 +270,6 @@ def backorder_revenue(z, d, params: PeriodParams, penalty: float, mean_demand: f
             - penalty * mean_demand)
 
 
-def _backorder_terminal(horizon: HorizonSpec, b: BackorderParams, grid: Grid):
-    """Closed-form terminal tables: the lost-sales solution at price p + b."""
-    n = horizon.n_periods
-    params, demand = horizon.period(n), horizon.demand_in(n)
-    eff = PeriodParams(params.price + b.penalty, params.cost, params.holding,
-                       params.deposit_rate, params.loan_rate)
-    bands = single_period.order_bands(single_period.fractiles(eff, horizon.salvage), demand)
-    X, Y = grid.mesh()
-    worth = X + Y
-    q = np.where(
-        worth >= bands.deposit, np.maximum(bands.deposit - X, 0.0),
-        np.where(worth >= bands.borrow, np.maximum(Y, 0.0),
-                 np.maximum(bands.borrow - X, 0.0)))
-    z = X + q
-    rate = np.where(q <= Y, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-    vals = (
-        (params.price + b.penalty) * z
-        - (params.price + b.penalty - horizon.salvage) * demand.loss(z)
-        - b.penalty * demand.mean()
-        + params.cost * (Y - q) * rate
-    )
-    return ValueTable(n, grid, vals), PolicyTable(n, grid, z), bands
-
-
 def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
     """Extend the inventory axis to the deepest plausible backlog."""
     d_hi = max(float(horizon.demand_in(n).quantile(0.999))
@@ -331,67 +281,30 @@ def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
 
 
 @dataclass(eq=False)
-class BackorderSolution:
-    horizon: HorizonSpec
-    grid: Grid
-    values: list[ValueTable]
-    policies: list[PolicyTable]
+class BackorderSolution(DPSolution):
     terminal_bands: single_period.OrderBands
-
-    def value(self, n: int) -> ValueTable:
-        return self.values[n - 1]
-
-    def policy(self, n: int) -> PolicyTable:
-        return self.policies[n - 1]
 
 
 def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
                  z_tol: float = 1e-4, order: int = DEFAULT_QUAD_ORDER) -> BackorderSolution:
     """Backward induction with backlogged demand: x' = z - D, penalty b.
 
-    The grid's inventory axis must extend below zero (see backorder_grid).
-    The stage value depends on a node only through its net worth and is
-    concave in z, so each period is searched once per net worth from the
-    lowest inventory node (worth_search) and clipped to [x, z_max]; the
+    Backorders are the base recursion with the transition's `backlog` set
+    to b: unmet demand is carried as negative stock, and the penalty on it
+    enters as sales valued at p + b less b E[D] (see backorder_revenue). So
+    this is backward_induct on the horizon at price p + b, and its terminal
+    table is the lost-sales closed form at p + b less b E[D]. The grid's
+    inventory axis must extend below zero (see backorder_grid). The
     post-order level keeps the two-threshold trichotomy in net worth.
     """
     require_valid(horizon)
-    from .model import normalized_params
-
-    n_last = horizon.n_periods
-    vt, pt, terminal_bands = _backorder_terminal(horizon, b, grid)
-    values: list = [None] * n_last
-    policies: list = [None] * n_last
-    values[-1], policies[-1] = vt, pt
-    for n in range(n_last - 1, 0, -1):
-        next_table = values[n]
-        pp, hp, cp = normalized_params(horizon, n)
-        params, demand = horizon.period(n), horizon.demand_in(n)
-        c_next = horizon.period(n + 1).cost
-        bp = b.penalty / c_next
-        mean_d = demand.mean()
-        z_max = float(grid.x_nodes[-1] + demand.quantile(0.999))
-        dep, loan = 1.0 + params.deposit_rate, 1.0 + params.loan_rate
-
-        def f(z, xi, _t=next_table, _pp=pp, _hp=hp, _cp=cp, _bp=bp):
-            z = np.asarray(z, dtype=float)
-            nodes, w = demand.expectation_nodes(z, order)
-            x_next = z[:, None] - nodes
-            bank = _cp * (xi - z) * np.where(z <= xi, dep, loan)
-            y_next = ((_pp + _bp) * z[:, None]
-                      - (_pp + _hp + _bp) * np.maximum(x_next, 0.0)
-                      - _bp * mean_d + bank[:, None])
-            return np.sum(_t(x_next, y_next) * w, axis=1)
-
-        eff = PeriodParams(params.price + b.penalty, params.cost,
-                           params.holding, params.deposit_rate, params.loan_rate)
-        ratios = single_period.fractiles(eff, -params.holding)
-        cands = [float(demand.quantile(min(max(ratios.borrow, 0.0), 1.0))),
-                 float(demand.quantile(min(max(ratios.deposit, 0.0), 1.0)))]
-        z_star, v_star = worth_search(f, grid, z_max, z_tol, cands)
-        values[n - 1] = ValueTable(n, grid, v_star.reshape(grid.shape))
-        policies[n - 1] = PolicyTable(n, grid, z_star.reshape(grid.shape))
-    return BackorderSolution(horizon, grid, values, policies, terminal_bands)
+    priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
+                         horizon.demands, horizon.salvage)
+    solution = backward_induct(priced, grid, z_tol=z_tol, order=order, backlog=b.penalty)
+    n = horizon.n_periods
+    bands = single_period.order_bands(
+        single_period.fractiles(priced.period(n), horizon.salvage), horizon.demand_in(n))
+    return BackorderSolution(horizon, grid, solution.values, solution.policies, bands)
 
 
 def extract_bands(policy: PolicyTable, *, cell: float | None = None):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .dp import Grid, backward_induct, policy_value_tables
-from .model import HorizonSpec, State, normalized_params, require_valid
+from .dp import Grid, _next_state, backward_induct, policy_value_tables
+from .model import HorizonSpec, State, require_valid
 from .thresholds import ThresholdTable, myopic_lower, myopic_upper, policy_from_thresholds
 
 
@@ -61,14 +61,7 @@ class MyopicPolicy(Policy):
         self.label = f"myopic-{which}"
 
     def order(self, n, x, y):
-        pair = self.pairs[n - 1]
-        worth = x + y
-        return np.where(
-            worth >= pair.deposit,
-            np.maximum(pair.deposit - x, 0.0),
-            np.where(worth >= pair.borrow, np.maximum(y, 0.0),
-                     np.maximum(pair.borrow - x, 0.0)),
-        )
+        return single_period.optimal_order(x, y, self.pairs[n - 1])
 
 
 class SinglePeriodPolicy(Policy):
@@ -103,30 +96,14 @@ def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int, seed: i
         u = 1.0 - u
     x = np.full(paths, float(initial.x))
     y = np.full(paths, float(initial.y))
-    for n in range(1, n_periods):
-        params = horizon.period(n)
-        pp, hp, cp = normalized_params(horizon, n)
+    for n in range(1, n_periods + 1):
         q = np.asarray(policy(n, x, y), dtype=float)
         if np.any(q < -1e-9):
             raise ValueError(f"period {n}: policy emitted a negative order quantity")
-        q = np.maximum(q, 0.0)
         d = horizon.demand_in(n).quantile(u[:, n - 1])
-        z = x + q
-        rate = np.where(q <= y, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-        leftover = np.maximum(z - d, 0.0)
-        y = pp * z - (pp + hp) * leftover + cp * (y - q) * rate
-        x = leftover
-    params = horizon.period(n_periods)
-    q = np.asarray(policy(n_periods, x, y), dtype=float)
-    if np.any(q < -1e-9):
-        raise ValueError(f"period {n_periods}: policy emitted a negative order quantity")
-    q = np.maximum(q, 0.0)
-    d = horizon.demand_in(n_periods).quantile(u[:, n_periods - 1])
-    z = x + q
-    rate = np.where(q <= y, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-    wealth = (params.price * z
-              - (params.price - horizon.salvage) * np.maximum(z - d, 0.0)
-              + params.cost * (y - q) * rate)
+        # after the last period y is terminal wealth in currency
+        x, y = _next_state(x + np.maximum(q, 0.0), x + y, d, n, horizon)
+    wealth = y
     mean = float(np.mean(wealth))
     half = float(1.96 * np.std(wealth, ddof=1) / np.sqrt(paths)) if paths > 1 else np.inf
     return SimResult(mean, half, paths, label or getattr(policy, "label", "policy"))

@@ -211,13 +211,6 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
 
 def policy_from_thresholds(table: ThresholdTable, x, y, n: int):
     """Order quantity of the two-threshold rule at net worth x + y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    borrow, deposit = table.period(n).bands_at(x + y)
-    worth = x + y
-    q = np.where(
-        worth >= deposit,
-        np.maximum(deposit - x, 0.0),
-        np.where(worth >= borrow, np.maximum(y, 0.0), np.maximum(borrow - x, 0.0)),
-    )
+    bands = single_period.OrderBands(*table.period(n).bands_at(np.add(x, y)))
+    q = single_period.optimal_order(x, y, bands)
     return q if q.ndim else float(q)

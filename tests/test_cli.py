@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cashstock.cli import ConfigError, Emitter, load_config, main
 from cashstock.demand import DiscreteEmpirical
@@ -87,6 +89,7 @@ SOLVER = BASE_CONFIG["solver"]
     ({"grid": {**BASE_CONFIG["grid"], "nx": "a"}}, "grid.nx must be an integer >= 2"),
     ({"grid": {**BASE_CONFIG["grid"], "ny": 1}}, "grid.ny must be an integer >= 2"),
     ({"grid": 5}, "grid must be an object"),
+    ({"grid": {**BASE_CONFIG["grid"], "x_max": 5e-324}}, "grid: x nodes must be strictly"),
     ({"salvage": "x"}, "salvage must be a number"),
     ({"salvage": 10 ** 400}, "salvage must be a number"),
     ({"periods": [{**BASE_CONFIG["periods"][0], "l": "x"}]}, "periods[0].l must be a number"),
@@ -95,13 +98,47 @@ SOLVER = BASE_CONFIG["solver"]
     ({"solver": {**SOLVER, "mc_paths": 0}}, "solver.mc_paths must be a positive integer"),
     ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon must be a number > 0"),
     ({"solver": {**SOLVER, "epsilon": 0}}, "solver.epsilon must be a number > 0"),
-], ids=["table_states", "grid_nx", "grid_ny", "grid", "salvage", "salvage_huge", "period_field",
-        "demand_field", "seed", "mc_paths", "epsilon_negative", "epsilon_zero"])
+    ({"check_reachability": "no"}, "check_reachability must be true or false"),
+], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
+        "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
+        "epsilon_zero", "check_reachability"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+#: JSON values small enough that no field can ask for a large allocation
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000)
+    | st.floats(-1e6, 1e6, allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+#: every field of BASE_CONFIG, the nested ones too, and the optional fields
+FIELDS = ([(k,) for k in (*BASE_CONFIG, "initial", "table_states", "table_horizons",
+                          "check_reachability")]
+          + [("grid", k) for k in BASE_CONFIG["grid"]]
+          + [("solver", k) for k in SOLVER]
+          + [("periods", 0, k) for k in BASE_CONFIG["periods"][0]]
+          + [("demands", 0, k) for k in BASE_CONFIG["demands"][0]])
+
+
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+def test_any_json_field_loads_or_is_config_error(tmp_path_factory, field, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    holder = cfg
+    for key in field[:-1]:
+        holder = holder[key]
+    holder[field[-1]] = value
+    path = tmp_path_factory.getbasetemp() / "any_field.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        load_config(str(path)).horizon()
+    except ConfigError:
+        pass
 
 
 def test_grid_scale_must_be_positive(tmp_path, capsys):

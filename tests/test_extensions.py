@@ -172,6 +172,19 @@ def test_loan_limited_policy_cases():
     assert loan_limited_policy(0.0, 30.0, BANDS, limit_units) == pytest.approx(BANDS.deposit)
 
 
+@pytest.mark.parametrize("x, y", [(11.64, -5.0), (14.14, -10.0), (13.14, -4.5)])
+def test_loan_limited_policy_matches_brute_force_with_debt(x, y):
+    # with debt and net worth short of the borrow level, the capped optimum
+    # can order less than cash plus capacity
+    capacity = 3.0
+    qs = np.linspace(0.0, max(y, 0.0) + capacity, 3001)
+    vals = cs.expected_value_G(qs, x, y, PARAMS, SALVAGE, U20)
+    q = loan_limited_policy(x, y, BANDS, capacity)
+    assert 0.0 <= q <= max(y, 0.0) + capacity
+    got = float(cs.expected_value_G(q, x, y, PARAMS, SALVAGE, U20))
+    assert got >= vals.max() - 1e-6 * abs(vals.max())
+
+
 def test_loan_limited_dp_unbinding_limit_reproduces_base():
     hz = make_horizon("u0_20", 3)
     grid = Grid.regular(40, -60, 120, 41, 51)
