@@ -80,6 +80,7 @@ from .sim import (
     SinglePeriodPolicy,
     ThresholdPolicy,
     gap_report,
+    run_policies,
     run_policy,
 )
 

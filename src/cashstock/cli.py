@@ -27,7 +27,7 @@ from .bounds import compare_bounds, default_worth_grid, selling_back_dp
 from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
 from .dp import Grid, GridEscapeError, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
-from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policy
+from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
 from .thresholds import BracketError, solve_thresholds
 
 ENV_PREFIX = "CASHSTOCK_"
@@ -35,6 +35,15 @@ ENV_PREFIX = "CASHSTOCK_"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+#: upper bounds on the sizes a config may ask for, so that an absurd value
+#: is a config error before anything is allocated; each is far beyond the
+#: shipped configs (N <= 12, 161x201 nodes, 8 quadrature nodes, 2M paths
+#: in the benchmark)
+MAX_PERIODS = 1_000
+MAX_AXIS_NODES = 4_001
+MAX_PATHS = 50_000_000
+MAX_QUADRATURE_NODES = 1_000
 
 
 class ConfigError(ValueError):
@@ -62,11 +71,21 @@ def _number(value, what: str, low: float = -np.inf, *, strict: bool = False) -> 
     return float(value)
 
 
-def _integer(value, what: str, least: int = 1) -> int:
+def _integer(value, what: str, least: int = 1, most: float = math.inf) -> int:
     ok = _is_number(value) and value == int(value) and value >= least
     bound = "a positive integer" if least == 1 else f"an integer >= {least}"
     _require(ok, f"{what} must be {bound}, got {value!r}")
+    _require(value <= most, f"{what} must be at most {most}, got {value!r}")
     return int(value)
+
+
+def _axis_nodes(value, what: str, scale: float) -> int:
+    """Node count of a grid axis after `--grid-scale`, at most MAX_AXIS_NODES."""
+    scaled = (_integer(value, what, least=2) - 1) * scale
+    _require(math.isfinite(scaled) and round(scaled) + 1 <= MAX_AXIS_NODES,
+             f"{what} = {value!r} at grid scale {scale:g} gives {scaled + 1:g} nodes; "
+             f"at most {MAX_AXIS_NODES} are allowed")
+    return max(2, int(round(scaled)) + 1)
 
 
 def _number_pair(value, what: str) -> tuple[float, float]:
@@ -145,7 +164,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     for key in ("N", "salvage", "periods", "demands", "grid"):
         _require(key in raw, f"config is missing required field '{key}'")
-    n = _integer(raw["N"], "N")
+    n = _integer(raw["N"], "N", most=MAX_PERIODS)
     periods_raw = raw["periods"]
     _require(isinstance(periods_raw, list) and periods_raw, "periods must be a nonempty list")
     _require(len(periods_raw) in (1, n), f"periods must have 1 or N={n} entries")
@@ -168,8 +187,8 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(check, bool), f"check_reachability must be true or false, got {check!r}")
     overrides = overrides or {}
     scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
-    nx = max(2, int(round((_integer(g["nx"], "grid.nx", least=2) - 1) * scale)) + 1)
-    ny = max(2, int(round((_integer(g["ny"], "grid.ny", least=2) - 1) * scale)) + 1)
+    nx = _axis_nodes(g["nx"], "grid.nx", scale)
+    ny = _axis_nodes(g["ny"], "grid.ny", scale)
     x_max = _number(g["x_max"], "grid.x_max", 0.0, strict=True)
     y_min, y_max = _number(g["y_min"], "grid.y_min"), _number(g["y_max"], "grid.y_max")
     _require(y_min < y_max, "grid needs y_min < y_max")
@@ -186,14 +205,17 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         grid=grid,
         epsilon=_number(overrides.get("epsilon", solver.get("epsilon", 1e-3)),
                         "solver.epsilon", 0.0, strict=True),
-        quadrature_nodes=_integer(solver.get("quadrature_nodes", 8), "solver.quadrature_nodes"),
+        quadrature_nodes=_integer(solver.get("quadrature_nodes", 8), "solver.quadrature_nodes",
+                                  most=MAX_QUADRATURE_NODES),
         mc_paths=_integer(overrides.get("paths", solver.get("mc_paths", 100_000)),
-                          "solver.mc_paths"),
+                          "solver.mc_paths", most=MAX_PATHS),
         seed=_integer(overrides.get("seed", solver.get("seed", 0)), "solver.seed", least=0),
         initial=_number_pair(raw.get("initial", [0.0, 0.0]), "initial"),
         table_states=[_number(v, f"table_states[{k}]", 0.0)
                       for k, v in enumerate(states)],
-        table_horizons=[_integer(v, f"table_horizons[{k}]") for k, v in enumerate(horizons)],
+        # twice N's bound, as the default horizons [N, 2N] reach
+        table_horizons=[_integer(v, f"table_horizons[{k}]", most=2 * MAX_PERIODS)
+                        for k, v in enumerate(horizons)],
         raw=raw,
     )
     # per-scenario horizons are validated when commands build them
@@ -340,8 +362,7 @@ def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     policies = [ThresholdPolicy(table, label="optimal-thresholds"),
                 MyopicPolicy(horizon, "lower"), MyopicPolicy(horizon, "upper")]
     rows = []
-    for policy in policies:
-        res = run_policy(horizon, policy, initial, cfg.mc_paths, cfg.seed)
+    for res in run_policies(horizon, policies, initial, cfg.mc_paths, cfg.seed):
         rows.append((res.label, res.mean, res.half_width, res.paths))
         print(f"{res.label}: {_fmt(res.mean)} +/- {_fmt(res.half_width)} "
               f"({res.paths} paths)")

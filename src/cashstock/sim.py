@@ -4,11 +4,18 @@ Paths share one stream of uniforms per (seed, path, period), so competing
 policies are evaluated under common random numbers and gap estimates stay
 low-variance. Demands come from the same inverse transform the distribution
 objects use for sampling.
+
+`run_policies` walks the paths in blocks of `BLOCK_PATHS`, small enough
+that a block's states and demands stay in cache. Each block's uniforms are
+drawn once, in stream order, and turned into demand once per period; every
+policy then advances over that same block. The draws, and so every result,
+are those of one `random((paths, N))` call, whatever the block size, and
+memory holds one block plus one terminal wealth per path and policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,9 +87,15 @@ class SinglePeriodPolicy(Policy):
         return single_period.optimal_order(x, y, self.bands[n - 1])
 
 
-def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int, seed: int, *,
-               antithetic: bool = False, label: str | None = None) -> SimResult:
-    """Simulate terminal wealth under `policy` from `initial`; CRN by seed.
+#: paths simulated together: a block's (paths, N) uniforms, demands and
+#: states take a few MB, so they stay in cache while every policy runs
+BLOCK_PATHS = 1 << 16
+
+
+def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int, seed: int, *,
+                 antithetic: bool = False) -> list[SimResult]:
+    """Simulate terminal wealth under each policy from `initial` on the same
+    demand paths (common random numbers); one result per policy, in order.
 
     Deterministic for a fixed seed; `antithetic=True` replays the complement
     of the same uniforms.
@@ -91,22 +104,43 @@ def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int, seed: i
     if paths < 1:
         raise ValueError("need at least one path")
     n_periods = horizon.n_periods
-    u = np.random.default_rng(seed).random((paths, n_periods))
-    if antithetic:
-        u = 1.0 - u
-    x = np.full(paths, float(initial.x))
-    y = np.full(paths, float(initial.y))
-    for n in range(1, n_periods + 1):
-        q = np.asarray(policy(n, x, y), dtype=float)
-        if np.any(q < -1e-9):
-            raise ValueError(f"period {n}: policy emitted a negative order quantity")
-        d = horizon.demand_in(n).quantile(u[:, n - 1])
-        # after the last period y is terminal wealth in currency
-        x, y = _next_state(x + np.maximum(q, 0.0), x + y, d, n, horizon)
-    wealth = y
-    mean = float(np.mean(wealth))
-    half = float(1.96 * np.std(wealth, ddof=1) / np.sqrt(paths)) if paths > 1 else np.inf
-    return SimResult(mean, half, paths, label or getattr(policy, "label", "policy"))
+    demands = [horizon.demand_in(n) for n in range(1, n_periods + 1)]
+    rng = np.random.default_rng(seed)
+    wealth = np.empty((len(policies), paths))
+    for start in range(0, paths, BLOCK_PATHS):
+        m = min(BLOCK_PATHS, paths - start)
+        u = rng.random((m, n_periods)).T
+        if antithetic:
+            u = 1.0 - u
+        d = [dem.quantile(u_n) for dem, u_n in zip(demands, u)]
+        for k, policy in enumerate(policies):
+            x = np.full(m, float(initial.x))
+            y = np.full(m, float(initial.y))
+            for n in range(1, n_periods + 1):
+                q = np.asarray(policy(n, x, y), dtype=float)
+                if np.any(q < -1e-9):
+                    raise ValueError(f"period {n}: policy {_label(policy)!r} emitted a "
+                                     "negative order quantity")
+                # after the last period y is terminal wealth in currency
+                x, y = _next_state(x + np.maximum(q, 0.0), x + y, d[n - 1], n, horizon)
+            wealth[k, start:start + m] = y
+    results = []
+    for policy, w in zip(policies, wealth):
+        mean = float(np.mean(w))
+        half = float(1.96 * np.std(w, ddof=1) / np.sqrt(paths)) if paths > 1 else np.inf
+        results.append(SimResult(mean, half, paths, _label(policy)))
+    return results
+
+
+def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int, seed: int, *,
+               antithetic: bool = False, label: str | None = None) -> SimResult:
+    """`run_policies` for one policy, reported under `label` if given."""
+    res = run_policies(horizon, [policy], initial, paths, seed, antithetic=antithetic)[0]
+    return replace(res, label=label) if label else res
+
+
+def _label(policy) -> str:
+    return getattr(policy, "label", "policy")
 
 
 @dataclass(frozen=True)
@@ -149,8 +183,3 @@ def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0
         upper_value=values["upper"],
         upper_gap_pct=100.0 * (v_opt - values["upper"]) / v_opt,
     )
-
-
-def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent generators derived from a master seed by stream index."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]

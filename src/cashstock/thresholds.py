@@ -23,7 +23,8 @@ import numpy as np
 
 from . import single_period
 from .demand import DEFAULT_QUAD_ORDER
-from .dp import DPSolution, Grid, ValueTable, backward_induct, partials, worth_grid
+from .dp import (DPSolution, Grid, ValueTable, _lerp, _locate, backward_induct, partials,
+                 worth_grid)
 from .model import HorizonSpec, normalized_params, require_valid
 
 
@@ -151,11 +152,16 @@ class PeriodThresholds:
     deposit_iterations: int
 
     def bands_at(self, worth):
-        worth = np.asarray(worth, dtype=float)
-        return (
-            np.interp(worth, self.worth, self.borrow),
-            np.interp(worth, self.worth, self.deposit),
-        )
+        """(borrow, deposit) levels at `worth`: linear between the worth
+        nodes, held at the end values beyond them. One lookup serves both.
+
+        The worth axis is searched even where it is evenly spaced: the
+        fraction within a cell is then taken from the cell's own ends, as
+        np.interp takes it, rather than from the offset to the first node,
+        whose rounding grows with the distance from it."""
+        idx, t = _locate(self.worth, 0.0, np.asarray(worth, dtype=float))
+        t = np.clip(t, 0.0, 1.0)
+        return _lerp(self.borrow, idx, t), _lerp(self.deposit, idx, t)
 
 
 @dataclass(eq=False)

@@ -99,9 +99,17 @@ SOLVER = BASE_CONFIG["solver"]
     ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon must be a number > 0"),
     ({"solver": {**SOLVER, "epsilon": 0}}, "solver.epsilon must be a number > 0"),
     ({"check_reachability": "no"}, "check_reachability must be true or false"),
+    ({"N": 10 ** 6}, "N must be at most 1000, got 1000000"),
+    ({"grid": {**BASE_CONFIG["grid"], "nx": 1e15}}, "gives 1e+15 nodes; at most 4001"),
+    ({"grid": {**BASE_CONFIG["grid"], "ny": 4002}}, "gives 4002 nodes; at most 4001"),
+    ({"solver": {**SOLVER, "mc_paths": 10 ** 12}}, "solver.mc_paths must be at most 50000000"),
+    ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}},
+     "solver.quadrature_nodes must be at most 1000"),
+    ({"table_horizons": [3, 10 ** 9]}, "table_horizons[1] must be at most 2000"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
-        "epsilon_zero", "check_reachability"])
+        "epsilon_zero", "check_reachability", "n_huge", "grid_nx_huge", "grid_ny_huge",
+        "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),
@@ -146,6 +154,32 @@ def test_grid_scale_must_be_positive(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
                  "--grid-scale", "0"]) == 2
     assert "grid scale must be a number > 0" in capsys.readouterr().err
+
+
+def test_size_bounds_apply_after_overrides(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = str(tmp_path / "o")
+    # 41 nodes scaled by 101 is 4041 > 4001; --paths is held to the same bound
+    assert main(["solve", "--config", str(path), "--out", out, "--grid-scale", "101"]) == 2
+    assert "grid.nx = 41 at grid scale 101 gives 4041 nodes" in capsys.readouterr().err
+    assert main(["simulate", "--config", str(path), "--out", out,
+                 "--paths", str(50_000_001)]) == 2
+    assert "solver.mc_paths must be at most 50000000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a grid scale that overflows the node count is an error, not a traceback
+    with pytest.raises(ConfigError, match="gives inf nodes"):
+        load_config(str(path), {"grid_scale": 1e308})
+    # the bounds themselves are accepted: ny = 51 at scale 80 gives 4001 nodes
+    cfg = load_config(str(path), {"grid_scale": 80.0, "paths": 50_000_000})
+    assert cfg.grid.shape == (3201, 4001) and cfg.mc_paths == 50_000_000
+
+
+def test_shipped_configs_within_bounds():
+    root = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("base.json", "table1.json", "table2.json"):
+        for scale in (0.25, 0.5, 1.0):
+            cfg = load_config(str(root / name), {"grid_scale": scale, "paths": 2_000_000})
+            assert cfg.mc_paths == 2_000_000
 
 
 def per_cell_csv(header, rows) -> str:

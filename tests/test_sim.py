@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import cashstock as cs
+from cashstock.dp import _next_state
 from cashstock.sim import (
+    BLOCK_PATHS,
     MyopicPolicy,
     Policy,
     SinglePeriodPolicy,
     ThresholdPolicy,
     gap_report,
+    run_policies,
     run_policy,
-    spawn_streams,
 )
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
@@ -110,8 +112,65 @@ def test_threshold_policy_simulation_matches_dp(small_grid):
     assert abs(res.mean - v) <= res.half_width + 0.01 * abs(v)
 
 
-def test_spawn_streams_independent_and_deterministic():
-    a1, a2 = spawn_streams(7, 2)
-    b1, _ = spawn_streams(7, 2)
-    assert a1.random(4) == pytest.approx(b1.random(4))
-    assert not np.allclose(a1.random(4), a2.random(4))
+@pytest.fixture(scope="module")
+def three_policies(small_grid):
+    hz = make_horizon("u0_20", 3)
+    table = cs.solve_thresholds(hz, small_grid)
+    return hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), MyopicPolicy(hz, "upper")]
+
+
+def whole_array_run(horizon, policy, initial, paths, seed, antithetic):
+    """One policy on all paths at once, from one (paths, N) draw: the
+    unblocked simulation that the blocked one must reproduce exactly."""
+    u = np.random.default_rng(seed).random((paths, horizon.n_periods))
+    if antithetic:
+        u = 1.0 - u
+    x, y = np.full(paths, float(initial.x)), np.full(paths, float(initial.y))
+    for n in range(1, horizon.n_periods + 1):
+        q = np.maximum(policy(n, x, y), 0.0)
+        x, y = _next_state(x + q, x + y, horizon.demand_in(n).quantile(u[:, n - 1]), n, horizon)
+    return float(np.mean(y)), float(1.96 * np.std(y, ddof=1) / np.sqrt(paths))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("paths", [1000, BLOCK_PATHS, 2 * BLOCK_PATHS + 3])
+def test_run_policies_equals_separate_runs(three_policies, paths, antithetic):
+    hz, policies = three_policies
+    start = cs.State(2.0, 5.0)
+    together = run_policies(hz, policies, start, paths, seed=31, antithetic=antithetic)
+    assert [r.label for r in together] == ["two-threshold", "myopic-lower", "myopic-upper"]
+    for policy, res in zip(policies, together):
+        alone = run_policy(hz, policy, start, paths, seed=31, antithetic=antithetic)
+        assert res == alone  # mean, half_width, paths and label, bit for bit
+        assert (res.mean, res.half_width) == whole_array_run(
+            hz, policy, start, paths, 31, antithetic)
+
+
+def test_run_policy_label_override(three_policies):
+    hz, policies = three_policies
+    res = run_policy(hz, policies[1], cs.State(0.0, 0.0), 100, seed=1, label="mine")
+    assert res.label == "mine"
+    assert res.mean == run_policy(hz, policies[1], cs.State(0.0, 0.0), 100, seed=1).mean
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_negative_order_rejected_anywhere_in_the_list(three_policies, position):
+    hz, policies = three_policies
+    mixed = list(policies[:2])
+    mixed.insert(position, NegativePolicy())
+    with pytest.raises(ValueError, match="negative order quantity"):
+        run_policies(hz, mixed, cs.State(0.0, 0.0), 10, seed=0)
+
+
+def test_zip_simulation_matches_grid_values(small_grid):
+    # atom demand: ZIP(0.18, 10), all three policies on one set of paths
+    hz = make_horizon("zip18", 3)
+    sol = cs.backward_induct(hz, small_grid)
+    table = cs.solve_thresholds(hz, small_grid, solution=sol)
+    upper = MyopicPolicy(hz, "upper")
+    thr, _, up = run_policies(hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), upper],
+                              cs.State(0.0, 0.0), 400_000, seed=17)
+    v = float(sol.value(1)(0.0, 0.0))
+    assert abs(thr.mean - v) <= thr.half_width + 0.01 * abs(v)
+    v_up = float(cs.policy_value_tables(hz, small_grid, upper)[0](0.0, 0.0))
+    assert abs(up.mean - v_up) <= up.half_width + 0.01 * abs(v_up)

@@ -6,6 +6,7 @@ from cashstock.dp import Grid
 from cashstock.thresholds import (
     _check_bracket,
     BracketError,
+    PeriodThresholds,
     bisection_iterations,
     myopic_lower,
     myopic_upper,
@@ -172,6 +173,39 @@ def test_policy_from_thresholds_cases(small_solution):
     # deep debt: order up to the borrow level entirely on credit
     borrow0, _ = row.bands_at(-10.0)
     assert cs.policy_from_thresholds(table, 0.0, -10.0, 2) == pytest.approx(float(borrow0))
+
+
+def _rows_for_bands_at(small_solution):
+    hz, grid, sol = small_solution
+    row = solve_thresholds(hz, grid, solution=sol).period(1)  # searched worth axis
+    rng = np.random.default_rng(4)
+    worth = np.linspace(-60.0, 160.0, 221)  # evenly spaced: indexed worth axis
+    even = PeriodThresholds(1, worth, rng.uniform(0, 20, 221), rng.uniform(0, 20, 221),
+                            row.lower, row.upper, 0, 0)
+    return [row, even]
+
+
+def test_bands_at_matches_np_interp(small_solution):
+    # within 4 ulps of the level at nodes, midpoints and random points, and
+    # held at the end levels (not extrapolated) beyond the worth range
+    rng = np.random.default_rng(8)
+    for row in _rows_for_bands_at(small_solution):
+        w = row.worth
+        cell = rng.integers(0, len(w) - 1, 20_000)
+        queries = np.concatenate([
+            w, 0.5 * (w[:-1] + w[1:]), w[cell] + rng.random(20_000) * (w[cell + 1] - w[cell]),
+            rng.uniform(-1.0, 1.0, 2_000),
+            w[0] - np.array([1e-9, 1.0, 1e3]), w[-1] + np.array([1e-9, 1.0, 1e3])])
+        for got, level in zip(row.bands_at(queries), (row.borrow, row.deposit)):
+            want = np.interp(queries, w, level)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+        below, above = row.bands_at(np.array([w[0] - 1e3, w[-1] + 1e3]))[0]
+        assert below == row.borrow[0] and above == row.borrow[-1]
+        for q in (w[0] - 1.0, float(w[len(w) // 2]), 0.3, w[-1] + 1.0):
+            b, d = row.bands_at(q)
+            assert np.ndim(b) == 0 and np.ndim(d) == 0
+            assert abs(b - np.interp(q, w, row.borrow)) <= 4 * np.spacing(abs(b))
+            assert abs(d - np.interp(q, w, row.deposit)) <= 4 * np.spacing(abs(d))
 
 
 def test_worth_grid_deduplicates():
