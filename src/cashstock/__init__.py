@@ -19,9 +19,12 @@ from .model import (
 )
 from .single_period import (
     CriticalRatios,
+    MyopicPair,
     OrderBands,
     expected_value_G,
     fractiles,
+    myopic_lower,
+    myopic_upper,
     optimal_order,
     speculation_value,
     order_bands,
@@ -37,16 +40,12 @@ from .dp import (
     partials,
     policy_value_tables,
     stage_value,
-    suggest_grid,
     terminal_value,
     transition,
 )
 from .thresholds import (
     BracketError,
-    MyopicPair,
     ThresholdTable,
-    myopic_lower,
-    myopic_upper,
     policy_from_thresholds,
     solve_thresholds,
     stage_slope_borrowing,
@@ -56,9 +55,7 @@ from .bounds import (
     BoundReport,
     WorthValueTable,
     compare_bounds,
-    liquidation_value,
     selling_back_dp,
-    xi_transition,
 )
 from .extensions import (
     BackorderParams,
@@ -77,7 +74,6 @@ from .sim import (
     GapRow,
     MyopicPolicy,
     SimResult,
-    SinglePeriodPolicy,
     ThresholdPolicy,
     gap_report,
     run_policies,

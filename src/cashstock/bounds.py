@@ -19,30 +19,12 @@ from .dp import (
     DPSolution,
     Grid,
     _expected_next,
-    _next_state,
     backward_induct,
     golden_max,
     interp1,
     policy_value_tables,
 )
 from .model import HorizonSpec, require_valid
-from .thresholds import myopic_upper
-
-
-def xi_transition(worth, z, d, n: int, horizon: HorizonSpec):
-    """Next net worth x' + y' when current stock plus cash is fungible.
-
-    w' = p' z - (p' + h' - 1)(z - d)^+ + c'(w - z)[(1+i) if z <= w else (1+l)];
-    the leftover (z - d)^+ is carried at full next-period cost, hence the
-    coefficient drops by one relative to the two-dimensional dynamics.
-    """
-    if not 1 <= n <= horizon.n_periods - 1:
-        raise ValueError(f"net-worth transition defined for 1 <= n <= N-1, got n={n}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < -1e-12):
-        raise ValueError("target stock must be nonnegative")
-    x_next, y_next = _next_state(z, np.asarray(worth, dtype=float), d, n, horizon)
-    return x_next + y_next
 
 
 @dataclass(eq=False)
@@ -108,31 +90,6 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
     return tables
 
 
-def liquidation_value(x, y, n: int, horizon: HorizonSpec, solution: DPSolution, *,
-                      z_tol: float = 1e-3, order: int = DEFAULT_QUAD_ORDER):
-    """One-step relaxation: next period's stock is valued as cash.
-
-    max_{z >= x} E[ V_{n+1}(0, x' + y') ]; sits between the true value and
-    the selling-back bound.
-    """
-    if not 1 <= n <= horizon.n_periods - 1:
-        raise ValueError("liquidation bound defined for 1 <= n <= N-1")
-    next_table = solution.value(n + 1)
-
-    def as_cash(xn, yn, _t=next_table):
-        return _t(np.zeros_like(xn), xn + yn)
-
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    z_max = float(solution.grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
-
-    def f(z):
-        return _expected_next(z, x + y, horizon, n, as_cash, order)
-
-    _, vals = golden_max(f, x, z_max, z_tol, candidates=[np.clip(x + y, x, z_max)])
-    return vals
-
-
 @dataclass
 class BoundRow:
     x: float
@@ -169,7 +126,7 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     require_valid(horizon)
     if solution is None:
         solution = backward_induct(horizon, grid, order=order)
-    pairs = [myopic_upper(horizon, n) for n in range(1, horizon.n_periods + 1)]
+    pairs = [single_period.myopic_upper(horizon, n) for n in range(1, horizon.n_periods + 1)]
 
     def upper_policy(n, x, y):
         return single_period.optimal_order(x, y, pairs[n - 1])

@@ -38,6 +38,7 @@ import numpy as np
 from .demand import DEFAULT_QUAD_ORDER
 from .model import HorizonSpec, State, normalized_params, require_valid
 from . import single_period
+from .single_period import myopic_lower, myopic_upper
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -318,9 +319,6 @@ def worth_search(f, grid: Grid, hi, tol: float, candidates=()):
 
 
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
-    # deferred import: thresholds builds on this module
-    from .thresholds import myopic_lower, myopic_upper
-
     targets = list(myopic_lower(horizon, n)[:2])
     if horizon.upper_myopic_valid:
         targets += list(myopic_upper(horizon, n)[:2])
@@ -437,8 +435,6 @@ def reachable_worth_bounds(horizon: HorizonSpec, initial_states) -> list[tuple[f
     so the post-order stock is capped at max(x, that level) when propagating
     the extreme revenue and debt paths.
     """
-    from .thresholds import myopic_lower, myopic_upper
-
     states = np.atleast_2d(np.asarray(initial_states, dtype=float))
     x_lo, x_hi = float(states[:, 0].min()), float(states[:, 0].max())
     y_lo, y_hi = float(states[:, 1].min()), float(states[:, 1].max())
@@ -467,15 +463,3 @@ def check_reachability(horizon: HorizonSpec, grid: Grid, initial_states) -> None
                 f"[{grid.y_nodes[0]:.1f}, {grid.y_nodes[-1]:.1f}] by more than "
                 f"{EXTRAPOLATION_TRUST:.0%} of its span"
             )
-
-
-def suggest_grid(horizon: HorizonSpec, *, initial_states=((0.0, 0.0),),
-                 nx: int = 161, ny: int = 201, pad: float = 0.10) -> Grid:
-    """Grid sized by interval propagation from the initial states, padded."""
-    d_hi = max(float(horizon.demand_in(n).quantile(0.999)) for n in range(1, horizon.n_periods + 1))
-    x_max = 2.0 * d_hi
-    bounds = reachable_worth_bounds(horizon, initial_states)
-    y_lo = min(lo for lo, _ in bounds)
-    y_hi = max(hi for _, hi in bounds)
-    span = max(y_hi - y_lo, 1.0)
-    return Grid.regular(x_max, y_lo - pad * span, y_hi + pad * span, nx, ny)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import single_period
 from .demand import DEFAULT_QUAD_ORDER, Demand
-from .dp import DPSolution, Grid, PolicyTable, _expected_next, _induct, backward_induct, golden_max
+from .dp import DPSolution, Grid, _expected_next, _induct, backward_induct, golden_max
 from .model import HorizonSpec, PeriodParams, require_valid
 
 
@@ -260,16 +260,6 @@ class BackorderParams:
             raise ValueError("backorder penalty must be nonnegative")
 
 
-def backorder_revenue(z, d, params: PeriodParams, penalty: float, mean_demand: float,
-                      holding: float | None = None):
-    """(p+b) z - (p+h+b)(z-d)^+ - b E[D]: period sales value under backlogging."""
-    h = params.holding if holding is None else holding
-    z = np.asarray(z, dtype=float)
-    return ((params.price + penalty) * z
-            - (params.price + h + penalty) * np.maximum(z - d, 0.0)
-            - penalty * mean_demand)
-
-
 def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
     """Extend the inventory axis to the deepest plausible backlog."""
     d_hi = max(float(horizon.demand_in(n).quantile(0.999))
@@ -291,7 +281,7 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
 
     Backorders are the base recursion with the transition's `backlog` set
     to b: unmet demand is carried as negative stock, and the penalty on it
-    enters as sales valued at p + b less b E[D] (see backorder_revenue). So
+    enters as sales valued at p + b less b E[D] (see dp._next_state). So
     this is backward_induct on the horizon at price p + b, and its terminal
     table is the lost-sales closed form at p + b less b E[D]. The grid's
     inventory axis must extend below zero (see backorder_grid). The
@@ -305,20 +295,3 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
     bands = single_period.order_bands(
         single_period.fractiles(priced.period(n), horizon.salvage), horizon.demand_in(n))
     return BackorderSolution(horizon, grid, solution.values, solution.policies, bands)
-
-
-def extract_bands(policy: PolicyTable, *, cell: float | None = None):
-    """Empirical (worth, level, regime) rows from a policy table's x = 0 slice.
-
-    Regimes: 'borrow' where the target exceeds net worth, 'deposit' where it
-    falls short, 'hold' in the full-utilization band.
-    """
-    grid = policy.grid
-    ix = int(np.argmin(np.abs(grid.x_nodes)))
-    worth = grid.x_nodes[ix] + grid.y_nodes
-    target = policy.order_up_to[ix, :]
-    if cell is None:
-        cell = float(np.max(np.diff(grid.y_nodes)))
-    regime = np.where(target > worth + cell, "borrow",
-                      np.where(target < worth - cell, "deposit", "hold"))
-    return worth, target, regime

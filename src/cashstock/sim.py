@@ -22,7 +22,8 @@ import numpy as np
 from . import single_period
 from .dp import Grid, _next_state, backward_induct, policy_value_tables
 from .model import HorizonSpec, State, require_valid
-from .thresholds import ThresholdTable, myopic_lower, myopic_upper, policy_from_thresholds
+from .single_period import myopic_lower, myopic_upper
+from .thresholds import ThresholdTable, policy_from_thresholds
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,6 @@ class MyopicPolicy(Policy):
 
     def order(self, n, x, y):
         return single_period.optimal_order(x, y, self.pairs[n - 1])
-
-
-class SinglePeriodPolicy(Policy):
-    """Closed-form rule applied with the terminal salvage in every period."""
-
-    def __init__(self, horizon: HorizonSpec):
-        self.bands = [
-            single_period.order_bands(
-                single_period.fractiles(horizon.period(n), horizon.salvage),
-                horizon.demand_in(n))
-            for n in range(1, horizon.n_periods + 1)
-        ]
-        self.label = "single-period"
-
-    def order(self, n, x, y):
-        return single_period.optimal_order(x, y, self.bands[n - 1])
 
 
 #: paths simulated together: a block's (paths, N) uniforms, demands and

@@ -11,16 +11,28 @@ where T(z) = E[(z - D)^+]. G is concave in q, and the maximizer follows a
 two-threshold rule: order up to the deposit-financed level when net worth is
 high, spend exactly the available cash in between, and order up to the
 loan-financed level when net worth is low.
+
+The same closed form with a modified salvage value gives the two myopic
+policies that bracket the multi-period levels of every period before the
+last:
+
+* lower: leftover stock is charged only its holding cost (s = -h),
+* upper: leftover stock is additionally credited next period's unit cost
+  (s = c_next - h), a fictitious liquidation that requires
+  c(1+l) + h >= c_next to preclude unbounded stocking.
+
+Both collapse to the plain single-period solution in the final period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .demand import Demand
-from .model import PeriodParams
+from .model import HorizonSpec, PeriodParams
 
 
 @dataclass(frozen=True)
@@ -99,3 +111,35 @@ def speculation_value(params: PeriodParams, salvage: float, demand: Demand) -> f
     ordering entirely on credit already has positive expected value.
     """
     return float(value_closed_form(0.0, 0.0, params, salvage, demand))
+
+
+class MyopicPair(NamedTuple):
+    borrow: float
+    deposit: float
+    ratios: CriticalRatios
+
+
+def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> MyopicPair:
+    ratios = fractiles(horizon.period(n), salvage)
+    bands = order_bands(ratios, horizon.demand_in(n))
+    return MyopicPair(bands.borrow, bands.deposit, ratios)
+
+
+def myopic_lower(horizon: HorizonSpec, n: int) -> MyopicPair:
+    """Holding-cost-only single-period levels; bound the true levels below."""
+    salvage = -horizon.period(n).holding if n < horizon.n_periods else horizon.salvage
+    return _myopic_pair(horizon, n, salvage)
+
+
+def myopic_upper(horizon: HorizonSpec, n: int) -> MyopicPair:
+    """Liquidation-credit single-period levels; bound the true levels above."""
+    if n >= horizon.n_periods:
+        return _myopic_pair(horizon, n, horizon.salvage)
+    params = horizon.period(n)
+    c_next = horizon.period(n + 1).cost
+    if params.cost * (1.0 + params.loan_rate) + params.holding < c_next - 1e-12:
+        raise ValueError(
+            f"period {n}: liquidation credit needs c(1+l)+h >= c_next "
+            f"({params.cost * (1.0 + params.loan_rate) + params.holding} < {c_next})"
+        )
+    return _myopic_pair(horizon, n, c_next - params.holding)

@@ -3,21 +3,14 @@
 For periods before the last, the two optimal order-up-to levels at net worth
 w solve phi(z) = 0 (loan-financed level) and psi(z) = 0 (deposit-financed
 level), where phi/psi are the one-sided derivatives of the stage value in z
-on the borrowing and depositing branches. Two single-period policies with
-modified salvage values bracket the roots from below and above:
-
-* lower: leftover stock is charged only its holding cost (s = -h),
-* upper: leftover stock is additionally credited next period's unit cost
-  (s = c_next - h), a fictitious liquidation that requires
-  c(1+l) + h >= c_next to preclude unbounded stocking.
-
-Both collapse to the plain single-period solution in the final period.
+on the borrowing and depositing branches. The myopic policies of
+single_period bracket the roots from below (`myopic_lower`) and above
+(`myopic_upper`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,45 +25,13 @@ class BracketError(RuntimeError):
     """A myopic bracket fails to enclose the root beyond tolerance."""
 
 
-class MyopicPair(NamedTuple):
-    borrow: float
-    deposit: float
-    ratios: single_period.CriticalRatios
-    degenerate: bool
-
-
-def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> MyopicPair:
-    params = horizon.period(n)
-    ratios = single_period.fractiles(params, salvage)
-    bands = single_period.order_bands(ratios, horizon.demand_in(n))
-    degenerate = ratios.deposit >= 1.0 - 1e-12 or ratios.borrow <= 0.0
-    return MyopicPair(bands.borrow, bands.deposit, ratios, degenerate)
-
-
-def myopic_lower(horizon: HorizonSpec, n: int) -> MyopicPair:
-    """Holding-cost-only single-period levels; bound the true levels below."""
-    salvage = -horizon.period(n).holding if n < horizon.n_periods else horizon.salvage
-    return _myopic_pair(horizon, n, salvage)
-
-
-def myopic_upper(horizon: HorizonSpec, n: int) -> MyopicPair:
-    """Liquidation-credit single-period levels; bound the true levels above."""
-    if n >= horizon.n_periods:
-        return _myopic_pair(horizon, n, horizon.salvage)
-    params = horizon.period(n)
-    c_next = horizon.period(n + 1).cost
-    if params.cost * (1.0 + params.loan_rate) + params.holding < c_next - 1e-12:
-        raise ValueError(
-            f"period {n}: liquidation credit needs c(1+l)+h >= c_next "
-            f"({params.cost * (1.0 + params.loan_rate) + params.holding} < {c_next})"
-        )
-    return _myopic_pair(horizon, n, c_next - params.holding)
-
-
-def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order):
+def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order,
+                 right: bool = False):
     """dG/dz at z = cand, holding the bank branch fixed at `rate`.
 
-    = E[(dV/dx' - (p'+h') dV/dy') 1{cand > D}] - (c' rate - p') E[dV/dy'].
+    = E[(dV/dx' - (p'+h') dV/dy') 1{cand > D}] - (c' rate - p') E[dV/dy'],
+    the limit from the left. `right` gives the limit from the right, with
+    1{cand >= D}: it differs only where demand has an atom at cand.
     """
     pp, hp, cp = normalized_params(horizon, n)
     cand = np.atleast_1d(np.asarray(cand, dtype=float))
@@ -79,7 +40,7 @@ def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order):
     leftover = np.maximum(cand[:, None] - nodes, 0.0)
     y_next = pp * cand[:, None] - (pp + hp) * leftover + (cp * (worth - cand) * rate)[:, None]
     vx, vy = partials(next_table, leftover, y_next)
-    below = nodes < cand[:, None]
+    below = (nodes <= cand[:, None]) if right else (nodes < cand[:, None])
     term1 = np.sum(w * below * (vx - (pp + hp) * vy), axis=1)
     term2 = (cp * rate - pp) * np.sum(w * vy, axis=1)
     return term1 - term2
@@ -127,7 +88,9 @@ def _bisect(slope, lo: float, hi: float, epsilon: float, m: int) -> tuple[np.nda
 
 
 def _check_bracket(label, n, worth, lo_vals, hi_vals, tol):
-    # signs must be phi(lo) >= 0 >= phi(hi), up to a share of the total swing
+    # signs must be phi(lo-) >= 0 >= phi(hi+), up to a share of the total swing:
+    # under atom demand the levels sit on atoms, where only the subgradient
+    # [phi(z+), phi(z-)] contains 0
     swing = np.maximum(np.abs(lo_vals - hi_vals), 1e-12)
     bad_lo = -lo_vals > tol * swing
     bad_hi = hi_vals > tol * swing
@@ -146,8 +109,8 @@ class PeriodThresholds:
     worth: np.ndarray
     borrow: np.ndarray
     deposit: np.ndarray
-    lower: MyopicPair
-    upper: MyopicPair
+    lower: single_period.MyopicPair
+    upper: single_period.MyopicPair
     borrow_iterations: int
     deposit_iterations: int
 
@@ -188,16 +151,17 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
     worth = worth_grid(grid)
     m = len(worth)
     n_last = horizon.n_periods
-    pair_n = myopic_lower(horizon, n_last)  # salvage convention: plain single period
+    pair_n = single_period.myopic_lower(horizon, n_last)  # plain single period
     rows: list = [None] * n_last
     rows[-1] = PeriodThresholds(
         n_last, worth, np.full(m, pair_n.borrow), np.full(m, pair_n.deposit),
         pair_n, pair_n, 0, 0,
     )
     for n in range(n_last - 1, 0, -1):
-        lower = myopic_lower(horizon, n)
-        upper = myopic_upper(horizon, n)
+        lower = single_period.myopic_lower(horizon, n)
+        upper = single_period.myopic_upper(horizon, n)
         next_table = solution.value(n + 1)
+        params = horizon.period(n)
 
         def phi(c, _n=n, _t=next_table):
             return stage_slope_borrowing(c, worth, _n, horizon, _t, order)
@@ -205,10 +169,14 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
         def psi(c, _n=n, _t=next_table):
             return stage_slope_deposit(c, worth, _n, horizon, _t, order)
 
+        def right_slope(c, rate):
+            return _stage_slope(np.full(m, c), worth, n, horizon, next_table, rate, order,
+                                right=True)
+
         _check_bracket("borrow", n, worth, phi(np.full(m, lower.borrow)),
-                       phi(np.full(m, upper.borrow)), bracket_tol)
+                       right_slope(upper.borrow, 1.0 + params.loan_rate), bracket_tol)
         _check_bracket("deposit", n, worth, psi(np.full(m, lower.deposit)),
-                       psi(np.full(m, upper.deposit)), bracket_tol)
+                       right_slope(upper.deposit, 1.0 + params.deposit_rate), bracket_tol)
         borrow, it_b = _bisect(phi, lower.borrow, upper.borrow, epsilon, m)
         deposit, it_d = _bisect(psi, lower.deposit, upper.deposit, epsilon, m)
         rows[n - 1] = PeriodThresholds(n, worth, borrow, deposit, lower, upper, it_b, it_d)

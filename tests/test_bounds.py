@@ -5,9 +5,7 @@ import cashstock as cs
 from cashstock.bounds import (
     compare_bounds,
     default_worth_grid,
-    liquidation_value,
     selling_back_dp,
-    xi_transition,
 )
 from cashstock.dp import Grid
 
@@ -18,15 +16,22 @@ U20 = cs.Uniform(0, 20)
 
 
 def test_xi_transition_examples():
+    # next net worth x' + y' from net worth xi = 10, as the selling-back
+    # relaxation reads the transition
     hz = make_horizon("u0_20", 3)
+
+    def worth_next(z, d):
+        s = cs.transition(cs.State(0.0, 10.0), z, d, 1, hz)
+        return s.x + s.y
+
     # stationary normalized economics: p' = 2, h' = 0.5, c' = 1
-    assert xi_transition(10.0, 10.0, 4.0, 1, hz) == pytest.approx(11.0)
+    assert worth_next(10.0, 4.0) == pytest.approx(11.0)
     # no trading: everything compounds at the deposit rate
-    assert xi_transition(10.0, 0.0, 7.0, 1, hz) == pytest.approx(10.0 * 1.01)
+    assert worth_next(0.0, 7.0) == pytest.approx(10.0 * 1.01)
     # stockout branch: d >= z, z <= worth
-    assert xi_transition(10.0, 8.0, 15.0, 1, hz) == pytest.approx(2 * 8 + (10 - 8) * 1.01)
+    assert worth_next(8.0, 15.0) == pytest.approx(2 * 8 + (10 - 8) * 1.01)
     with pytest.raises(ValueError):
-        xi_transition(10.0, -1.0, 4.0, 1, hz)
+        worth_next(-1.0, 4.0)
 
 
 def test_selling_back_single_period_equals_closed_form():
@@ -84,19 +89,6 @@ def test_value_chain(small_bounds):
     tol = 5e-3 * np.abs(v) + 1.0
     assert np.all(lo <= v + tol)
     assert np.all(v <= up + tol)
-
-
-def test_liquidation_bound_sits_in_the_chain(small_bounds):
-    hz, grid, sol, sell = small_bounds
-    rng = np.random.default_rng(12)
-    xs = rng.uniform(0, 15, 12)
-    ys = rng.uniform(-15, 30, 12)
-    v = sol.value(1)(xs, ys)
-    vl = liquidation_value(xs, ys, 1, hz, sol)
-    vs = sell[0](xs + ys)
-    tol = 5e-3 * np.abs(v) + 1.0
-    assert np.all(vl >= v - tol)      # relaxation dominates the true value
-    assert np.all(vs >= vl - tol)     # selling back dominates one-shot liquidation
 
 
 def test_compare_bounds_report(small_bounds):

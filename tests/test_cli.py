@@ -174,11 +174,13 @@ def test_size_bounds_apply_after_overrides(tmp_path, capsys):
     assert cfg.grid.shape == (3201, 4001) and cfg.mc_paths == 50_000_000
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def test_shipped_configs_within_bounds():
-    root = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("base.json", "table1.json", "table2.json"):
+    for name in ("base.json", "table1.json", "table2.json", "paper.json"):
         for scale in (0.25, 0.5, 1.0):
-            cfg = load_config(str(root / name), {"grid_scale": scale, "paths": 2_000_000})
+            cfg = load_config(str(CONFIGS / name), {"grid_scale": scale, "paths": 2_000_000})
             assert cfg.mc_paths == 2_000_000
 
 
@@ -302,6 +304,30 @@ def test_simulate_csv(tmp_path):
     assert header == ["policy", "mean", "half_width", "paths"]
     assert {r[0] for r in rows} == {"optimal-thresholds", "myopic-lower", "myopic-upper"}
     assert all(int(float(r[3])) == 5000 for r in rows)
+
+
+@pytest.mark.parametrize("demand", [None, {"kind": "zip", "pi": 0.0, "lambda": 10}],
+                         ids=["paper-integer-u0_20", "zip00"])
+def test_atom_demand_solves_and_simulates(tmp_path, capsys, demand):
+    # atom demand puts the myopic brackets on atoms, where the stage slope
+    # jumps: the bracket holds for the subgradient there
+    cfg = json.loads((CONFIGS / "paper.json").read_text())
+    if demand is not None:
+        cfg["demands"] = [demand]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    args = ["--config", str(path), "--grid-scale", "0.25"]
+    assert main(["solve", *args, "--out", str(tmp_path / "solve")]) == 0
+    v1 = float(capsys.readouterr().out.rsplit("= ", 1)[1])
+    _, rows = read_csv(tmp_path / "solve" / "thresholds.csv")
+    _, _, borrow_lo, borrow, borrow_hi, deposit_lo, deposit, deposit_hi = np.array(
+        rows, dtype=float).T
+    assert np.all((borrow_lo <= borrow) & (borrow <= borrow_hi))
+    assert np.all((deposit_lo <= deposit) & (deposit <= deposit_hi))
+    assert main(["simulate", *args, "--out", str(tmp_path / "sim")]) == 0
+    _, rows = read_csv(tmp_path / "sim" / "simulation.csv")
+    mean, half = next((float(r[1]), float(r[2])) for r in rows if r[0] == "optimal-thresholds")
+    assert abs(mean - v1) <= half + 0.01 * v1
 
 
 def test_env_var_overrides(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from cashstock.dp import (
     interp1,
     interp2,
     reachable_worth_bounds,
-    suggest_grid,
 )
 from cashstock.extensions import backorder_grid
 
@@ -299,12 +298,6 @@ def test_grid_escape_detection():
     bounds = reachable_worth_bounds(hz, [(0.0, 0.0)])
     assert len(bounds) == 6
     assert all(lo <= hi for lo, hi in bounds)
-
-
-def test_suggest_grid_covers_reachable_capital():
-    hz = make_horizon("u0_20", 6)
-    g = suggest_grid(hz, nx=41, ny=51)
-    cs.backward_induct(hz, g, initial_states=[(0.0, 0.0)])  # no escape
 
 
 def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import cashstock as cs
-from cashstock.dp import Grid
+from cashstock.dp import Grid, _next_state
 from cashstock.extensions import (
     BackorderParams,
     LoanLimit,
@@ -10,8 +12,6 @@ from cashstock.extensions import (
     _piecewise_G,
     backorder_dp,
     backorder_grid,
-    backorder_revenue,
-    extract_bands,
     loan_limited_dp,
     loan_limited_policy,
     piecewise_dp,
@@ -199,13 +199,21 @@ def test_loan_limited_dp_unbinding_limit_reproduces_base():
 
 
 def test_backorder_revenue_example():
-    # (2000+100)*10 - (2000+500+100)*0 - 100*10 = 20000
-    assert backorder_revenue(10.0, 15.0, PARAMS, 100.0, 10.0) == pytest.approx(20000.0)
-    # b = 0 reproduces the lost-sales revenue formula pointwise
+    # on the horizon priced at p + b, the backlog transition values a period's
+    # sales at (p+b) z - (p+h+b)(z-d)^+ - b E[D]; with z = xi no bank term
+    b = 100.0
+    hz = make_horizon("u0_20", 3)
+    priced = cs.HorizonSpec([replace(p, price=p.price + b) for p in hz.periods],
+                            hz.demands, hz.salvage)
+    x_next, y_next = _next_state(10.0, 10.0, 15.0, 1, priced, backlog=b)
+    assert x_next == -5.0
+    # (2000+100)*10 - (2000+500+100)*0 - 100*10 = 20000, in units of c' = 1000
+    assert y_next * PARAMS.cost == pytest.approx(20000.0)
     rng = np.random.default_rng(17)
     z, d = rng.uniform(0, 20, 50), rng.uniform(0, 25, 50)
-    lost_sales = PARAMS.price * z - (PARAMS.price + PARAMS.holding) * np.maximum(z - d, 0)
-    assert backorder_revenue(z, d, PARAMS, 0.0, 10.0) == pytest.approx(lost_sales)
+    revenue = ((PARAMS.price + b) * z
+               - (PARAMS.price + PARAMS.holding + b) * np.maximum(z - d, 0) - b * 10.0)
+    assert _next_state(z, z, d, 1, priced, backlog=b)[1] * PARAMS.cost == pytest.approx(revenue)
 
 
 def test_backorder_matches_lost_sales_when_demand_stays_below_targets():
@@ -237,7 +245,14 @@ def test_backorder_policy_trichotomy_structure():
     hz = make_horizon("u0_20", 3)
     grid = backorder_grid(hz, Grid.regular(40, -60, 120, 41, 51))
     sol = backorder_dp(hz, BackorderParams(200.0), grid)
-    worth, target, regime = extract_bands(sol.policy(1))
+    # classify the x = 0 slice: borrow where the target exceeds net worth by
+    # more than a cell, deposit where it falls short, hold in between
+    ix = int(np.argmin(np.abs(grid.x_nodes)))
+    worth = grid.x_nodes[ix] + grid.y_nodes
+    target = sol.policy(1).order_up_to[ix, :]
+    cell = float(np.max(np.diff(grid.y_nodes)))
+    regime = np.where(target > worth + cell, "borrow",
+                      np.where(target < worth - cell, "deposit", "hold"))
     # borrow at the bottom, deposit at the top, monotone regime pattern
     assert regime[0] == "borrow"
     assert regime[-1] == "deposit"

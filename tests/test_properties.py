@@ -1,15 +1,16 @@
-"""Property tests of the two-threshold rule: every caller applies the one rule."""
+"""Property tests of the two-threshold rule (every caller applies the one
+rule) and of the solver's invariants on small grids."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cashstock as cs
 from cashstock.extensions import loan_limited_policy
 from cashstock.thresholds import PeriodThresholds
 
-from conftest import make_horizon
+from conftest import DEMANDS, make_horizon
 
 STATE = st.floats(-100.0, 100.0, allow_nan=False)
 LEVEL = st.floats(0.0, 60.0, allow_nan=False)
@@ -61,3 +62,37 @@ def test_myopic_policy_applies_the_rule(which, n, x, y):
 def test_loan_limited_policy_caps_the_free_rule(bands, x, y, capacity):
     free = float(cs.optimal_order(x, y, bands))
     assert loan_limited_policy(x, y, bands, capacity) == min(free, max(y, 0.0) + capacity)
+
+
+#: the suite's small grid: capital resolved to 3.6 units (3600 at c = 1000)
+SOLVER_GRID = cs.Grid.regular(40, -60, 120, 41, 51)
+
+
+@st.composite
+def horizons(draw):
+    """Valid stationary economics at c = 1000, N = 2 or 3, demand from a short list.
+
+    The loan-financed margin p / c(1+l) - 1 is at least 5%: below that V1
+    can be a few tens of currency, far less than one capital cell (3600),
+    and the relative chain tolerance then measures the grid, not the bounds.
+    """
+    cost = 1000.0
+    deposit = draw(st.floats(0.0, 0.05))
+    loan = deposit + draw(st.floats(0.01, 0.3))
+    price = cost * (1.0 + loan) * (1.0 + draw(st.floats(0.05, 1.5)))
+    params = cs.PeriodParams(price, cost, draw(st.floats(0.0, 800.0)), deposit, loan)
+    demand = DEMANDS[draw(st.sampled_from(["u0_20", "u4_16", "zip18", "iu0_20"]))]
+    return cs.HorizonSpec.stationary(draw(st.integers(2, 3)), params, demand,
+                                     draw(st.floats(0.0, 900.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(horizons())
+def test_solver_invariants(horizon):
+    assert cs.validate(horizon).ok
+    solution = cs.backward_induct(horizon, SOLVER_GRID)
+    # more capital never hurts: V1 nondecreasing in y at every node
+    assert np.all(np.diff(solution.value(1).values, axis=1) >= 0.0)
+    report = cs.compare_bounds(horizon, SOLVER_GRID, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)],
+                               solution=solution)
+    assert not report.any_violation, report.rows

@@ -7,7 +7,6 @@ from cashstock.sim import (
     BLOCK_PATHS,
     MyopicPolicy,
     Policy,
-    SinglePeriodPolicy,
     ThresholdPolicy,
     gap_report,
     run_policies,
@@ -41,8 +40,9 @@ def test_pure_compounding_with_zero_demand():
 
 
 def test_single_period_optimum_from_empty_state():
+    # with N = 1 the lower myopic policy is the plain single-period rule
     hz = make_horizon("u0_20", 1)
-    res = run_policy(hz, SinglePeriodPolicy(hz), cs.State(0.0, 0.0), 400_000, seed=5)
+    res = run_policy(hz, MyopicPolicy(hz, "lower"), cs.State(0.0, 0.0), 400_000, seed=5)
     # closed-form expectation 5160.71
     assert abs(res.mean - 5160.714285714286) <= res.half_width
 

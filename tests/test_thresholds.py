@@ -3,13 +3,12 @@ import pytest
 
 import cashstock as cs
 from cashstock.dp import Grid
+from cashstock.single_period import myopic_lower, myopic_upper
 from cashstock.thresholds import (
     _check_bracket,
     BracketError,
     PeriodThresholds,
     bisection_iterations,
-    myopic_lower,
-    myopic_upper,
     solve_thresholds,
     stage_slope_borrowing,
     stage_slope_deposit,
@@ -61,12 +60,12 @@ def test_myopic_upper_requires_no_liquidation_speculation():
         myopic_upper(hz, 1)
 
 
-def test_myopic_upper_degenerate_flag():
+def test_myopic_upper_deposit_ratio_at_one():
     # i = 0, h = 0, stationary c: deposit ratio hits exactly 1
     params = cs.PeriodParams(2000, 1000, 0.0, 0.0, 1e-4)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
     pair = myopic_upper(hz, 1)
-    assert pair.degenerate
+    assert pair.ratios.deposit == 1.0
     assert pair.deposit == pytest.approx(20.0)  # quantile at 1 = support max
 
 
