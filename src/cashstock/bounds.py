@@ -92,6 +92,7 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
 
 @dataclass
 class BoundRow:
+    n_periods: int              # horizon length the row reports
     x: float
     y: float
     optimal: float
@@ -114,6 +115,7 @@ class BoundReport:
 
 
 def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
+                   lengths=None,
                    solution: DPSolution | None = None,
                    order: int = DEFAULT_QUAD_ORDER,
                    chain_tol: float = 5e-3) -> BoundReport:
@@ -122,11 +124,25 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     Lower bound: the liquidation-credit myopic policy evaluated under the
     true dynamics. Upper bound: the selling-back relaxation at the state's
     net worth. Violations beyond `chain_tol` relative are flagged.
+
+    `lengths` are the horizon lengths n <= N to report (default: N alone),
+    each for every state, in the order given. The n-period horizon is the
+    last n periods of `horizon`, so its rows read the one set of tables at
+    offset N - n (see DPSolution.tail). `solution` must be solved on
+    `horizon` and `grid`.
     """
     require_valid(horizon)
+    n_last = horizon.n_periods
+    lengths = [n_last] if lengths is None else list(lengths)
+    if not all(1 <= n <= n_last for n in lengths):
+        raise ValueError(f"horizon lengths {lengths} must lie in 1..{n_last}")
     if solution is None:
         solution = backward_induct(horizon, grid, order=order)
-    pairs = [single_period.myopic_upper(horizon, n) for n in range(1, horizon.n_periods + 1)]
+    elif solution.horizon != horizon or not (
+            np.array_equal(solution.grid.x_nodes, grid.x_nodes)
+            and np.array_equal(solution.grid.y_nodes, grid.y_nodes)):
+        raise ValueError("solution was solved on another horizon or grid")
+    pairs = [single_period.myopic_upper(horizon, n) for n in range(1, n_last + 1)]
 
     def upper_policy(n, x, y):
         return single_period.optimal_order(x, y, pairs[n - 1])
@@ -135,17 +151,20 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     sell_back = selling_back_dp(horizon, default_worth_grid(grid), order=order)
 
     rows = []
-    for x, y in states:
-        v = float(solution.value(1)(x, y))
-        lo = float(lower_tables[0](x, y))
-        up = float(sell_back[0](x + y))
-        tol = chain_tol * max(abs(v), 1.0)
-        rows.append(BoundRow(
-            x=float(x), y=float(y), optimal=v,
-            lower=lo, lower_gap=v - lo, lower_gap_pct=100.0 * (v - lo) / v,
-            upper=up, upper_gap=v - up, upper_gap_pct=100.0 * (v - up) / v,
-            violated=(lo > v + tol) or (v > up + tol),
-        ))
+    for n in lengths:
+        k = n_last - n
+        value = solution.tail(k).value(1)
+        for x, y in states:
+            v = float(value(x, y))
+            lo = float(lower_tables[k](x, y))
+            up = float(sell_back[k](x + y))
+            tol = chain_tol * max(abs(v), 1.0)
+            rows.append(BoundRow(
+                n_periods=n, x=float(x), y=float(y), optimal=v,
+                lower=lo, lower_gap=v - lo, lower_gap_pct=100.0 * (v - lo) / v,
+                upper=up, upper_gap=v - up, upper_gap_pct=100.0 * (v - up) / v,
+                violated=(lo > v + tol) or (v > up + tol),
+            ))
     return BoundReport(rows)
 
 

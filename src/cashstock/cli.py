@@ -137,6 +137,10 @@ class RunConfig:
 
     def horizon(self, demand: Demand | None = None, n_periods: int | None = None) -> HorizonSpec:
         n = self.n_periods if n_periods is None else n_periods
+        if len(self.periods) not in (1, n):
+            raise ConfigError(
+                f"periods has {len(self.periods)} entries, but horizon N={n} needs one "
+                "per period or a single one for every period")
         periods = list(self.periods) if len(self.periods) == n else [self.periods[0]] * n
         if demand is not None:
             demands = [demand] * n
@@ -152,6 +156,14 @@ class RunConfig:
         if not report.ok:
             raise ConfigError(f"invalid horizon:\n{report}")
         return horizon
+
+    def longest_horizon(self, lengths, demand: Demand | None = None) -> HorizonSpec:
+        """The horizon of the longest of `lengths`, once `horizon` has
+        accepted every length. Each shorter one is then its tail: periods and
+        demands are either one entry repeated or exactly the longest's."""
+        for n in lengths:
+            self.horizon(demand, n)
+        return self.horizon(demand, max(lengths))
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -311,17 +323,19 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
                        "v_myopic_upper", "gap_upper_pct"], rows)
         return EXIT_OK
-    # table2: bound chain per horizon length, demand, and inventory state
-    rows = []
-    for n in cfg.table_horizons:
-        for dem in cfg.demands:
-            horizon = cfg.horizon(demand=dem, n_periods=n)
-            states = [(x, 0.0) for x in cfg.table_states]
-            report = compare_bounds(horizon, cfg.grid, states, order=cfg.quadrature_nodes)
-            for r in report.rows:
-                rows.append((n, dem.label, r.x, r.optimal,
-                             r.lower, r.lower_gap, r.lower_gap_pct,
-                             r.upper, r.upper_gap, r.upper_gap_pct))
+    # table2: bound chain per horizon length, demand, and inventory state.
+    # Each demand is solved once, at the longest horizon, and its tables are
+    # released before the next; the shorter horizons are read as its tails
+    lengths = sorted(set(cfg.table_horizons))
+    states = [(x, 0.0) for x in cfg.table_states]
+    reports = [compare_bounds(cfg.longest_horizon(lengths, demand=dem), cfg.grid, states,
+                              lengths=lengths, order=cfg.quadrature_nodes)
+               for dem in cfg.demands]
+    rows = [(n, dem.label, r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
+             r.upper, r.upper_gap, r.upper_gap_pct)
+            for n in cfg.table_horizons
+            for dem, report in zip(cfg.demands, reports)
+            for r in report.rows if r.n_periods == n]
     out.write_csv("table2.csv",
                   ["N", "demand", "x", "v_opt", "v_lower", "gap_lower", "gap_lower_pct",
                    "v_upper", "gap_upper", "gap_upper_pct"], rows)
@@ -330,6 +344,10 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
 
 def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
+    # the selling-back curves: one relaxation at the longest horizon, whose
+    # tail is the n-period curve
+    lengths = (1, 2, 4, 6)
+    sell_horizon = cfg.longest_horizon(lengths)
     params, demand = horizon.period(1), horizon.demand_in(1)
     bands = single_period.order_bands(single_period.fractiles(params, cfg.salvage), demand)
     ys = np.linspace(-bands.deposit, 2.0 * bands.deposit, 241)
@@ -345,10 +363,8 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
                   np.column_stack([xs.ravel(), ys.ravel(), vt.values[np.ix_(xi, yi)].ravel()]))
 
     worth = default_worth_grid(cfg.grid)
-    rows = []
-    for n in (1, 2, 4, 6):
-        tables = selling_back_dp(cfg.horizon(n_periods=n), worth, order=cfg.quadrature_nodes)
-        rows += [(n, w, v) for w, v in zip(worth, tables[0].values)]
+    tables = selling_back_dp(sell_horizon, worth, order=cfg.quadrature_nodes)
+    rows = [(n, w, v) for n in lengths for w, v in zip(worth, tables[-n].values)]
     out.write_csv("fig_selling_back.csv", ["N", "net_worth", "value"], rows)
     return EXIT_OK
 

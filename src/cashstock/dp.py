@@ -338,6 +338,23 @@ class DPSolution:
     def policy(self, n: int) -> PolicyTable:
         return self.policies[n - 1]
 
+    def tail(self, k: int) -> "DPSolution":
+        """The solution of the horizon's last N - k periods, renumbered from 1.
+
+        The backward recursion never looks before the period it solves, so
+        period k + n here is period n of HorizonSpec(periods[k:], demands[k:],
+        salvage). The tables share this solution's arrays. The myopic search
+        candidates depend on `upper_myopic_valid` over the whole horizon, so
+        a direct solve of a tail that changes it may differ within z_tol.
+        """
+        if not 0 <= k < self.horizon.n_periods:
+            raise ValueError(f"tail offset {k} outside 0..{self.horizon.n_periods - 1}")
+        hz = self.horizon
+        return DPSolution(
+            HorizonSpec(hz.periods[k:], hz.demands[k:], hz.salvage), self.grid,
+            [ValueTable(t.period - k, t.grid, t.values) for t in self.values[k:]],
+            [PolicyTable(t.period - k, t.grid, t.order_up_to) for t in self.policies[k:]])
+
 
 def _terminal_tables(horizon: HorizonSpec, grid: Grid) -> tuple[ValueTable, PolicyTable]:
     n = horizon.n_periods

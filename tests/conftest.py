@@ -1,6 +1,7 @@
 import pytest
 
 import cashstock as cs
+from cashstock.bounds import default_worth_grid, selling_back_dp
 
 #: baseline economics shared by the numerical studies
 BASE_ECON = dict(price=2000.0, cost=1000.0, holding=500.0, deposit_rate=0.01, loan_rate=0.15)
@@ -51,29 +52,48 @@ def make_horizon(demand_key: str, n_periods: int) -> cs.HorizonSpec:
         n_periods, cs.PeriodParams(**BASE_ECON), DEMANDS[demand_key], SALVAGE)
 
 
+#: the integer-uniform instances are solved once at this horizon; every
+#: shorter horizon of theirs is read as a tail (DPSolution.tail)
+TAIL_HORIZON = 12
+
+
 class SolveCache:
-    """Session-wide cache of desk-scale solutions keyed by (demand, N)."""
+    """Session-wide cache of desk-scale tables keyed by (demand, N).
+
+    The "iu*" instances, which the reference tables read at N = 6 and 12,
+    are solved once at TAIL_HORIZON: the N-period solution, myopic policy
+    values and selling-back tables are the last N periods of those.
+    """
 
     def __init__(self, grid):
         self.grid = grid
-        self._solutions = {}
-        self._policy_values = {}
+        self._tables = {}
+
+    def _solved(self, what: str, demand_key: str, n_periods: int, build):
+        """`build`'s tables for the horizon that holds (demand, N) as a
+        tail, and the offset of that tail in them."""
+        n = max(n_periods, TAIL_HORIZON) if demand_key.startswith("iu") else n_periods
+        key = (what, demand_key, n)
+        if key not in self._tables:
+            self._tables[key] = build(make_horizon(demand_key, n))
+        return self._tables[key], n - n_periods
 
     def solution(self, demand_key: str, n_periods: int) -> cs.DPSolution:
-        key = (demand_key, n_periods)
-        if key not in self._solutions:
-            self._solutions[key] = cs.backward_induct(
-                make_horizon(demand_key, n_periods), self.grid)
-        return self._solutions[key]
+        solution, k = self._solved("dp", demand_key, n_periods,
+                                   lambda hz: cs.backward_induct(hz, self.grid))
+        return solution.tail(k)
 
     def myopic_value(self, demand_key: str, n_periods: int, which: str):
-        key = (demand_key, n_periods, which)
-        if key not in self._policy_values:
-            horizon = make_horizon(demand_key, n_periods)
-            tables = cs.policy_value_tables(
-                horizon, self.grid, cs.MyopicPolicy(horizon, which))
-            self._policy_values[key] = tables[0]
-        return self._policy_values[key]
+        tables, k = self._solved(
+            which, demand_key, n_periods,
+            lambda hz: cs.policy_value_tables(hz, self.grid, cs.MyopicPolicy(hz, which)))
+        return tables[k]
+
+    def selling_back(self, demand_key: str, n_periods: int) -> list[cs.WorthValueTable]:
+        tables, k = self._solved(
+            "selling_back", demand_key, n_periods,
+            lambda hz: selling_back_dp(hz, default_worth_grid(self.grid)))
+        return tables[k:]
 
 
 @pytest.fixture(scope="session")

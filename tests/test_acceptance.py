@@ -31,7 +31,6 @@ cannot reproduce from the model and parameters it has:
 import numpy as np
 
 import cashstock as cs
-from cashstock.bounds import default_worth_grid, selling_back_dp
 from cashstock.dp import Grid
 from cashstock.extensions import (
     BackorderParams,
@@ -115,18 +114,14 @@ def test_criterion_1_policy_gap_table(solve_cache):
            f"gaps u0_20: lower {gap_lo:.2f}%, upper {gap_up:.2f}%; " + "; ".join(details))
 
 
-def test_criterion_2_bound_table(solve_cache, desk_grid):
+def test_criterion_2_bound_table(solve_cache):
     failures = []
-    sell_cache = {}
     for (n, key, x), (v_ref, lo_ref, up_ref) in TABLE2.items():
         instance = PAPER_INSTANCE[key]
         sol = solve_cache.solution(instance, n)
         v = float(sol.value(1)(x, 0.0))
         lo = float(solve_cache.myopic_value(instance, n, "upper")(x, 0.0))
-        if (instance, n) not in sell_cache:
-            sell_cache[(instance, n)] = selling_back_dp(
-                make_horizon(instance, n), default_worth_grid(desk_grid))
-        up = float(sell_cache[(instance, n)][0](x))
+        up = float(solve_cache.selling_back(instance, n)[0](x))
         for name, got, ref in [("V", v, v_ref), ("lower", lo, lo_ref), ("upper", up, up_ref)]:
             if abs(got - ref) > 0.015 * ref:
                 failures.append(

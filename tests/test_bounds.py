@@ -117,3 +117,37 @@ def test_default_worth_grid_covers_sums(small_bounds):
     w = default_worth_grid(grid)
     assert w[0] <= grid.y_nodes[0]
     assert w[-1] >= grid.x_nodes[-1] + grid.y_nodes[-1] - 1e-9
+
+
+@pytest.mark.parametrize("key", ["u0_20", "zip18"])
+def test_selling_back_tail_is_the_shorter_relaxation(key):
+    worth = default_worth_grid(Grid.regular(40, -60, 120, 41, 51))
+    long = selling_back_dp(make_horizon(key, 12), worth)
+    short = selling_back_dp(make_horizon(key, 6), worth)
+    for got, want in zip(long[6:], short, strict=True):
+        assert got.period == want.period + 6
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.target, want.target)
+        assert (got.borrow_level, got.deposit_level) == (want.borrow_level, want.deposit_level)
+
+
+def test_compare_bounds_reads_shorter_horizons_as_tails(small_bounds):
+    hz, grid, sol, _ = small_bounds
+    states = [(0.0, 0.0), (7.0, 0.0)]
+    both = compare_bounds(hz, grid, states, lengths=[2, 4], solution=sol)
+    assert [r.n_periods for r in both.rows] == [2, 2, 4, 4]
+    assert both.rows[2:] == compare_bounds(hz, grid, states, solution=sol).rows
+    short = compare_bounds(make_horizon("u0_20", 2), grid, states, solution=sol.tail(2))
+    assert both.rows[:2] == short.rows
+    with pytest.raises(ValueError, match="lengths"):
+        compare_bounds(hz, grid, states, lengths=[5], solution=sol)
+
+
+def test_compare_bounds_rejects_a_mismatched_solution(small_bounds):
+    hz, grid, sol, _ = small_bounds
+    states = [(0.0, 0.0)]
+    with pytest.raises(ValueError, match="another horizon or grid"):
+        compare_bounds(hz, grid, states, solution=sol.tail(1))
+    coarse = Grid.regular(40, -60, 120, 41, 51)
+    with pytest.raises(ValueError, match="another horizon or grid"):
+        compare_bounds(hz, coarse, states, solution=sol)

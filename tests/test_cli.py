@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cashstock.bounds import compare_bounds
 from cashstock.cli import ConfigError, Emitter, load_config, main
 from cashstock.demand import DiscreteEmpirical
+from cashstock.model import HorizonSpec
 
 BASE_CONFIG = {
     "N": 3,
@@ -260,6 +262,40 @@ def test_tables_value_bounds(tmp_path):
         v, lo, up = float(row[3]), float(row[4]), float(row[7])
         assert lo <= v + 5e-3 * abs(v)
         assert v <= up + 5e-3 * abs(v)
+
+
+def test_table2_rows_match_per_horizon_bounds(tmp_path):
+    path = write_config(tmp_path, table_horizons=[3, 1, 2], table_states=[0.0, 7.0], demands=[
+        {"kind": "uniform", "lo": 0, "hi": 20},
+        {"kind": "zip", "pi": 0.18, "lambda": 10},
+    ])
+    out = tmp_path / "t2"
+    assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "table2.csv")
+    cfg = load_config(str(path))
+    want = []
+    for n in (3, 1, 2):
+        for dem in cfg.demands:
+            hz = HorizonSpec.stationary(n, cfg.periods[0], dem, cfg.salvage)
+            for r in compare_bounds(hz, cfg.grid, [(0.0, 0.0), (7.0, 0.0)]).rows:
+                want.append([f"{n:.6g}", dem.label] + [f"{v:.6g}" for v in (
+                    r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
+                    r.upper, r.upper_gap, r.upper_gap_pct)])
+    assert rows == want
+
+
+#: a two-period horizon whose periods differ: no other horizon length fits it
+TWO_PERIODS = [{"p": 2000, "c": 1000, "h": 500, "i": 0.01, "l": 0.15},
+               {"p": 2600, "c": 1000, "h": 500, "i": 0.01, "l": 0.15}]
+
+
+@pytest.mark.parametrize("command", [["tables", "--which", "table2"], ["figures"]])
+def test_periods_list_of_another_length_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, N=2, periods=TWO_PERIODS, table_horizons=[2, 4, 1])
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert "periods has 2 entries, but horizon N=1 needs one per period" in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("*.csv"))
 
 
 def test_figures_outputs(tmp_path):

@@ -332,3 +332,33 @@ def test_worth_search_matches_per_node_search(small_grid, key, z_cap):
         if key == "u0_20" and z_cap is None:
             # continuous demand keeps the stage value concave: never worse
             assert rel.min() > -1e-8
+
+
+@pytest.mark.parametrize("key", ["u0_20", "zip18"])
+def test_tail_is_the_shorter_solve(small_grid, key):
+    # a stationary 6-period problem is periods 7..12 of the 12-period one
+    h12, h6 = make_horizon(key, 12), make_horizon(key, 6)
+    tail = cs.backward_induct(h12, small_grid).tail(6)
+    direct = cs.backward_induct(h6, small_grid)
+    assert tail.horizon == h6
+    assert [t.period for t in tail.values] == [t.period for t in tail.policies] == [1, 2, 3, 4, 5, 6]
+    for got, want in zip(tail.values, direct.values, strict=True):
+        assert np.array_equal(got.values, want.values)
+    for got, want in zip(tail.policies, direct.policies, strict=True):
+        assert np.array_equal(got.order_up_to, want.order_up_to)
+
+    sweep12 = cs.policy_value_tables(h12, small_grid, cs.MyopicPolicy(h12, "upper").order)
+    sweep6 = cs.policy_value_tables(h6, small_grid, cs.MyopicPolicy(h6, "upper").order)
+    for got, want in zip(sweep12[6:], sweep6, strict=True):
+        assert np.array_equal(got.values, want.values)
+
+
+def test_tail_offsets(small_grid):
+    sol = cs.backward_induct(make_horizon("u0_20", 3), small_grid)
+    whole = sol.tail(0)
+    assert whole.horizon == sol.horizon
+    assert all(a.values is b.values for a, b in zip(whole.values, sol.values))
+    assert sol.tail(2).value(1).values is sol.value(3).values
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="tail offset"):
+            sol.tail(k)
