@@ -19,7 +19,6 @@ from .model import (
 )
 from .single_period import (
     CriticalRatios,
-    MyopicPair,
     OrderBands,
     expected_value_G,
     fractiles,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .demand import DEFAULT_QUAD_ORDER
 from .dp import (
     DPSolution,
     Grid,
@@ -25,6 +24,12 @@ from .dp import (
     policy_value_tables,
 )
 from .model import HorizonSpec, require_valid
+
+#: width to which the relaxation's golden-section bracket is narrowed
+SELL_BACK_Z_TOL = 1e-3
+
+#: relative slack of the bound chain lower <= optimal <= upper
+CHAIN_TOL = 5e-3
 
 
 @dataclass(eq=False)
@@ -52,9 +57,7 @@ def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
             )
 
 
-def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
-                    z_tol: float = 1e-3, order: int = DEFAULT_QUAD_ORDER
-                    ) -> list[WorthValueTable]:
+def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[WorthValueTable]:
     """One-dimensional backward induction of the selling-back relaxation.
 
     Terminal values equal the plain terminal value at zero stock. The optimal
@@ -79,10 +82,9 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray, *,
         z_max = float(max(worth_nodes[-1], 0.0) + horizon.demand_in(n).quantile(0.999))
 
         def f(z, _n=n, _nxt=nxt):
-            return _expected_next(z, worth_nodes, horizon, _n,
-                                  lambda xn, yn: _nxt(xn + yn), order)
+            return _expected_next(z, worth_nodes, horizon, _n, lambda xn, yn: _nxt(xn + yn))
 
-        target, vals = golden_max(f, zeros, z_max, z_tol,
+        target, vals = golden_max(f, zeros, z_max, SELL_BACK_Z_TOL,
                                   candidates=[np.clip(worth_nodes, 0.0, z_max)])
         # the optimal trade is clamp(w, borrow, deposit): read the flat ends
         tables[n - 1] = WorthValueTable(n, worth_nodes, vals, target,
@@ -116,14 +118,12 @@ class BoundReport:
 
 def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
                    lengths=None,
-                   solution: DPSolution | None = None,
-                   order: int = DEFAULT_QUAD_ORDER,
-                   chain_tol: float = 5e-3) -> BoundReport:
+                   solution: DPSolution | None = None) -> BoundReport:
     """Bound chain lower <= optimal <= upper at the given states.
 
     Lower bound: the liquidation-credit myopic policy evaluated under the
     true dynamics. Upper bound: the selling-back relaxation at the state's
-    net worth. Violations beyond `chain_tol` relative are flagged.
+    net worth. Violations beyond CHAIN_TOL relative are flagged.
 
     `lengths` are the horizon lengths n <= N to report (default: N alone),
     each for every state, in the order given. The n-period horizon is the
@@ -137,7 +137,7 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     if not all(1 <= n <= n_last for n in lengths):
         raise ValueError(f"horizon lengths {lengths} must lie in 1..{n_last}")
     if solution is None:
-        solution = backward_induct(horizon, grid, order=order)
+        solution = backward_induct(horizon, grid)
     elif solution.horizon != horizon or not (
             np.array_equal(solution.grid.x_nodes, grid.x_nodes)
             and np.array_equal(solution.grid.y_nodes, grid.y_nodes)):
@@ -147,8 +147,8 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     def upper_policy(n, x, y):
         return single_period.optimal_order(x, y, pairs[n - 1])
 
-    lower_tables = policy_value_tables(horizon, grid, upper_policy, order=order)
-    sell_back = selling_back_dp(horizon, default_worth_grid(grid), order=order)
+    lower_tables = policy_value_tables(horizon, grid, upper_policy)
+    sell_back = selling_back_dp(horizon, default_worth_grid(grid))
 
     rows = []
     for n in lengths:
@@ -158,7 +158,7 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
             v = float(value(x, y))
             lo = float(lower_tables[k](x, y))
             up = float(sell_back[k](x + y))
-            tol = chain_tol * max(abs(v), 1.0)
+            tol = CHAIN_TOL * max(abs(v), 1.0)
             rows.append(BoundRow(
                 n_periods=n, x=float(x), y=float(y), optimal=v,
                 lower=lo, lower_gap=v - lo, lower_gap_pct=100.0 * (v - lo) / v,

@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import single_period
-from .bounds import compare_bounds, default_worth_grid, selling_back_dp
-from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
+from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_grid,
+                     selling_back_dp)
+from .demand import QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
 from .dp import Grid, GridEscapeError, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
@@ -38,12 +39,10 @@ EXIT_SOLVER = 3
 
 #: upper bounds on the sizes a config may ask for, so that an absurd value
 #: is a config error before anything is allocated; each is far beyond the
-#: shipped configs (N <= 12, 161x201 nodes, 8 quadrature nodes, 2M paths
-#: in the benchmark)
+#: shipped configs (N <= 12, 161x201 nodes, 2M paths in the benchmark)
 MAX_PERIODS = 1_000
 MAX_AXIS_NODES = 4_001
 MAX_PATHS = 50_000_000
-MAX_QUADRATURE_NODES = 1_000
 
 
 class ConfigError(ValueError):
@@ -127,7 +126,6 @@ class RunConfig:
     demands: list[Demand]
     grid: Grid
     epsilon: float = 1e-3
-    quadrature_nodes: int = 8
     mc_paths: int = 100_000
     seed: int = 0
     initial: tuple[float, float] = (0.0, 0.0)
@@ -155,6 +153,10 @@ class RunConfig:
         report = validate(horizon)
         if not report.ok:
             raise ConfigError(f"invalid horizon:\n{report}")
+        # the thresholds' brackets, the myopic policies and the bound chain
+        # all need the liquidation-credit myopic policy
+        shortfalls = [m for k in range(1, n) if (m := horizon.liquidation_shortfall(k))]
+        _require(not shortfalls, "invalid horizon: " + "; ".join(shortfalls))
         return horizon
 
     def longest_horizon(self, lengths, demand: Demand | None = None) -> HorizonSpec:
@@ -191,6 +193,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         _require(key in g, f"grid is missing field '{key}'")
     solver = raw.get("solver", {})
     _require(isinstance(solver, dict), "solver must be an object")
+    nodes = solver.get("quadrature_nodes", QUAD_ORDER)
+    _require(_is_number(nodes) and nodes == QUAD_ORDER,
+             f"solver.quadrature_nodes must be {QUAD_ORDER} or absent: every expectation "
+             f"uses the fixed {QUAD_ORDER}-point Gauss-Legendre rule per segment, "
+             f"got {nodes!r}")
     horizons = raw.get("table_horizons", [n, 2 * n])
     _require(isinstance(horizons, list) and horizons, "table_horizons must be a nonempty list")
     states = raw.get("table_states", [0.0, 7.0, 14.0])
@@ -217,8 +224,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         grid=grid,
         epsilon=_number(overrides.get("epsilon", solver.get("epsilon", 1e-3)),
                         "solver.epsilon", 0.0, strict=True),
-        quadrature_nodes=_integer(solver.get("quadrature_nodes", 8), "solver.quadrature_nodes",
-                                  most=MAX_QUADRATURE_NODES),
         mc_paths=_integer(overrides.get("paths", solver.get("mc_paths", 100_000)),
                           "solver.mc_paths", most=MAX_PATHS),
         seed=_integer(overrides.get("seed", solver.get("seed", 0)), "solver.seed", least=0),
@@ -277,7 +282,7 @@ class Emitter:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "solver": {
                 "epsilon": cfg.epsilon,
-                "quadrature_nodes": cfg.quadrature_nodes,
+                "quadrature_nodes": QUAD_ORDER,
                 "mc_paths": cfg.mc_paths,
                 "seed": cfg.seed,
                 "grid_shape": list(cfg.grid.shape),
@@ -290,10 +295,8 @@ class Emitter:
 def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
     initial = [cfg.initial] if cfg.raw.get("check_reachability", False) else None
-    solution = backward_induct(horizon, cfg.grid, order=cfg.quadrature_nodes,
-                               initial_states=initial)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon,
-                             order=cfg.quadrature_nodes)
+    solution = backward_induct(horizon, cfg.grid, initial_states=initial)
+    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon)
     X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
         z = solution.policy(n).order_up_to
@@ -317,7 +320,7 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
 def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     if which == "table1":
         rows = [astuple(gap_report(cfg.horizon(demand=dem), cfg.grid, State(*cfg.initial),
-                                   order=cfg.quadrature_nodes, demand_label=dem.label))
+                                   demand_label=dem.label))
                 for dem in cfg.demands]
         out.write_csv("table1.csv",
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
@@ -328,9 +331,12 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     # released before the next; the shorter horizons are read as its tails
     lengths = sorted(set(cfg.table_horizons))
     states = [(x, 0.0) for x in cfg.table_states]
-    reports = [compare_bounds(cfg.longest_horizon(lengths, demand=dem), cfg.grid, states,
-                              lengths=lengths, order=cfg.quadrature_nodes)
-               for dem in cfg.demands]
+    horizons = [cfg.longest_horizon(lengths, demand=dem) for dem in cfg.demands]
+    try:  # the relaxation's condition reads the periods, which every demand shares
+        _require_no_sellback_profit(horizons[0])
+    except ValueError as exc:
+        raise ConfigError(f"invalid horizon for the selling-back bound: {exc}") from None
+    reports = [compare_bounds(hz, cfg.grid, states, lengths=lengths) for hz in horizons]
     rows = [(n, dem.label, r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
              r.upper, r.upper_gap, r.upper_gap_pct)
             for n in cfg.table_horizons
@@ -354,7 +360,7 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
     out.write_csv("fig_order_quantity.csv", ["y", "q"],
                   np.column_stack([ys, single_period.optimal_order(0.0, ys, bands)]))
 
-    solution = backward_induct(horizon, cfg.grid, order=cfg.quadrature_nodes)
+    solution = backward_induct(horizon, cfg.grid)
     vt = solution.value(1)
     xi = np.linspace(0, len(cfg.grid.x_nodes) - 1, min(41, len(cfg.grid.x_nodes))).astype(int)
     yi = np.linspace(0, len(cfg.grid.y_nodes) - 1, min(41, len(cfg.grid.y_nodes))).astype(int)
@@ -363,7 +369,7 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
                   np.column_stack([xs.ravel(), ys.ravel(), vt.values[np.ix_(xi, yi)].ravel()]))
 
     worth = default_worth_grid(cfg.grid)
-    tables = selling_back_dp(sell_horizon, worth, order=cfg.quadrature_nodes)
+    tables = selling_back_dp(sell_horizon, worth)
     rows = [(n, w, v) for n in lengths for w, v in zip(worth, tables[-n].values)]
     out.write_csv("fig_selling_back.csv", ["N", "net_worth", "value"], rows)
     return EXIT_OK
@@ -371,9 +377,8 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
-    solution = backward_induct(horizon, cfg.grid, order=cfg.quadrature_nodes)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon,
-                             order=cfg.quadrature_nodes)
+    solution = backward_induct(horizon, cfg.grid)
+    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon)
     initial = State(*cfg.initial)
     policies = [ThresholdPolicy(table, label="optimal-thresholds"),
                 MyopicPolicy(horizon, "lower"), MyopicPolicy(horizon, "upper")]

@@ -21,7 +21,7 @@ TAIL_MASS = 1e-12
 
 #: Gauss-Legendre points per smooth segment; integrands are piecewise
 #: low-degree polynomials in D, so a fixed low order is effectively exact
-DEFAULT_QUAD_ORDER = 8
+QUAD_ORDER = 8
 
 
 class Moments(NamedTuple):
@@ -59,7 +59,7 @@ class Demand(ABC):
         """
 
     @abstractmethod
-    def expectation_nodes(self, kink, order=DEFAULT_QUAD_ORDER):
+    def expectation_nodes(self, kink):
         """Per-element nodes/weights for E[g(D)] with g kinked at `kink`.
 
         `kink` is an array of shape (M,); the result broadcasts as (M, K).
@@ -85,17 +85,18 @@ class Demand(ABC):
 
 
 @cache
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights on [-1, 1], read-only and shared."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre points and weights on [-1, 1], read-only and shared;
+    built on first use, as atom demand never needs them."""
+    gx, gw = np.polynomial.legendre.leggauss(QUAD_ORDER)
     gx.flags.writeable = False
     gw.flags.writeable = False
     return gx, gw
 
 
-def _gauss_segments(edges_lo, edges_hi, density, order):
+def _gauss_segments(edges_lo, edges_hi, density):
     """GL nodes/weights on per-element segments [lo, hi] with constant density."""
-    gx, gw = _gauss_legendre(order)
+    gx, gw = _gauss_legendre()
     half = 0.5 * (edges_hi - edges_lo)
     mid = 0.5 * (edges_hi + edges_lo)
     nodes = mid[..., None] + half[..., None] * gx
@@ -140,19 +141,19 @@ class Uniform(Demand):
     def _mean_sd(self):
         return 0.5 * (self.lo + self.hi), (self.hi - self.lo) / np.sqrt(12.0)
 
-    def quadrature(self, kinks=(), order=DEFAULT_QUAD_ORDER):
+    def quadrature(self, kinks=()):
         edges = np.unique(np.concatenate([[self.lo, self.hi], np.clip(kinks, self.lo, self.hi)]))
         density = 1.0 / (self.hi - self.lo)
-        nodes, weights = _gauss_segments(edges[:-1], edges[1:], density, order)
+        nodes, weights = _gauss_segments(edges[:-1], edges[1:], density)
         return nodes.ravel(), weights.ravel()
 
-    def expectation_nodes(self, kink, order=DEFAULT_QUAD_ORDER):
+    def expectation_nodes(self, kink):
         kink = np.clip(np.asarray(kink, dtype=float), self.lo, self.hi)
         density = 1.0 / (self.hi - self.lo)
         lo = np.full_like(kink, self.lo)
         hi = np.full_like(kink, self.hi)
-        n1, w1 = _gauss_segments(lo, kink, density, order)
-        n2, w2 = _gauss_segments(kink, hi, density, order)
+        n1, w1 = _gauss_segments(lo, kink, density)
+        n2, w2 = _gauss_segments(kink, hi, density)
         return np.concatenate([n1, n2], axis=-1), np.concatenate([w1, w2], axis=-1)
 
 
@@ -192,7 +193,7 @@ class _Atoms(Demand):
     def quadrature(self, kinks=()):
         return self.atoms.copy(), self.probs.copy()
 
-    def expectation_nodes(self, kink, order=DEFAULT_QUAD_ORDER):
+    def expectation_nodes(self, kink):
         return self.atoms[None, :], self.probs[None, :]
 
 

@@ -35,12 +35,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .demand import DEFAULT_QUAD_ORDER
 from .model import HorizonSpec, State, normalized_params, require_valid
 from . import single_period
 from .single_period import myopic_lower, myopic_upper
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+#: width to which the net-worth search's golden-section bracket is narrowed
+Z_TOL = 1e-4
 
 #: one-sided linear extrapolation is trusted this far beyond the grid,
 #: as a fraction of the grid span, when a reachability check is requested
@@ -211,18 +213,17 @@ def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -
     return State(float(x), float(y))
 
 
-def _expected_next(z, xi, horizon, n, next_value, order, bank=None, backlog=None):
+def _expected_next(z, xi, horizon, n, next_value, bank=None, backlog=None):
     """E_D[ next_value(x', y') ] for per-element (z, xi) under period n."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = horizon.demand_in(n).expectation_nodes(z, order)
+    nodes, weights = horizon.demand_in(n).expectation_nodes(z)
     x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, horizon,
                                  bank=bank, backlog=backlog)
     return np.sum(next_value(x_next, y_next) * weights, axis=1)
 
 
-def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable,
-                order: int = DEFAULT_QUAD_ORDER):
+def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable):
     """Expected next-period value of choosing stock level z >= x in period n."""
     if not 1 <= n <= horizon.n_periods - 1:
         raise ValueError(f"stage value defined for 1 <= n <= N-1, got n={n}")
@@ -231,7 +232,7 @@ def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable,
     if np.any(z_arr < x_arr - 1e-12):
         raise ValueError("post-order stock below on-hand inventory")
     out = _expected_next(z_arr, x_arr + np.atleast_1d(np.asarray(y, dtype=float)),
-                         horizon, n, next_table, order)
+                         horizon, n, next_table)
     return out if np.ndim(z) else float(out[0])
 
 
@@ -319,10 +320,10 @@ def worth_search(f, grid: Grid, hi, tol: float, candidates=()):
 
 
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
-    targets = list(myopic_lower(horizon, n)[:2])
+    pairs = [myopic_lower(horizon, n)]
     if horizon.upper_myopic_valid:
-        targets += list(myopic_upper(horizon, n)[:2])
-    return targets
+        pairs.append(myopic_upper(horizon, n))
+    return [level for pair in pairs for level in (pair.borrow, pair.deposit)]
 
 
 @dataclass(eq=False)
@@ -345,7 +346,7 @@ class DPSolution:
         period k + n here is period n of HorizonSpec(periods[k:], demands[k:],
         salvage). The tables share this solution's arrays. The myopic search
         candidates depend on `upper_myopic_valid` over the whole horizon, so
-        a direct solve of a tail that changes it may differ within z_tol.
+        a direct solve of a tail that changes it may differ within Z_TOL.
         """
         if not 0 <= k < self.horizon.n_periods:
             raise ValueError(f"tail offset {k} outside 0..{self.horizon.n_periods - 1}")
@@ -383,9 +384,8 @@ def _induct(horizon: HorizonSpec, grid: Grid, terminal, step):
     return values[::-1], policies[::-1]
 
 
-def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
-                    order: int = DEFAULT_QUAD_ORDER, z_cap=None,
-                    initial_states=None, bank=None, backlog=None) -> DPSolution:
+def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
+                    initial_states=None, backlog=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
     The terminal table is the closed-form single-period optimum. Earlier
@@ -393,9 +393,7 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
     one golden-section search per distinct net worth, with the kink z = xi
     and the myopic order-up-to levels evaluated explicitly, clipped to each
     node's range. `z_cap(x, y)` optionally tightens the upper bound per node
-    (loan limits). `bank` replaces the two-rate bank term; it must keep the
-    stage value concave in z, which whole-balance tiers do not (see
-    piecewise_dp). `backlog` is a backorder penalty (see _next_state and
+    (loan limits). `backlog` is a backorder penalty (see _next_state and
     backorder_dp); the grid may then hold negative stock. When
     `initial_states` is given, reachable capital is interval-propagated from
     those states and a GridEscapeError is raised if it leaves the
@@ -417,17 +415,15 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_tol: float = 1e-4,
         hi = np.minimum(z_cap(X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
 
         def f(z, xi):
-            return _expected_next(z, xi, horizon, n, next_table, order,
-                                  bank=bank, backlog=backlog)
+            return _expected_next(z, xi, horizon, n, next_table, backlog=backlog)
 
-        return worth_search(f, grid, hi, z_tol, _myopic_targets(horizon, n))
+        return worth_search(f, grid, hi, Z_TOL, _myopic_targets(horizon, n))
 
     values, policies = _induct(horizon, grid, (pt.order_up_to, v_last), step)
     return DPSolution(horizon, grid, values, policies)
 
 
-def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy, *,
-                        order: int = DEFAULT_QUAD_ORDER) -> list[ValueTable]:
+def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueTable]:
     """Expected terminal wealth tables of following `policy` in every period.
 
     `policy(n, x, y)` returns the order quantity per node (vectorized).
@@ -439,7 +435,7 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy, *,
 
     def step(n, next_table):
         z = x + np.maximum(policy(n, x, y), 0.0)
-        return z, _expected_next(z, x + y, horizon, n, next_table, order)
+        return z, _expected_next(z, x + y, horizon, n, next_table)
 
     terminal = (x + q_last, terminal_value(q_last, x, y, horizon))
     return _induct(horizon, grid, terminal, step)[0]

@@ -15,9 +15,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import single_period
-from .demand import DEFAULT_QUAD_ORDER, Demand
+from .demand import Demand
 from .dp import DPSolution, Grid, _expected_next, _induct, backward_induct, golden_max
 from .model import HorizonSpec, PeriodParams, require_valid
+
+#: width to which each tier interval's golden-section bracket is narrowed
+TIER_Z_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +148,8 @@ def piecewise_optimal_order(x: float, y: float, params: PeriodParams, salvage: f
     return float(qs[vals >= best - 1e-9 * (1.0 + abs(best))][0])
 
 
-def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Grid, *,
-                 z_tol: float = 1e-3, order: int = DEFAULT_QUAD_ORDER) -> DPSolution:
+def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
+                 grid: Grid) -> DPSolution:
     """Backward induction with the bank term replaced by the tiered schedule.
 
     The stage value is concave between tier crossings but can jump where the
@@ -174,8 +177,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Gr
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
 
         def f(z):
-            return _expected_next(z, xi_flat, horizon, n, next_table, order,
-                                  bank=schedule.bank_flow)
+            return _expected_next(z, xi_flat, horizon, n, next_table, bank=schedule.bank_flow)
 
         # z-interval edges where the bank balance c(xi - z) crosses a tier break
         edge_sets = [x_flat, np.minimum(np.maximum(xi_flat, x_flat), z_max),
@@ -187,7 +189,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule, grid: Gr
         edges = np.sort(np.stack(edge_sets), axis=0)
         z_parts, v_parts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
-            z_star, v_star = golden_max(f, lo, hi, z_tol, candidates=[lo, hi])
+            z_star, v_star = golden_max(f, lo, hi, TIER_Z_TOL, candidates=[lo, hi])
             z_parts.append(z_star)
             v_parts.append(v_star)
         zs, vs = np.stack(z_parts), np.stack(v_parts)
@@ -228,8 +230,7 @@ def loan_limited_policy(x, y, bands: single_period.OrderBands, limit_units: floa
     return q if q.ndim else float(q)
 
 
-def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid, *,
-                    z_tol: float = 1e-4, order: int = DEFAULT_QUAD_ORDER) -> DPSolution:
+def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid) -> DPSolution:
     """Backward induction with the z-search capped at x + y^+ + limit units.
 
     The cap only lowers each node's upper bound, so the net-worth search of
@@ -242,7 +243,7 @@ def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid, *,
         units = min(limit.units(p.cost) for p in _h.periods)
         return x + np.maximum(y, 0.0) + units
 
-    return backward_induct(horizon, grid, z_tol=z_tol, order=order, z_cap=z_cap)
+    return backward_induct(horizon, grid, z_cap=z_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +276,7 @@ class BackorderSolution(DPSolution):
     terminal_bands: single_period.OrderBands
 
 
-def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
-                 z_tol: float = 1e-4, order: int = DEFAULT_QUAD_ORDER) -> BackorderSolution:
+def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> BackorderSolution:
     """Backward induction with backlogged demand: x' = z - D, penalty b.
 
     Backorders are the base recursion with the transition's `backlog` set
@@ -290,7 +290,7 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid, *,
     require_valid(horizon)
     priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
                          horizon.demands, horizon.salvage)
-    solution = backward_induct(priced, grid, z_tol=z_tol, order=order, backlog=b.penalty)
+    solution = backward_induct(priced, grid, backlog=b.penalty)
     n = horizon.n_periods
     bands = single_period.order_bands(
         single_period.fractiles(priced.period(n), horizon.salvage), horizon.demand_in(n))

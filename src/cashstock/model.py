@@ -81,18 +81,23 @@ class HorizonSpec:
             raise IndexError(f"period {n} outside 1..{self.n_periods}")
         return self.demands[n - 1]
 
+    def liquidation_shortfall(self, n: int) -> str | None:
+        """Why period n < N breaks c_n(1+l_n)+h_n >= c_{n+1}, or None if it holds.
+
+        The condition is required for the liquidation-credit myopic policy;
+        otherwise stocking up without bound and liquidating next period would
+        be profitable.
+        """
+        cur, c_next = self.period(n), self.period(n + 1).cost
+        credit = cur.cost * (1.0 + cur.loan_rate) + cur.holding
+        if credit < c_next - 1e-12:
+            return f"period {n}: liquidation credit needs c(1+l)+h >= c_next ({credit} < {c_next})"
+        return None
+
     @property
     def upper_myopic_valid(self) -> bool:
-        """True when c_n(1+l_n)+h_n >= c_{n+1} for every n < N.
-
-        Required for the liquidation-credit myopic policy; otherwise stocking
-        up without bound and liquidating next period would be profitable.
-        """
-        for n in range(self.n_periods - 1):
-            cur, nxt = self.periods[n], self.periods[n + 1]
-            if cur.cost * (1.0 + cur.loan_rate) + cur.holding < nxt.cost - 1e-12:
-                return False
-        return True
+        """True when c_n(1+l_n)+h_n >= c_{n+1} for every n < N."""
+        return not any(self.liquidation_shortfall(n) for n in range(1, self.n_periods))
 
 
 @dataclass

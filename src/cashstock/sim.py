@@ -112,7 +112,11 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int, see
     results = []
     for policy, w in zip(policies, wealth):
         mean = float(np.mean(w))
-        half = float(1.96 * np.std(w, ddof=1) / np.sqrt(paths)) if paths > 1 else np.inf
+        # np.std(w, ddof=1) step by step, in place: its temporary copy of w
+        # would otherwise set the peak memory of a large run
+        np.square(np.subtract(w, mean, out=w), out=w)
+        sd = np.sqrt(w.sum() / (paths - 1)) if paths > 1 else np.inf
+        half = float(1.96 * sd / np.sqrt(paths))
         results.append(SimResult(mean, half, paths, _label(policy)))
     return results
 
@@ -142,7 +146,7 @@ class GapRow:
 
 
 def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0), *,
-               solution=None, order=None, demand_label: str = "") -> GapRow:
+               demand_label: str = "") -> GapRow:
     """Exact (grid) evaluation of both myopic policies against the optimum.
 
     Values come from policy-evaluation sweeps on the same grid and
@@ -150,13 +154,11 @@ def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0
     cancels in the gaps. Monte Carlo is used as a cross-check in tests, not
     here.
     """
-    kwargs = {} if order is None else {"order": order}
-    if solution is None:
-        solution = backward_induct(horizon, grid, **kwargs)
+    solution = backward_induct(horizon, grid)
     v_opt = float(solution.value(1)(initial.x, initial.y))
     values = {}
     for which in ("lower", "upper"):
-        tables = policy_value_tables(horizon, grid, MyopicPolicy(horizon, which), **kwargs)
+        tables = policy_value_tables(horizon, grid, MyopicPolicy(horizon, which))
         values[which] = float(tables[0](initial.x, initial.y))
     moments = horizon.demand_in(1).moments()
     return GapRow(

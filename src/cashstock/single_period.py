@@ -27,7 +27,6 @@ Both collapse to the plain single-period solution in the final period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -113,33 +112,21 @@ def speculation_value(params: PeriodParams, salvage: float, demand: Demand) -> f
     return float(value_closed_form(0.0, 0.0, params, salvage, demand))
 
 
-class MyopicPair(NamedTuple):
-    borrow: float
-    deposit: float
-    ratios: CriticalRatios
+def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> OrderBands:
+    return order_bands(fractiles(horizon.period(n), salvage), horizon.demand_in(n))
 
 
-def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> MyopicPair:
-    ratios = fractiles(horizon.period(n), salvage)
-    bands = order_bands(ratios, horizon.demand_in(n))
-    return MyopicPair(bands.borrow, bands.deposit, ratios)
-
-
-def myopic_lower(horizon: HorizonSpec, n: int) -> MyopicPair:
+def myopic_lower(horizon: HorizonSpec, n: int) -> OrderBands:
     """Holding-cost-only single-period levels; bound the true levels below."""
     salvage = -horizon.period(n).holding if n < horizon.n_periods else horizon.salvage
     return _myopic_pair(horizon, n, salvage)
 
 
-def myopic_upper(horizon: HorizonSpec, n: int) -> MyopicPair:
+def myopic_upper(horizon: HorizonSpec, n: int) -> OrderBands:
     """Liquidation-credit single-period levels; bound the true levels above."""
     if n >= horizon.n_periods:
         return _myopic_pair(horizon, n, horizon.salvage)
-    params = horizon.period(n)
-    c_next = horizon.period(n + 1).cost
-    if params.cost * (1.0 + params.loan_rate) + params.holding < c_next - 1e-12:
-        raise ValueError(
-            f"period {n}: liquidation credit needs c(1+l)+h >= c_next "
-            f"({params.cost * (1.0 + params.loan_rate) + params.holding} < {c_next})"
-        )
-    return _myopic_pair(horizon, n, c_next - params.holding)
+    shortfall = horizon.liquidation_shortfall(n)
+    if shortfall:
+        raise ValueError(shortfall)
+    return _myopic_pair(horizon, n, horizon.period(n + 1).cost - horizon.period(n).holding)

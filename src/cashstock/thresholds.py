@@ -15,17 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .demand import DEFAULT_QUAD_ORDER
-from .dp import (DPSolution, Grid, ValueTable, _lerp, _locate, backward_induct, partials,
-                 worth_grid)
+from .dp import (DPSolution, Grid, ValueTable, _lerp, _locate, _next_state, backward_induct,
+                 partials, worth_grid)
 from .model import HorizonSpec, normalized_params, require_valid
+
+#: a bracket end's slope may have the wrong sign by this share of the slope's
+#: swing across the bracket before the bracket is rejected
+BRACKET_TOL = 0.05
 
 
 class BracketError(RuntimeError):
     """A myopic bracket fails to enclose the root beyond tolerance."""
 
 
-def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order,
+def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate,
                  right: bool = False):
     """dG/dz at z = cand, holding the bank branch fixed at `rate`.
 
@@ -36,9 +39,9 @@ def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order,
     pp, hp, cp = normalized_params(horizon, n)
     cand = np.atleast_1d(np.asarray(cand, dtype=float))
     worth = np.atleast_1d(np.asarray(worth, dtype=float))
-    nodes, w = horizon.demand_in(n).expectation_nodes(cand, order)
-    leftover = np.maximum(cand[:, None] - nodes, 0.0)
-    y_next = pp * cand[:, None] - (pp + hp) * leftover + (cp * (worth - cand) * rate)[:, None]
+    nodes, w = horizon.demand_in(n).expectation_nodes(cand)
+    leftover, y_next = _next_state(cand[:, None], worth[:, None], nodes, n, horizon,
+                                   bank=lambda amount: rate * amount)
     vx, vy = partials(next_table, leftover, y_next)
     below = (nodes <= cand[:, None]) if right else (nodes < cand[:, None])
     term1 = np.sum(w * below * (vx - (pp + hp) * vy), axis=1)
@@ -46,21 +49,17 @@ def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate, order,
     return term1 - term2
 
 
-def stage_slope_borrowing(cand, worth, n, horizon, next_table,
-                          order=DEFAULT_QUAD_ORDER):
+def stage_slope_borrowing(cand, worth, n, horizon, next_table):
     """Stage-value derivative in z on the loan branch; its root is the
     loan-financed order-up-to level."""
-    out = _stage_slope(cand, worth, n, horizon, next_table,
-                       1.0 + horizon.period(n).loan_rate, order)
+    out = _stage_slope(cand, worth, n, horizon, next_table, 1.0 + horizon.period(n).loan_rate)
     return out if np.ndim(cand) else float(out[0])
 
 
-def stage_slope_deposit(cand, worth, n, horizon, next_table,
-                        order=DEFAULT_QUAD_ORDER):
+def stage_slope_deposit(cand, worth, n, horizon, next_table):
     """Stage-value derivative in z on the deposit branch; its root is the
     deposit-financed order-up-to level."""
-    out = _stage_slope(cand, worth, n, horizon, next_table,
-                       1.0 + horizon.period(n).deposit_rate, order)
+    out = _stage_slope(cand, worth, n, horizon, next_table, 1.0 + horizon.period(n).deposit_rate)
     return out if np.ndim(cand) else float(out[0])
 
 
@@ -87,13 +86,13 @@ def _bisect(slope, lo: float, hi: float, epsilon: float, m: int) -> tuple[np.nda
     return 0.5 * (a + b), n_iter
 
 
-def _check_bracket(label, n, worth, lo_vals, hi_vals, tol):
+def _check_bracket(label, n, worth, lo_vals, hi_vals):
     # signs must be phi(lo-) >= 0 >= phi(hi+), up to a share of the total swing:
     # under atom demand the levels sit on atoms, where only the subgradient
     # [phi(z+), phi(z-)] contains 0
     swing = np.maximum(np.abs(lo_vals - hi_vals), 1e-12)
-    bad_lo = -lo_vals > tol * swing
-    bad_hi = hi_vals > tol * swing
+    bad_lo = -lo_vals > BRACKET_TOL * swing
+    bad_hi = hi_vals > BRACKET_TOL * swing
     if np.any(bad_lo) or np.any(bad_hi):
         k = int(np.argmax(np.where(bad_lo, -lo_vals, 0.0) + np.where(bad_hi, hi_vals, 0.0)))
         raise BracketError(
@@ -109,8 +108,8 @@ class PeriodThresholds:
     worth: np.ndarray
     borrow: np.ndarray
     deposit: np.ndarray
-    lower: single_period.MyopicPair
-    upper: single_period.MyopicPair
+    lower: single_period.OrderBands
+    upper: single_period.OrderBands
     borrow_iterations: int
     deposit_iterations: int
 
@@ -137,8 +136,7 @@ class ThresholdTable:
 
 
 def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution | None = None,
-                     epsilon: float = 1e-3, order: int = DEFAULT_QUAD_ORDER,
-                     bracket_tol: float = 0.05) -> ThresholdTable:
+                     epsilon: float = 1e-3) -> ThresholdTable:
     """Tabulate both order-up-to levels on the net-worth grid by bisection.
 
     The final period's levels come from the closed form and are constant in
@@ -147,7 +145,7 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
     """
     require_valid(horizon)
     if solution is None:
-        solution = backward_induct(horizon, grid, order=order)
+        solution = backward_induct(horizon, grid)
     worth = worth_grid(grid)
     m = len(worth)
     n_last = horizon.n_periods
@@ -162,23 +160,21 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
         upper = single_period.myopic_upper(horizon, n)
         next_table = solution.value(n + 1)
         params = horizon.period(n)
+        roots = []
+        for label, slope, rate, lo, hi in (
+                ("borrow", stage_slope_borrowing, 1.0 + params.loan_rate,
+                 lower.borrow, upper.borrow),
+                ("deposit", stage_slope_deposit, 1.0 + params.deposit_rate,
+                 lower.deposit, upper.deposit)):
 
-        def phi(c, _n=n, _t=next_table):
-            return stage_slope_borrowing(c, worth, _n, horizon, _t, order)
+            def left_slope(c, _slope=slope, _n=n, _t=next_table):
+                return _slope(c, worth, _n, horizon, _t)
 
-        def psi(c, _n=n, _t=next_table):
-            return stage_slope_deposit(c, worth, _n, horizon, _t, order)
-
-        def right_slope(c, rate):
-            return _stage_slope(np.full(m, c), worth, n, horizon, next_table, rate, order,
-                                right=True)
-
-        _check_bracket("borrow", n, worth, phi(np.full(m, lower.borrow)),
-                       right_slope(upper.borrow, 1.0 + params.loan_rate), bracket_tol)
-        _check_bracket("deposit", n, worth, psi(np.full(m, lower.deposit)),
-                       right_slope(upper.deposit, 1.0 + params.deposit_rate), bracket_tol)
-        borrow, it_b = _bisect(phi, lower.borrow, upper.borrow, epsilon, m)
-        deposit, it_d = _bisect(psi, lower.deposit, upper.deposit, epsilon, m)
+            hi_slope = _stage_slope(np.full(m, hi), worth, n, horizon, next_table, rate,
+                                    right=True)
+            _check_bracket(label, n, worth, left_slope(np.full(m, lo)), hi_slope)
+            roots.append(_bisect(left_slope, lo, hi, epsilon, m))
+        (borrow, it_b), (deposit, it_d) = roots
         rows[n - 1] = PeriodThresholds(n, worth, borrow, deposit, lower, upper, it_b, it_d)
     return ThresholdTable(horizon, rows)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ BASE_CONFIG = {
     "periods": [{"p": 2000, "c": 1000, "h": 500, "i": 0.01, "l": 0.15}],
     "demands": [{"kind": "uniform", "lo": 0, "hi": 20}],
     "grid": {"x_max": 40, "y_min": -60, "y_max": 120, "nx": 41, "ny": 51},
-    "solver": {"epsilon": 0.001, "quadrature_nodes": 8, "mc_paths": 5000, "seed": 7},
+    "solver": {"epsilon": 0.001, "mc_paths": 5000, "seed": 7},
 }
 
 
@@ -65,10 +66,50 @@ def test_initial_state_needs_two_numbers(tmp_path, capsys):
     assert "initial must be a list of two numbers" in capsys.readouterr().err
 
 
-def test_quadrature_nodes_must_be_positive(tmp_path, capsys):
-    path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": 0})
-    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "quadrature_nodes must be a positive integer" in capsys.readouterr().err
+#: the message of a config that asks for another quadrature rule
+FIXED_RULE = ("solver.quadrature_nodes must be 8 or absent: every expectation uses the "
+              "fixed 8-point Gauss-Legendre rule per segment, got ")
+
+
+def test_quadrature_nodes_is_fixed(tmp_path, capsys):
+    # configs written while the order was a setting still load
+    path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": 8})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["solver"]["quadrature_nodes"] == 8
+    for nodes in (0, 16):
+        path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": nodes})
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
+        assert FIXED_RULE + repr(nodes) in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+#: two periods whose unit cost rises from 1000 to `c`
+def rising_cost(c: float) -> list[dict]:
+    return [{"p": 4000, "c": 1000, "h": 100, "i": 0.01, "l": 0.15},
+            {"p": 4000, "c": c, "h": 100, "i": 0.01, "l": 0.15}]
+
+
+LIQUIDATION = "period 1: liquidation credit needs c(1+l)+h >= c_next (1250.0 < 2000.0)"
+
+
+@pytest.mark.parametrize("command, c_next, message", [
+    (["solve"], 2000, LIQUIDATION),
+    (["simulate"], 2000, LIQUIDATION),
+    (["tables", "--which", "table1"], 2000, LIQUIDATION),
+    (["tables", "--which", "table2"], 2000, LIQUIDATION),
+    (["tables", "--which", "table2"], 1200,
+     "period 1: selling back needs c_next <= c + h (1200.0 > 1100.0)"),
+], ids=["solve", "simulate", "table1", "table2", "table2_selling_back"])
+def test_cost_rise_beyond_a_myopic_bound_is_config_error(tmp_path, capsys, command, c_next,
+                                                          message):
+    grid = dict(BASE_CONFIG["grid"], nx=21, ny=26)
+    path = write_config(tmp_path, N=2, periods=rising_cost(c_next), grid=grid,
+                        table_horizons=[2])
+    out = tmp_path / "o"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.glob("*.csv"))
 
 
 def test_table_horizon_zero_rejected_not_replaced(tmp_path, capsys):
@@ -105,8 +146,7 @@ SOLVER = BASE_CONFIG["solver"]
     ({"grid": {**BASE_CONFIG["grid"], "nx": 1e15}}, "gives 1e+15 nodes; at most 4001"),
     ({"grid": {**BASE_CONFIG["grid"], "ny": 4002}}, "gives 4002 nodes; at most 4001"),
     ({"solver": {**SOLVER, "mc_paths": 10 ** 12}}, "solver.mc_paths must be at most 50000000"),
-    ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}},
-     "solver.quadrature_nodes must be at most 1000"),
+    ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}}, FIXED_RULE + repr(10 ** 15)),
     ({"table_horizons": [3, 10 ** 9]}, "table_horizons[1] must be at most 2000"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
@@ -131,7 +171,7 @@ JSON_VALUES = st.recursive(
 FIELDS = ([(k,) for k in (*BASE_CONFIG, "initial", "table_states", "table_horizons",
                           "check_reachability")]
           + [("grid", k) for k in BASE_CONFIG["grid"]]
-          + [("solver", k) for k in SOLVER]
+          + [("solver", k) for k in (*SOLVER, "quadrature_nodes")]
           + [("periods", 0, k) for k in BASE_CONFIG["periods"][0]]
           + [("demands", 0, k) for k in BASE_CONFIG["demands"][0]])
 
@@ -184,6 +224,16 @@ def test_shipped_configs_within_bounds():
         for scale in (0.25, 0.5, 1.0):
             cfg = load_config(str(CONFIGS / name), {"grid_scale": scale, "paths": 2_000_000})
             assert cfg.mc_paths == 2_000_000
+
+
+def test_readme_config_schema_loads(tmp_path):
+    # the documented schema, its // comments stripped, is a valid config
+    readme = (CONFIGS.parent / "README.md").read_text()
+    schema = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "schema.json"
+    path.write_text(re.sub(r"//.*", "", schema))
+    cfg = load_config(str(path))
+    assert cfg.horizon().n_periods == cfg.n_periods == 6
 
 
 def per_cell_csv(header, rows) -> str:

@@ -310,7 +310,8 @@ def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
     for n in range(hz.n_periods - 1, 0, -1):
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
         hi = np.minimum(z_cap(x, y), z_max) if z_cap is not None else z_max
-        cands = [x + y, *cs.myopic_lower(hz, n)[:2], *cs.myopic_upper(hz, n)[:2]]
+        lower, upper = cs.myopic_lower(hz, n), cs.myopic_upper(hz, n)
+        cands = [x + y, lower.borrow, lower.deposit, upper.borrow, upper.deposit]
         _, v = golden_max(lambda z, _n=n: cs.stage_value(z, x, y, _n, hz, values[_n]),
                           x, hi, z_tol, candidates=cands)
         values[n - 1] = ValueTable(n, grid, v.reshape(grid.shape))

@@ -22,7 +22,8 @@ def test_myopic_lower_reference_values():
     hz = make_horizon("u0_20", 6)
     pair = myopic_lower(hz, 2)
     # s = -h: a = 850/2500 = 0.34, b = 990/2500 = 0.396 on U(0, 20)
-    assert pair.ratios.borrow == pytest.approx(0.34, abs=1e-12)
+    params = hz.period(2)
+    assert cs.fractiles(params, -params.holding).borrow == pytest.approx(0.34, abs=1e-12)
     assert pair.borrow == pytest.approx(6.8, abs=1e-9)
     assert pair.deposit == pytest.approx(7.92, abs=1e-9)
     # final period: plain salvage, the closed-form pair
@@ -43,7 +44,8 @@ def test_myopic_upper_reference_values():
     hz = make_horizon("u0_20", 6)
     pair = myopic_upper(hz, 3)
     # s = c_next - h = 500: a = 850/1500, b = 990/1500 = 0.66
-    assert pair.ratios.borrow == pytest.approx(850 / 1500, abs=1e-12)
+    salvage = hz.period(4).cost - hz.period(3).holding
+    assert cs.fractiles(hz.period(3), salvage).borrow == pytest.approx(850 / 1500, abs=1e-12)
     assert pair.borrow == pytest.approx(11.333333333333334, abs=1e-9)
     assert pair.deposit == pytest.approx(13.2, abs=1e-9)
     last = myopic_upper(hz, 6)
@@ -65,7 +67,7 @@ def test_myopic_upper_deposit_ratio_at_one():
     params = cs.PeriodParams(2000, 1000, 0.0, 0.0, 1e-4)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
     pair = myopic_upper(hz, 1)
-    assert pair.ratios.deposit == 1.0
+    assert cs.fractiles(params, params.cost - params.holding).deposit == 1.0
     assert pair.deposit == pytest.approx(20.0)  # quantile at 1 = support max
 
 
@@ -79,9 +81,9 @@ def test_bisection_iterations():
 def test_check_bracket_raises_on_bad_signs():
     worth = np.array([0.0, 1.0])
     with pytest.raises(BracketError):
-        _check_bracket("borrow", 1, worth, np.array([-5.0, 4.0]), np.array([-6.0, -4.0]), 0.05)
+        _check_bracket("borrow", 1, worth, np.array([-5.0, 4.0]), np.array([-6.0, -4.0]))
     # tiny wrong-signed noise is tolerated
-    _check_bracket("borrow", 1, worth, np.array([-1e-9, 4.0]), np.array([-6.0, -4.0]), 0.05)
+    _check_bracket("borrow", 1, worth, np.array([-1e-9, 4.0]), np.array([-6.0, -4.0]))
 
 
 @pytest.fixture(scope="module")
