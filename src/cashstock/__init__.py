@@ -32,7 +32,6 @@ from .single_period import (
 from .dp import (
     DPSolution,
     Grid,
-    GridEscapeError,
     PolicyTable,
     ValueTable,
     backward_induct,

@@ -22,6 +22,7 @@ from .dp import (
     golden_max,
     interp1,
     policy_value_tables,
+    terminal_value,
 )
 from .model import HorizonSpec, require_valid
 
@@ -67,12 +68,9 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     _require_no_sellback_profit(horizon)
     worth_nodes = np.asarray(worth_nodes, dtype=float)
     n_last = horizon.n_periods
-    params_n = horizon.period(n_last)
-    bands = single_period.order_bands(
-        single_period.fractiles(params_n, horizon.salvage), horizon.demand_in(n_last))
+    bands = single_period.myopic_lower(horizon, n_last)
     q_term = single_period.optimal_order(0.0, worth_nodes, bands)
-    v_term = single_period.expected_value_G(
-        q_term, 0.0, worth_nodes, params_n, horizon.salvage, horizon.demand_in(n_last))
+    v_term = terminal_value(q_term, 0.0, worth_nodes, horizon)
     tables: list = [None] * n_last
     tables[-1] = WorthValueTable(n_last, worth_nodes, v_term, q_term,
                                  bands.borrow, bands.deposit)

@@ -4,7 +4,7 @@ Subcommands: solve, tables, figures, simulate. Config is a JSON document;
 see README for the schema. Every run writes a manifest listing the emitted
 files; CSV bodies are deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 2 config error, 3 solver bracket/grid failure.
+Exit codes: 0 success, 2 config error, 3 solver bracket failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import single_period
 from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_grid,
                      selling_back_dp)
 from .demand import QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
-from .dp import Grid, GridEscapeError, backward_induct
+from .dp import Grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
 from .thresholds import BracketError, solve_thresholds
@@ -204,6 +204,10 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(isinstance(states, list) and states, "table_states must be a nonempty list")
     check = raw.get("check_reachability", False)
     _require(isinstance(check, bool), f"check_reachability must be true or false, got {check!r}")
+    _require(not check, "check_reachability must be false or absent: the grid-reachability "
+             "gate was removed, because its interval bound on reachable capital rejected "
+             "grids whose solution a wider capital axis does not change (the paper's "
+             "161x201 grid among them)")
     overrides = overrides or {}
     scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
     nx = _axis_nodes(g["nx"], "grid.nx", scale)
@@ -235,11 +239,6 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
                         for k, v in enumerate(horizons)],
         raw=raw,
     )
-    # per-scenario horizons are validated when commands build them
-    for dem in demands:
-        probe = HorizonSpec([periods[0]] * 1, [dem], cfg.salvage)
-        report = validate(probe)
-        _require(report.ok, f"invalid economics for demand {dem.label}:\n{report}")
     return cfg
 
 
@@ -294,8 +293,7 @@ class Emitter:
 
 def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
-    initial = [cfg.initial] if cfg.raw.get("check_reachability", False) else None
-    solution = backward_induct(horizon, cfg.grid, initial_states=initial)
+    solution = backward_induct(horizon, cfg.grid)
     table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon)
     X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
@@ -319,8 +317,7 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
 
 def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     if which == "table1":
-        rows = [astuple(gap_report(cfg.horizon(demand=dem), cfg.grid, State(*cfg.initial),
-                                   demand_label=dem.label))
+        rows = [astuple(gap_report(cfg.horizon(demand=dem), cfg.grid, State(*cfg.initial)))
                 for dem in cfg.demands]
         out.write_csv("table1.csv",
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
@@ -445,7 +442,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BracketError, GridEscapeError) as exc:
+    except BracketError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     out.write_manifest(args.command, cfg)

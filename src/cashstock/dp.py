@@ -44,14 +44,6 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 #: width to which the net-worth search's golden-section bracket is narrowed
 Z_TOL = 1e-4
 
-#: one-sided linear extrapolation is trusted this far beyond the grid,
-#: as a fraction of the grid span, when a reachability check is requested
-EXTRAPOLATION_TRUST = 0.20
-
-
-class GridEscapeError(RuntimeError):
-    """States reachable from the initial box leave the grid's trust region."""
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -69,9 +61,8 @@ class Grid:
         object.__setattr__(self, "_steps", (_axis_step(self.x_nodes), _axis_step(self.y_nodes)))
 
     @classmethod
-    def regular(cls, x_max: float, y_min: float, y_max: float, nx: int, ny: int,
-                x_min: float = 0.0) -> "Grid":
-        return cls(np.linspace(x_min, x_max, nx), np.linspace(y_min, y_max, ny))
+    def regular(cls, x_max: float, y_min: float, y_max: float, nx: int, ny: int) -> "Grid":
+        return cls(np.linspace(0.0, x_max, nx), np.linspace(y_min, y_max, ny))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -274,10 +265,15 @@ def golden_max(f, lo, hi, tol: float, candidates=()):
         z_stack.append(np.clip(np.broadcast_to(np.asarray(cand, dtype=float), lo.shape), lo, hi))
     zs = np.stack(z_stack)
     fs = np.stack([np.where(f1 >= f2, f1, f2)] + [f(zc) for zc in zs[1:]])
+    return _smallest_argmax(zs, fs)
+
+
+def _smallest_argmax(zs, fs):
+    """(z, max f) over axis 0 of the stacked candidates, taking the smallest
+    z whose f is within a relative 1e-9 of the max."""
     best = fs.max(axis=0)
     tie = best - 1e-9 * (1.0 + np.abs(best))
-    z_best = np.where(fs >= tie, zs, np.inf).min(axis=0)
-    return z_best, best
+    return np.where(fs >= tie, zs, np.inf).min(axis=0), best
 
 
 def worth_grid(grid: Grid) -> np.ndarray:
@@ -359,12 +355,9 @@ class DPSolution:
 
 def _terminal_tables(horizon: HorizonSpec, grid: Grid) -> tuple[ValueTable, PolicyTable]:
     n = horizon.n_periods
-    params, demand = horizon.period(n), horizon.demand_in(n)
-    bands = single_period.order_bands(single_period.fractiles(params, horizon.salvage), demand)
     X, Y = grid.mesh()
-    q = single_period.optimal_order(X, Y, bands)
-    vals = single_period.expected_value_G(q, X, Y, params, horizon.salvage, demand)
-    return ValueTable(n, grid, vals), PolicyTable(n, grid, X + q)
+    q = single_period.optimal_order(X, Y, myopic_lower(horizon, n))
+    return ValueTable(n, grid, terminal_value(q, X, Y, horizon)), PolicyTable(n, grid, X + q)
 
 
 def _induct(horizon: HorizonSpec, grid: Grid, terminal, step):
@@ -385,7 +378,7 @@ def _induct(horizon: HorizonSpec, grid: Grid, terminal, step):
 
 
 def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
-                    initial_states=None, backlog=None) -> DPSolution:
+                    backlog=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
     The terminal table is the closed-form single-period optimum. Earlier
@@ -394,16 +387,11 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
     and the myopic order-up-to levels evaluated explicitly, clipped to each
     node's range. `z_cap(x, y)` optionally tightens the upper bound per node
     (loan limits). `backlog` is a backorder penalty (see _next_state and
-    backorder_dp); the grid may then hold negative stock. When
-    `initial_states` is given, reachable capital is interval-propagated from
-    those states and a GridEscapeError is raised if it leaves the
-    extrapolation trust region.
+    backorder_dp); the grid may then hold negative stock.
     """
     require_valid(horizon)
     if backlog is None and grid.x_nodes[0] < -1e-12:
         raise ValueError("inventory nodes must be nonnegative under lost sales")
-    if initial_states is not None:
-        check_reachability(horizon, grid, initial_states)
     vt, pt = _terminal_tables(horizon, grid)
     v_last = vt.values
     if backlog is not None:
@@ -439,40 +427,3 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueT
 
     terminal = (x + q_last, terminal_value(q_last, x, y, horizon))
     return _induct(horizon, grid, terminal, step)[0]
-
-
-def reachable_worth_bounds(horizon: HorizonSpec, initial_states) -> list[tuple[float, float]]:
-    """Interval propagation of the capital range reachable per period.
-
-    No admissible policy stocks beyond the largest myopic order-up-to level,
-    so the post-order stock is capped at max(x, that level) when propagating
-    the extreme revenue and debt paths.
-    """
-    states = np.atleast_2d(np.asarray(initial_states, dtype=float))
-    x_lo, x_hi = float(states[:, 0].min()), float(states[:, 0].max())
-    y_lo, y_hi = float(states[:, 1].min()), float(states[:, 1].max())
-    out = [(y_lo, y_hi)]
-    for n in range(1, horizon.n_periods):
-        d_hi = float(horizon.demand_in(n).quantile(0.999))
-        pair = myopic_upper(horizon, n) if horizon.upper_myopic_valid else myopic_lower(horizon, n)
-        z_hi = max(x_hi, pair.deposit)
-        ends = [float(_next_state(z, xi, d, n, horizon)[1])
-                for z in (x_lo, min(max(x_lo + y_lo, x_lo), z_hi), z_hi)
-                for d in (0.0, d_hi)
-                for xi in (x_lo + y_lo, x_hi + y_hi)]
-        out.append((min(ends), max(ends)))
-        x_lo, x_hi = 0.0, z_hi
-        y_lo, y_hi = out[-1]
-    return out
-
-
-def check_reachability(horizon: HorizonSpec, grid: Grid, initial_states) -> None:
-    span = grid.y_nodes[-1] - grid.y_nodes[0]
-    slack = EXTRAPOLATION_TRUST * span
-    for n, (lo, hi) in enumerate(reachable_worth_bounds(horizon, initial_states), start=1):
-        if lo < grid.y_nodes[0] - slack or hi > grid.y_nodes[-1] + slack:
-            raise GridEscapeError(
-                f"period {n}: reachable capital [{lo:.1f}, {hi:.1f}] escapes grid "
-                f"[{grid.y_nodes[0]:.1f}, {grid.y_nodes[-1]:.1f}] by more than "
-                f"{EXTRAPOLATION_TRUST:.0%} of its span"
-            )

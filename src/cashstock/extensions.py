@@ -16,7 +16,8 @@ import numpy as np
 
 from . import single_period
 from .demand import Demand
-from .dp import DPSolution, Grid, _expected_next, _induct, backward_induct, golden_max
+from .dp import (DPSolution, Grid, _expected_next, _induct, _smallest_argmax,
+                 backward_induct, golden_max)
 from .model import HorizonSpec, PeriodParams, require_valid
 
 #: width to which each tier interval's golden-section bracket is narrowed
@@ -144,8 +145,7 @@ def piecewise_optimal_order(x: float, y: float, params: PeriodParams, salvage: f
         cands.append(float(np.clip(lvl - x, q_lo, hi)))
     qs = np.unique(np.maximum(np.asarray(cands, dtype=float), 0.0))
     vals = _piecewise_G(qs, x, y, params, salvage, schedule, demand)
-    best = vals.max()
-    return float(qs[vals >= best - 1e-9 * (1.0 + abs(best))][0])
+    return float(_smallest_argmax(qs, vals)[0])
 
 
 def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
@@ -192,10 +192,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
             z_star, v_star = golden_max(f, lo, hi, TIER_Z_TOL, candidates=[lo, hi])
             z_parts.append(z_star)
             v_parts.append(v_star)
-        zs, vs = np.stack(z_parts), np.stack(v_parts)
-        best_v = vs.max(axis=0)
-        tie = best_v - 1e-9 * (1.0 + np.abs(best_v))
-        return np.where(vs >= tie, zs, np.inf).min(axis=0), best_v
+        return _smallest_argmax(np.stack(z_parts), np.stack(v_parts))
 
     values, policies = _induct(horizon, grid, (X + q_term, v_term), step)
     return DPSolution(horizon, grid, values, policies)
@@ -291,7 +288,5 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> Backor
     priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
                          horizon.demands, horizon.salvage)
     solution = backward_induct(priced, grid, backlog=b.penalty)
-    n = horizon.n_periods
-    bands = single_period.order_bands(
-        single_period.fractiles(priced.period(n), horizon.salvage), horizon.demand_in(n))
+    bands = single_period.myopic_lower(priced, horizon.n_periods)
     return BackorderSolution(horizon, grid, solution.values, solution.policies, bands)

@@ -15,7 +15,7 @@ memory holds one block plus one terminal wealth per path and policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +77,11 @@ class MyopicPolicy(Policy):
 BLOCK_PATHS = 1 << 16
 
 
-def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int, seed: int, *,
-                 antithetic: bool = False) -> list[SimResult]:
+def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
+                 seed: int) -> list[SimResult]:
     """Simulate terminal wealth under each policy from `initial` on the same
     demand paths (common random numbers); one result per policy, in order.
-
-    Deterministic for a fixed seed; `antithetic=True` replays the complement
-    of the same uniforms.
+    Deterministic for a fixed seed.
     """
     require_valid(horizon)
     if paths < 1:
@@ -95,8 +93,6 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int, see
     for start in range(0, paths, BLOCK_PATHS):
         m = min(BLOCK_PATHS, paths - start)
         u = rng.random((m, n_periods)).T
-        if antithetic:
-            u = 1.0 - u
         d = [dem.quantile(u_n) for dem, u_n in zip(demands, u)]
         for k, policy in enumerate(policies):
             x = np.full(m, float(initial.x))
@@ -121,11 +117,10 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int, see
     return results
 
 
-def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int, seed: int, *,
-               antithetic: bool = False, label: str | None = None) -> SimResult:
-    """`run_policies` for one policy, reported under `label` if given."""
-    res = run_policies(horizon, [policy], initial, paths, seed, antithetic=antithetic)[0]
-    return replace(res, label=label) if label else res
+def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int,
+               seed: int) -> SimResult:
+    """`run_policies` for one policy."""
+    return run_policies(horizon, [policy], initial, paths, seed)[0]
 
 
 def _label(policy) -> str:
@@ -145,8 +140,7 @@ class GapRow:
     upper_gap_pct: float
 
 
-def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0), *,
-               demand_label: str = "") -> GapRow:
+def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0)) -> GapRow:
     """Exact (grid) evaluation of both myopic policies against the optimum.
 
     Values come from policy-evaluation sweeps on the same grid and
@@ -162,7 +156,7 @@ def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0
         values[which] = float(tables[0](initial.x, initial.y))
     moments = horizon.demand_in(1).moments()
     return GapRow(
-        demand_label=demand_label or horizon.demand_in(1).label,
+        demand_label=horizon.demand_in(1).label,
         cv=moments.cv,
         optimal=v_opt,
         lower_value=values["lower"],

@@ -60,6 +60,16 @@ def test_invalid_horizon_rejected(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_per_period_economics_load_as_one_horizon(tmp_path):
+    # salvage lies between the two periods' prices, so the first period
+    # alone would not be a valid one-period horizon; the two together are
+    periods = [{"p": 1200, "c": 1000, "h": 400, "i": 0.01, "l": 0.15},
+               {"p": 3000, "c": 1500, "h": 100, "i": 0.01, "l": 0.15}]
+    cfg = load_config(str(write_config(tmp_path, N=2, periods=periods, salvage=1250)))
+    horizon = cfg.horizon()
+    assert horizon.n_periods == 2 and horizon.period(1).price == 1200
+
+
 def test_initial_state_needs_two_numbers(tmp_path, capsys):
     path = write_config(tmp_path, initial=[0, 0, 0])
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -282,10 +292,14 @@ def test_solve_deterministic_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_reachability_check_gives_solver_exit_code(tmp_path):
-    cramped = dict(BASE_CONFIG["grid"], y_max=5, y_min=-5)
-    path = write_config(tmp_path, N=6, grid=cramped, check_reachability=True)
-    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+def test_check_reachability_true_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, check_reachability=True)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert ("check_reachability must be false or absent: the grid-reachability gate "
+            "was removed") in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is solved
+    load_config(str(write_config(tmp_path, check_reachability=False)))
 
 
 def test_tables_policy_gaps(tmp_path):

@@ -9,7 +9,6 @@ from cashstock.dp import (
     golden_max,
     interp1,
     interp2,
-    reachable_worth_bounds,
 )
 from cashstock.extensions import backorder_grid
 
@@ -289,15 +288,20 @@ def test_refinement_convergence():
     assert d2 <= d1 / 3.0
 
 
-def test_grid_escape_detection():
-    hz = make_horizon("u0_20", 6)
-    tight = Grid.regular(40, -60, 20, 41, 41)
-    with pytest.raises(cs.GridEscapeError):
-        cs.backward_induct(hz, tight, initial_states=[(0.0, 0.0)])
-    # the desk grid holds the reachable set for N=6 from (0, 0)
-    bounds = reachable_worth_bounds(hz, [(0.0, 0.0)])
-    assert len(bounds) == 6
-    assert all(lo <= hi for lo, hi in bounds)
+@pytest.mark.parametrize("key", ["u0_20", "zip18"])
+def test_deeper_capital_axis_leaves_values_unchanged(small_grid, key):
+    # interval propagation of reachable capital from (0, 0), which assumes
+    # zero demand several periods running, reaches -109 by period 5 under
+    # U(0,20), below this grid's -60. The axis extended to -132 at the same
+    # spacing holds that range and solves to the same V1: a gate on that
+    # bound would reject a grid whose values are right, so the solver has none
+    hz = make_horizon(key, 6)
+    deep = Grid.regular(40, -132, 120, 41, 71)
+    assert np.diff(deep.y_nodes)[0] == pytest.approx(np.diff(small_grid.y_nodes)[0])
+    v_small = cs.backward_induct(hz, small_grid).value(1)
+    v_deep = cs.backward_induct(hz, deep).value(1)
+    for x in (0.0, 7.0, 14.0):
+        assert float(v_deep(x, 0.0)) == pytest.approx(float(v_small(x, 0.0)), rel=1e-12)
 
 
 def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
