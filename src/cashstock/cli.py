@@ -10,13 +10,14 @@ Exit codes: 0 success, 2 config error, 3 solver bracket failure.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -31,8 +32,6 @@ from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
 from .thresholds import BracketError, solve_thresholds
 
-ENV_PREFIX = "CASHSTOCK_"
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -43,6 +42,9 @@ EXIT_SOLVER = 3
 MAX_PERIODS = 1_000
 MAX_AXIS_NODES = 4_001
 MAX_PATHS = 50_000_000
+MAX_LAMBDA = 1_000
+#: the default of a config field that has none: the config must give it
+REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -63,10 +65,12 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(value, what: str, low: float = -np.inf, *, strict: bool = False) -> float:
+def _number(value, what: str, low: float = -np.inf, *, strict: bool = False,
+            most: float = math.inf) -> float:
     ok = _is_number(value) and (value > low if strict else value >= low)
     bound = "" if low == -np.inf else f" {'>' if strict else '>='} {low:g}"
     _require(ok, f"{what} must be a number{bound}, got {value!r}")
+    _require(value <= most, f"{what} must be at most {most}, got {value!r}")
     return float(value)
 
 
@@ -78,44 +82,103 @@ def _integer(value, what: str, least: int = 1, most: float = math.inf) -> int:
     return int(value)
 
 
-def _axis_nodes(value, what: str, scale: float) -> int:
+def _axis_nodes(nodes: int, what: str, scale: float) -> int:
     """Node count of a grid axis after `--grid-scale`, at most MAX_AXIS_NODES."""
-    scaled = (_integer(value, what, least=2) - 1) * scale
+    scaled = (nodes - 1) * scale
     _require(math.isfinite(scaled) and round(scaled) + 1 <= MAX_AXIS_NODES,
-             f"{what} = {value!r} at grid scale {scale:g} gives {scaled + 1:g} nodes; "
+             f"{what} = {nodes!r} at grid scale {scale:g} gives {scaled + 1:g} nodes; "
              f"at most {MAX_AXIS_NODES} are allowed")
     return max(2, int(round(scaled)) + 1)
 
 
-def _number_pair(value, what: str) -> tuple[float, float]:
-    ok = isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
-    _require(ok, f"{what} must be a list of two numbers [x, y], got {value!r}")
-    return float(value[0]), float(value[1])
+def _list(value, what: str, parse=_number, **bounds) -> list:
+    """A nonempty list, each entry read by `parse`."""
+    _require(isinstance(value, list) and value, f"{what} must be a nonempty list, got {value!r}")
+    return [parse(v, f"{what}[{k}]", **bounds) for k, v in enumerate(value)]
+
+
+def _fields(spec, where: str, table: dict) -> dict:
+    """The object `spec` read by `table`, which maps each field to its default
+    (or REQUIRED) and its parser; an unknown key's error names the closest field."""
+    _require(isinstance(spec, dict), f"{where or 'config root'} must be an object")
+    prefix = f"{where}." if where else ""
+    for key in spec:
+        if key not in table:
+            close = difflib.get_close_matches(key, table, n=1)
+            hint = f"; did you mean '{close[0]}'?" if close else ""
+            raise ConfigError(f"{prefix}{key}: unknown field{hint}")
+    for key, (default, _) in table.items():
+        _require(key in spec or default is not REQUIRED, f"missing field {prefix}{key}")
+    return {key: parse(spec[key], prefix + key) if key in spec else default
+            for key, (default, parse) in table.items()}
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, where json would keep a repeated key's last value."""
+    keys = [key for key, _ in pairs]
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    _require(not twice, f"key(s) {twice} given twice in one object")
+    return dict(pairs)
+
+
+#: each demand kind: its class, and its fields' parsers in the class's argument order
+DEMAND_KINDS = {
+    "uniform": (Uniform, {"lo": _number, "hi": _number}),
+    "zip": (ZeroInflatedPoisson, {"pi": _number, "lambda": partial(_number, most=MAX_LAMBDA)}),
+    "empirical": (DiscreteEmpirical, {"values": _list, "probs": _list}),
+}
 
 
 def parse_demand(spec, where: str) -> Demand:
-    _require(isinstance(spec, dict) and "kind" in spec, f"{where}: demand needs a 'kind' field")
-    kind = spec["kind"]
+    _require(isinstance(spec, dict), f"{where} must be an object")
+    kind = spec.get("kind")
+    _require(isinstance(kind, str) and kind in DEMAND_KINDS,
+             f"{where}.kind must be one of {', '.join(DEMAND_KINDS)}, got {kind!r}")
+    cls, parsers = DEMAND_KINDS[kind]
+    fields = {key: value for key, value in spec.items() if key != "kind"}
+    args = _fields(fields, where, {key: (REQUIRED, p) for key, p in parsers.items()}).values()
     try:
-        if kind == "uniform":
-            return Uniform(float(spec["lo"]), float(spec["hi"]))
-        if kind == "zip":
-            return ZeroInflatedPoisson(float(spec["pi"]), float(spec["lambda"]))
-        if kind == "empirical":
-            return DiscreteEmpirical(tuple(spec["values"]), tuple(spec["probs"]))
-    except KeyError as exc:
-        raise ConfigError(f"{where}: demand kind '{kind}' is missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+        return cls(*args)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unknown demand kind '{kind}' "
-                      "(expected uniform, zip, or empirical)")
 
 
-def parse_period(spec, where: str) -> PeriodParams:
-    _require(isinstance(spec, dict), f"{where}: period must be an object")
-    missing = [k for k in ("p", "c", "h", "i", "l") if k not in spec]
-    _require(not missing, f"{where}: period is missing field(s) {missing}")
-    return PeriodParams(*(_number(spec[k], f"{where}.{k}") for k in ("p", "c", "h", "i", "l")))
+def _fixed_quadrature(value, what: str) -> int:
+    _require(_is_number(value) and value == QUAD_ORDER,
+             f"{what} must be {QUAD_ORDER} or absent: every expectation uses the fixed "
+             f"{QUAD_ORDER}-point Gauss-Legendre rule per segment, got {value!r}")
+    return QUAD_ORDER
+
+
+def _no_reachability_gate(value, what: str) -> bool:
+    _require(isinstance(value, bool), f"{what} must be true or false, got {value!r}")
+    _require(not value, f"{what} must be false or absent: the grid-reachability gate was "
+             "removed, because its interval bound on reachable capital rejected grids whose "
+             "solution a wider capital axis does not change (the paper's 161x201 grid among "
+             "them)")
+    return False
+
+
+PERIOD_FIELDS = dict.fromkeys(("p", "c", "h", "i", "l"), (REQUIRED, _number))
+GRID_FIELDS = {"x_max": (REQUIRED, partial(_number, low=0.0, strict=True)),
+               "y_min": (REQUIRED, _number), "y_max": (REQUIRED, _number),
+               **dict.fromkeys(("nx", "ny"), (REQUIRED, partial(_integer, least=2)))}
+SOLVER_FIELDS = {"epsilon": (1e-3, partial(_number, low=0.0, strict=True)),
+                 "mc_paths": (100_000, partial(_integer, most=MAX_PATHS)),
+                 "seed": (0, partial(_integer, least=0)),
+                 "quadrature_nodes": (QUAD_ORDER, _fixed_quadrature)}
+ROOT_FIELDS = {"N": (REQUIRED, partial(_integer, most=MAX_PERIODS)),
+               "salvage": (REQUIRED, _number),
+               "periods": (REQUIRED, partial(_list, parse=partial(_fields, table=PERIOD_FIELDS))),
+               "demands": (REQUIRED, partial(_list, parse=parse_demand)),
+               "grid": (REQUIRED, partial(_fields, table=GRID_FIELDS)),
+               "solver": (_fields({}, "solver", SOLVER_FIELDS),
+                          partial(_fields, table=SOLVER_FIELDS)),
+               "initial": ([0.0, 0.0], _list),
+               "table_states": ([0.0, 7.0, 14.0], partial(_list, low=0.0)),
+               # [] stands for [N, 2N]; twice N's bound, as [N, 2N] reaches
+               "table_horizons": ([], partial(_list, parse=_integer, most=2 * MAX_PERIODS)),
+               "check_reachability": (False, _no_reachability_gate)}
 
 
 @dataclass
@@ -125,31 +188,26 @@ class RunConfig:
     periods: list[PeriodParams]
     demands: list[Demand]
     grid: Grid
-    epsilon: float = 1e-3
-    mc_paths: int = 100_000
-    seed: int = 0
-    initial: tuple[float, float] = (0.0, 0.0)
-    table_states: list[float] = field(default_factory=lambda: [0.0, 7.0, 14.0])
-    table_horizons: list[int] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
+    epsilon: float
+    mc_paths: int
+    seed: int
+    initial: tuple[float, float]
+    table_states: list[float]
+    table_horizons: list[int]
+    raw: dict
 
     def horizon(self, demand: Demand | None = None, n_periods: int | None = None) -> HorizonSpec:
         n = self.n_periods if n_periods is None else n_periods
-        if len(self.periods) not in (1, n):
-            raise ConfigError(
-                f"periods has {len(self.periods)} entries, but horizon N={n} needs one "
-                "per period or a single one for every period")
-        periods = list(self.periods) if len(self.periods) == n else [self.periods[0]] * n
-        if demand is not None:
-            demands = [demand] * n
-        elif len(self.demands) in (1, n):
-            demands = list(self.demands) if len(self.demands) == n else [self.demands[0]] * n
-        else:
-            raise ConfigError(
-                f"demands must have 1 or N={n} entries for this command; "
-                f"got {len(self.demands)} (a longer list is only meaningful as "
-                "the scenario roster of 'tables')")
-        horizon = HorizonSpec(periods, demands, self.salvage)
+        demands = self.demands if demand is None else [demand]
+        _require(len(self.periods) in (1, n),
+                 f"periods has {len(self.periods)} entries, but horizon N={n} needs one "
+                 "per period or a single one for every period")
+        _require(len(demands) in (1, n),
+                 f"demands must have 1 or N={n} entries for this command; got {len(demands)} "
+                 "(a longer list is only meaningful as the scenario roster of 'tables')")
+        # one entry stands for every period
+        horizon = HorizonSpec(*(list(items) if len(items) == n else [items[0]] * n
+                                for items in (self.periods, demands)), self.salvage)
         report = validate(horizon)
         if not report.ok:
             raise ConfigError(f"invalid horizon:\n{report}")
@@ -169,77 +227,35 @@ class RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    """The run of the config at `path`; `overrides` (grid_scale, paths, seed,
+    epsilon) replace the config's values, as the command-line flags do."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    _require(isinstance(raw, dict), "config root must be an object")
-    for key in ("N", "salvage", "periods", "demands", "grid"):
-        _require(key in raw, f"config is missing required field '{key}'")
-    n = _integer(raw["N"], "N", most=MAX_PERIODS)
-    periods_raw = raw["periods"]
-    _require(isinstance(periods_raw, list) and periods_raw, "periods must be a nonempty list")
-    _require(len(periods_raw) in (1, n), f"periods must have 1 or N={n} entries")
-    demands_raw = raw["demands"]
-    _require(isinstance(demands_raw, list) and demands_raw, "demands must be a nonempty list")
-    periods = [parse_period(p, f"periods[{k}]") for k, p in enumerate(periods_raw)]
-    demands = [parse_demand(d, f"demands[{k}]") for k, d in enumerate(demands_raw)]
-
-    g = raw["grid"]
-    _require(isinstance(g, dict), "grid must be an object")
-    for key in ("x_max", "y_min", "y_max", "nx", "ny"):
-        _require(key in g, f"grid is missing field '{key}'")
-    solver = raw.get("solver", {})
-    _require(isinstance(solver, dict), "solver must be an object")
-    nodes = solver.get("quadrature_nodes", QUAD_ORDER)
-    _require(_is_number(nodes) and nodes == QUAD_ORDER,
-             f"solver.quadrature_nodes must be {QUAD_ORDER} or absent: every expectation "
-             f"uses the fixed {QUAD_ORDER}-point Gauss-Legendre rule per segment, "
-             f"got {nodes!r}")
-    horizons = raw.get("table_horizons", [n, 2 * n])
-    _require(isinstance(horizons, list) and horizons, "table_horizons must be a nonempty list")
-    states = raw.get("table_states", [0.0, 7.0, 14.0])
-    _require(isinstance(states, list) and states, "table_states must be a nonempty list")
-    check = raw.get("check_reachability", False)
-    _require(isinstance(check, bool), f"check_reachability must be true or false, got {check!r}")
-    _require(not check, "check_reachability must be false or absent: the grid-reachability "
-             "gate was removed, because its interval bound on reachable capital rejected "
-             "grids whose solution a wider capital axis does not change (the paper's "
-             "161x201 grid among them)")
+    root = _fields(raw, "", ROOT_FIELDS)
+    n, g, solver = root["N"], root["grid"], dict(root["solver"])
+    periods = [PeriodParams(*period.values()) for period in root["periods"]]
+    _require(len(periods) in (1, n), f"periods must have 1 or N={n} entries")
+    _require(len(root["initial"]) == 2,
+             f"initial must be a list of two numbers [x, y], got {root['initial']}")
     overrides = overrides or {}
+    for flag, key in (("epsilon", "epsilon"), ("paths", "mc_paths"), ("seed", "seed")):
+        if flag in overrides:
+            solver[key] = SOLVER_FIELDS[key][1](overrides[flag], f"solver.{key}")
     scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
-    nx = _axis_nodes(g["nx"], "grid.nx", scale)
-    ny = _axis_nodes(g["ny"], "grid.ny", scale)
-    x_max = _number(g["x_max"], "grid.x_max", 0.0, strict=True)
-    y_min, y_max = _number(g["y_min"], "grid.y_min"), _number(g["y_max"], "grid.y_max")
-    _require(y_min < y_max, "grid needs y_min < y_max")
+    nx, ny = (_axis_nodes(g[key], f"grid.{key}", scale) for key in ("nx", "ny"))
+    _require(g["y_min"] < g["y_max"], "grid needs y_min < y_max")
     try:
-        grid = Grid.regular(x_max, y_min, y_max, nx, ny)
+        grid = Grid.regular(g["x_max"], g["y_min"], g["y_max"], nx, ny)
     except ValueError as exc:  # a span too small for the nodes to differ
         raise ConfigError(f"grid: {exc}") from None
-
-    cfg = RunConfig(
-        n_periods=n,
-        salvage=_number(raw["salvage"], "salvage"),
-        periods=periods,
-        demands=demands,
-        grid=grid,
-        epsilon=_number(overrides.get("epsilon", solver.get("epsilon", 1e-3)),
-                        "solver.epsilon", 0.0, strict=True),
-        mc_paths=_integer(overrides.get("paths", solver.get("mc_paths", 100_000)),
-                          "solver.mc_paths", most=MAX_PATHS),
-        seed=_integer(overrides.get("seed", solver.get("seed", 0)), "solver.seed", least=0),
-        initial=_number_pair(raw.get("initial", [0.0, 0.0]), "initial"),
-        table_states=[_number(v, f"table_states[{k}]", 0.0)
-                      for k, v in enumerate(states)],
-        # twice N's bound, as the default horizons [N, 2N] reach
-        table_horizons=[_integer(v, f"table_horizons[{k}]", most=2 * MAX_PERIODS)
-                        for k, v in enumerate(horizons)],
-        raw=raw,
-    )
-    return cfg
+    return RunConfig(n, root["salvage"], periods, root["demands"], grid,
+                     solver["epsilon"], solver["mc_paths"], solver["seed"],
+                     tuple(root["initial"]), root["table_states"],
+                     root["table_horizons"] or [n, 2 * n], raw)
 
 
 def config_hash(raw: dict) -> str:
@@ -388,10 +404,6 @@ def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     return EXIT_OK
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cashstock",
@@ -404,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "Monte Carlo evaluation of the solved and myopic policies"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=_env_default("CONFIG"), required=False)
-        p.add_argument("--out", default=_env_default("OUT", "out"))
-        p.add_argument("--seed", type=int, default=_env_default("SEED"))
-        p.add_argument("--paths", type=int, default=_env_default("PATHS"))
-        p.add_argument("--grid-scale", type=float, default=_env_default("GRID_SCALE"))
-        p.add_argument("--epsilon", type=float, default=_env_default("EPSILON"))
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default="out")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--paths", type=int)
+        p.add_argument("--grid-scale", type=float)
+        p.add_argument("--epsilon", type=float)
         if name == "tables":
             p.add_argument("--which", choices=["table1", "table2"], default="table1")
     return parser
@@ -417,28 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.config:
-        print("error: --config is required (or set CASHSTOCK_CONFIG)", file=sys.stderr)
-        return EXIT_CONFIG
-    overrides = {k: v for k, v in {
-        "seed": args.seed, "paths": args.paths,
-        "grid_scale": args.grid_scale, "epsilon": args.epsilon,
-    }.items() if v is not None}
+    overrides = {key: value for key in ("seed", "paths", "grid_scale", "epsilon")
+                 if (value := getattr(args, key)) is not None}
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Emitter(Path(args.out))
-    try:
-        if args.command == "solve":
-            code = cmd_solve(cfg, out)
-        elif args.command == "tables":
+        out = Emitter(Path(args.out))
+        if args.command == "tables":
             code = cmd_tables(cfg, out, args.which)
-        elif args.command == "figures":
-            code = cmd_figures(cfg, out)
         else:
-            code = cmd_simulate(cfg, out)
+            code = {"solve": cmd_solve, "figures": cmd_figures,
+                    "simulate": cmd_simulate}[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -51,14 +51,6 @@ class Demand(ABC):
     def _mean_sd(self) -> tuple[float, float]: ...
 
     @abstractmethod
-    def quadrature(self, kinks=()) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and probability weights integrating piecewise-smooth integrands.
-
-        Continuous distributions place Gauss-Legendre nodes on each segment
-        between sorted `kinks`; discrete ones return their atoms verbatim.
-        """
-
-    @abstractmethod
     def expectation_nodes(self, kink):
         """Per-element nodes/weights for E[g(D)] with g kinked at `kink`.
 
@@ -141,12 +133,6 @@ class Uniform(Demand):
     def _mean_sd(self):
         return 0.5 * (self.lo + self.hi), (self.hi - self.lo) / np.sqrt(12.0)
 
-    def quadrature(self, kinks=()):
-        edges = np.unique(np.concatenate([[self.lo, self.hi], np.clip(kinks, self.lo, self.hi)]))
-        density = 1.0 / (self.hi - self.lo)
-        nodes, weights = _gauss_segments(edges[:-1], edges[1:], density)
-        return nodes.ravel(), weights.ravel()
-
     def expectation_nodes(self, kink):
         kink = np.clip(np.asarray(kink, dtype=float), self.lo, self.hi)
         density = 1.0 / (self.hi - self.lo)
@@ -189,9 +175,6 @@ class _Atoms(Demand):
     def loss(self, x):
         x = np.asarray(x, dtype=float)
         return np.maximum(x[..., None] - self.atoms, 0.0) @ self.probs
-
-    def quadrature(self, kinks=()):
-        return self.atoms.copy(), self.probs.copy()
 
     def expectation_nodes(self, kink):
         return self.atoms[None, :], self.probs[None, :]

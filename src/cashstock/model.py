@@ -82,21 +82,25 @@ class HorizonSpec:
         return self.demands[n - 1]
 
     def liquidation_shortfall(self, n: int) -> str | None:
-        """Why period n < N breaks c_n(1+l_n)+h_n >= c_{n+1}, or None if it holds.
+        """Why period n < N breaks c_n(1+l_n)+h_n >= c_{n+1} or, checked
+        second, c_n(1+i_n)+h_n >= c_{n+1}; None if both hold.
 
-        The condition is required for the liquidation-credit myopic policy;
-        otherwise stocking up without bound and liquidating next period would
-        be profitable.
+        The liquidation-credit myopic policy credits leftover stock at
+        c_{n+1} - h_n. Where a condition fails, its critical ratio exceeds 1:
+        stocking up without bound, on a loan or instead of a deposit, pays.
         """
         cur, c_next = self.period(n), self.period(n + 1).cost
-        credit = cur.cost * (1.0 + cur.loan_rate) + cur.holding
-        if credit < c_next - 1e-12:
-            return f"period {n}: liquidation credit needs c(1+l)+h >= c_next ({credit} < {c_next})"
+        for name, rate in (("l", cur.loan_rate), ("i", cur.deposit_rate)):
+            credit = cur.cost * (1.0 + rate) + cur.holding
+            if credit < c_next - 1e-12:
+                return (f"period {n}: liquidation credit needs c(1+{name})+h >= c_next "
+                        f"({credit} < {c_next})")
         return None
 
     @property
     def upper_myopic_valid(self) -> bool:
-        """True when c_n(1+l_n)+h_n >= c_{n+1} for every n < N."""
+        """True when c_n(1+l_n)+h_n >= c_{n+1} and c_n(1+i_n)+h_n >= c_{n+1}
+        for every n < N."""
         return not any(self.liquidation_shortfall(n) for n in range(1, self.n_periods))
 
 
@@ -161,7 +165,7 @@ def validate(horizon: HorizonSpec) -> ValidationReport:
         )
     if not horizon.upper_myopic_valid:
         report.warnings.append(
-            "c_n(1+l_n)+h_n >= c_{n+1} fails for some period: the "
+            "c_n(1+i_n)+h_n >= c_{n+1} fails for some period: the "
             "liquidation-credit myopic policy is unavailable"
         )
     return report

@@ -161,18 +161,22 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
         next_table = solution.value(n + 1)
         params = horizon.period(n)
         roots = []
-        for label, slope, rate, lo, hi in (
+        # the rule uses the borrow level only below upper.borrow and the
+        # deposit level only above lower.deposit, so each bracket is checked
+        # where its level can bind; the bisection still covers every worth
+        for label, slope, rate, lo, hi, binds in (
                 ("borrow", stage_slope_borrowing, 1.0 + params.loan_rate,
-                 lower.borrow, upper.borrow),
+                 lower.borrow, upper.borrow, worth < upper.borrow),
                 ("deposit", stage_slope_deposit, 1.0 + params.deposit_rate,
-                 lower.deposit, upper.deposit)):
+                 lower.deposit, upper.deposit, worth > lower.deposit)):
 
             def left_slope(c, _slope=slope, _n=n, _t=next_table):
                 return _slope(c, worth, _n, horizon, _t)
 
-            hi_slope = _stage_slope(np.full(m, hi), worth, n, horizon, next_table, rate,
-                                    right=True)
-            _check_bracket(label, n, worth, left_slope(np.full(m, lo)), hi_slope)
+            w = worth[binds]
+            ends = [_stage_slope(np.full(len(w), end), w, n, horizon, next_table, rate,
+                                 right=right) for end, right in ((lo, False), (hi, True))]
+            _check_bracket(label, n, w, *ends)
             roots.append(_bisect(left_slope, lo, hi, epsilon, m))
         (borrow, it_b), (deposit, it_d) = roots
         rows[n - 1] = PeriodThresholds(n, worth, borrow, deposit, lower, upper, it_b, it_d)

@@ -145,7 +145,7 @@ def test_criterion_3_closed_form_equivalence(desk_grid):
     spec = cs.speculation_value(PARAMS, SALVAGE, DEMANDS["u0_20"])
     # independent oracle: (p - s) E[D 1{D < borrow level}] by quadrature
     bands = cs.order_bands(cs.fractiles(PARAMS, SALVAGE), DEMANDS["u0_20"])
-    nodes, w = DEMANDS["u0_20"].quadrature(kinks=[bands.borrow])
+    nodes, w = DEMANDS["u0_20"].expectation_nodes(np.array([bands.borrow]))
     oracle = (PARAMS.price - SALVAGE) * float(
         np.sum(nodes * (nodes < bands.borrow) * w))
     if abs(spec - oracle) > 1e-6 * abs(oracle):

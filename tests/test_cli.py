@@ -1,14 +1,16 @@
+import argparse
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cashstock.bounds import compare_bounds
-from cashstock.cli import ConfigError, Emitter, load_config, main
+from cashstock.cli import (DEMAND_KINDS, GRID_FIELDS, PERIOD_FIELDS, ROOT_FIELDS, SOLVER_FIELDS,
+                           ConfigError, Emitter, build_parser, load_config, main)
 from cashstock.demand import DiscreteEmpirical
 from cashstock.model import HorizonSpec
 
@@ -60,14 +62,33 @@ def test_invalid_horizon_rejected(tmp_path):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+#: two periods whose price and unit cost rise, the second's cost to `c`
+def price_rise(c: float) -> list[dict]:
+    return [{"p": 1200, "c": 1000, "h": 400, "i": 0.01, "l": 0.15},
+            {"p": 3000, "c": c, "h": 100, "i": 0.01, "l": 0.15}]
+
+
 def test_per_period_economics_load_as_one_horizon(tmp_path):
     # salvage lies between the two periods' prices, so the first period
     # alone would not be a valid one-period horizon; the two together are
-    periods = [{"p": 1200, "c": 1000, "h": 400, "i": 0.01, "l": 0.15},
-               {"p": 3000, "c": 1500, "h": 100, "i": 0.01, "l": 0.15}]
-    cfg = load_config(str(write_config(tmp_path, N=2, periods=periods, salvage=1250)))
+    cfg = load_config(str(write_config(tmp_path, N=2, periods=price_rise(1400), salvage=1250)))
     horizon = cfg.horizon()
     assert horizon.n_periods == 2 and horizon.period(1).price == 1200
+
+
+def test_non_stationary_brackets_checked_where_levels_bind(tmp_path, capsys):
+    # the borrow bracket's slope has the wrong sign only at worths above
+    # upper.borrow, where the rule never uses the borrow level
+    grid = json.loads((CONFIGS / "base.json").read_text())["grid"]
+    path = write_config(tmp_path, N=2, periods=price_rise(1400), salvage=1250, grid=grid)
+    for scale in ("0.5", "1"):
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / scale),
+                     "--grid-scale", scale]) == 0
+    # with c_2 = 1500 > c_1(1+i_1)+h_1 = 1410 no upper deposit bracket exists
+    path = write_config(tmp_path, N=2, periods=price_rise(1500), salvage=1250)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert ("period 1: liquidation credit needs c(1+i)+h >= c_next (1410.0 < 1500.0)"
+            in capsys.readouterr().err)
 
 
 def test_initial_state_needs_two_numbers(tmp_path, capsys):
@@ -108,8 +129,8 @@ LIQUIDATION = "period 1: liquidation credit needs c(1+l)+h >= c_next (1250.0 < 2
     (["simulate"], 2000, LIQUIDATION),
     (["tables", "--which", "table1"], 2000, LIQUIDATION),
     (["tables", "--which", "table2"], 2000, LIQUIDATION),
-    (["tables", "--which", "table2"], 1200,
-     "period 1: selling back needs c_next <= c + h (1200.0 > 1100.0)"),
+    (["tables", "--which", "table2"], 1105,
+     "period 1: selling back needs c_next <= c + h (1105.0 > 1100.0)"),
 ], ids=["solve", "simulate", "table1", "table2", "table2_selling_back"])
 def test_cost_rise_beyond_a_myopic_bound_is_config_error(tmp_path, capsys, command, c_next,
                                                           message):
@@ -146,7 +167,7 @@ SOLVER = BASE_CONFIG["solver"]
     ({"salvage": "x"}, "salvage must be a number"),
     ({"salvage": 10 ** 400}, "salvage must be a number"),
     ({"periods": [{**BASE_CONFIG["periods"][0], "l": "x"}]}, "periods[0].l must be a number"),
-    ({"demands": [{"kind": "uniform", "lo": None, "hi": 20}]}, "demands[0]: float()"),
+    ({"demands": [{"kind": "uniform", "lo": None, "hi": 20}]}, "demands[0].lo must be a number"),
     ({"solver": {**SOLVER, "seed": "x"}}, "solver.seed must be an integer >= 0"),
     ({"solver": {**SOLVER, "mc_paths": 0}}, "solver.mc_paths must be a positive integer"),
     ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon must be a number > 0"),
@@ -158,10 +179,26 @@ SOLVER = BASE_CONFIG["solver"]
     ({"solver": {**SOLVER, "mc_paths": 10 ** 12}}, "solver.mc_paths must be at most 50000000"),
     ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}}, FIXED_RULE + repr(10 ** 15)),
     ({"table_horizons": [3, 10 ** 9]}, "table_horizons[1] must be at most 2000"),
+    ({"solver": {**SOLVER, "mc_path": 5}},
+     "solver.mc_path: unknown field; did you mean 'mc_paths'?"),
+    ({"grid": {**BASE_CONFIG["grid"], "n_x": 3}}, "grid.n_x: unknown field; did you mean 'nx'?"),
+    ({"table_horizon": [1]}, "table_horizon: unknown field; did you mean 'table_horizons'?"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "q": 1}]}, "periods[0].q: unknown field"),
+    ({"demands": [{**BASE_CONFIG["demands"][0], "mode": 1}]}, "demands[0].mode: unknown field"),
+    ({"demands": [{"kind": "uniform", "lo": 0, "hi": True}]}, "demands[0].hi must be a number"),
+    ({"demands": [{"kind": "uniform", "lo": "5", "hi": 20}]}, "demands[0].lo must be a number"),
+    ({"demands": [{"kind": "empirical", "values": [1, "2"], "probs": [0.5, 0.5]}]},
+     "demands[0].values[1] must be a number, got '2'"),
+    ({"demands": [{"kind": "zip", "pi": 0.18, "lambda": float("inf")}]},
+     "demands[0].lambda must be a number, got inf"),
+    ({"demands": [{"kind": "zip", "pi": 0.18, "lambda": 1e15}]},
+     "demands[0].lambda must be at most 1000"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
         "epsilon_zero", "check_reachability", "n_huge", "grid_nx_huge", "grid_ny_huge",
-        "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge"])
+        "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge", "solver_typo",
+        "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
+        "values_string", "lambda_infinite", "lambda_huge"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),
@@ -201,6 +238,36 @@ def test_any_json_field_loads_or_is_config_error(tmp_path_factory, field, value)
         pass
 
 
+#: each object a config may hold: where it is, the prefix of its fields' names, its fields
+OBJECTS = [((), "", ROOT_FIELDS), (("grid",), "grid.", GRID_FIELDS),
+           (("solver",), "solver.", SOLVER_FIELDS), (("periods", 0), "periods[0].", PERIOD_FIELDS),
+           (("demands", 0), "demands[0].", {"kind": None, **DEMAND_KINDS["uniform"][1]})]
+
+
+@given(st.sampled_from(OBJECTS), st.text(min_size=1, max_size=6))
+def test_unknown_key_is_config_error_naming_its_path(tmp_path_factory, obj, key):
+    steps, prefix, fields = obj
+    assume(key not in fields)
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    holder = cfg
+    for step in steps:
+        holder = holder[step]
+    holder[key] = 1
+    path = tmp_path_factory.getbasetemp() / "unknown_key.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{prefix}{key}: unknown field")
+
+
+def test_repeated_key_is_config_error(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(BASE_CONFIG).replace('"seed": 7', '"seed": 7, "seed": 8'))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "key(s) ['seed'] given twice in one object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_grid_scale_must_be_positive(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
@@ -234,6 +301,18 @@ def test_shipped_configs_within_bounds():
         for scale in (0.25, 0.5, 1.0):
             cfg = load_config(str(CONFIGS / name), {"grid_scale": scale, "paths": 2_000_000})
             assert cfg.mc_paths == 2_000_000
+
+
+def test_readme_cli_section_matches_the_parser():
+    # the flags README's CLI section names are the ones the parser defines,
+    # and no environment variable stands in for one
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    flags = {s for p in commands for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
+    assert "CASHSTOCK_" not in readme
 
 
 def test_readme_config_schema_loads(tmp_path):
@@ -428,25 +507,6 @@ def test_atom_demand_solves_and_simulates(tmp_path, capsys, demand):
     _, rows = read_csv(tmp_path / "sim" / "simulation.csv")
     mean, half = next((float(r[1]), float(r[2])) for r in rows if r[0] == "optimal-thresholds")
     assert abs(mean - v1) <= half + 0.01 * v1
-
-
-def test_env_var_overrides(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    out = tmp_path / "env"
-    monkeypatch.setenv("CASHSTOCK_PATHS", "600")
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-    _, rows = read_csv(out / "simulation.csv")
-    assert all(int(float(r[3])) == 600 for r in rows)
-
-
-def test_flag_beats_env(tmp_path, monkeypatch):
-    path = write_config(tmp_path)
-    out = tmp_path / "flag"
-    monkeypatch.setenv("CASHSTOCK_PATHS", "600")
-    assert main(["simulate", "--config", str(path), "--out", str(out),
-                 "--paths", "900"]) == 0
-    _, rows = read_csv(out / "simulation.csv")
-    assert all(int(float(r[3])) == 900 for r in rows)
 
 
 def test_grid_scale_override(tmp_path):

@@ -63,7 +63,7 @@ def test_loss_examples():
 
 def test_loss_via_quadrature_matches_analytic():
     x = 10.0
-    nodes, weights = U20.quadrature(kinks=[x])
+    nodes, weights = U20.expectation_nodes(np.array([x]))
     assert np.sum(np.maximum(x - nodes, 0.0) * weights) == pytest.approx(2.5, abs=1e-9)
 
 
@@ -95,7 +95,7 @@ def test_moments():
 
 @pytest.mark.parametrize("pi, lam", [(0.18, 10.0), (0.0, 10.0), (0.5, 3.5), (0.02, 40.0)])
 def test_zip_pmf_matches_closed_form(pi, lam):
-    atoms, probs = ZeroInflatedPoisson(pi, lam).quadrature()
+    (atoms,), (probs,) = ZeroInflatedPoisson(pi, lam).expectation_nodes(np.array([0.0]))
     exact = np.array([(1.0 - pi) * math.exp(-lam) * lam ** k / math.factorial(k)
                       for k in range(len(atoms))])
     exact[0] += pi
@@ -113,9 +113,9 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_quadrature_weights_are_probabilities():
-    nodes, weights = U20.quadrature(kinks=[10.0])
+    nodes, weights = U20.expectation_nodes(np.array([10.0]))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    atoms, probs = ZIP18.quadrature()
+    (atoms,), (probs,) = ZIP18.expectation_nodes(np.array([0.0]))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert 1.0 - probs.sum() < 1e-12  # truncated tail mass
     assert np.all(atoms == np.arange(len(atoms)))
