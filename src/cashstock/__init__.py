@@ -7,7 +7,7 @@ dynamic programming, threshold computation by bisection, value-function
 bounds, model extensions, Monte Carlo policy evaluation, and a CLI.
 """
 
-from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
+from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson, integer_uniform
 from .model import (
     HorizonSpec,
     InvalidHorizonError,

@@ -26,7 +26,8 @@ import numpy as np
 from . import single_period
 from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_grid,
                      selling_back_dp)
-from .demand import QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson
+from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson,
+                     integer_uniform)
 from .dp import Grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
@@ -42,7 +43,8 @@ EXIT_SOLVER = 3
 MAX_PERIODS = 1_000
 MAX_AXIS_NODES = 4_001
 MAX_PATHS = 50_000_000
-MAX_LAMBDA = 1_000
+#: a zip rate or integer-uniform bound: ZIP(0.18, 1000) has 1,233 atoms
+MAX_DEMAND = 1_000
 #: the default of a config field that has none: the config must give it
 REQUIRED = object()
 
@@ -124,7 +126,9 @@ def _unique_keys(pairs: list) -> dict:
 #: each demand kind: its class, and its fields' parsers in the class's argument order
 DEMAND_KINDS = {
     "uniform": (Uniform, {"lo": _number, "hi": _number}),
-    "zip": (ZeroInflatedPoisson, {"pi": _number, "lambda": partial(_number, most=MAX_LAMBDA)}),
+    "integer_uniform": (integer_uniform,
+                        dict.fromkeys(("lo", "hi"), partial(_integer, least=0, most=MAX_DEMAND))),
+    "zip": (ZeroInflatedPoisson, {"pi": _number, "lambda": partial(_number, most=MAX_DEMAND)}),
     "empirical": (DiscreteEmpirical, {"values": _list, "probs": _list}),
 }
 

@@ -2,7 +2,8 @@
 
 Every distribution exposes the same small surface: cdf, generalized-inverse
 quantile, the expected-leftover loss E[(x - D)^+], exact moments, quadrature
-node/weight sets for stagewise expectations, and inverse-transform sampling.
+node/weight sets for stagewise expectations (over demand, or over sales
+min(D, z) when unmet demand is lost), and inverse-transform sampling.
 Objects are immutable and safe to share across workers.
 """
 
@@ -56,6 +57,15 @@ class Demand(ABC):
 
         `kink` is an array of shape (M,); the result broadcasts as (M, K).
         """
+
+    def sales_nodes(self, z):
+        """Per-element nodes/weights for E[g(D)] with g constant for D >= z.
+
+        Under lost sales a period sees demand only through sales min(D, z),
+        so the demand above z may be one node. Atoms are exact as they are:
+        the default is expectation_nodes(z).
+        """
+        return self.expectation_nodes(z)
 
     def moments(self) -> Moments:
         mean, sd = self._mean_sd()
@@ -141,6 +151,18 @@ class Uniform(Demand):
         n1, w1 = _gauss_segments(lo, kink, density)
         n2, w2 = _gauss_segments(kink, hi, density)
         return np.concatenate([n1, n2], axis=-1), np.concatenate([w1, w2], axis=-1)
+
+    def sales_nodes(self, z):
+        # the GL nodes below z, and one node holding P(D >= z) at the support
+        # maximum: its leftover (z - hi)^+ is 0 wherever its weight is not,
+        # and it lies above z, outside both of the slope's 1{D < z}, 1{D <= z}
+        z = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
+        density = 1.0 / (self.hi - self.lo)
+        nodes, weights = _gauss_segments(np.full_like(z, self.lo), z, density)
+        tail_node = np.full(z.shape + (1,), self.hi)
+        tail_weight = ((self.hi - z) * density)[..., None]
+        return (np.concatenate([nodes, tail_node], axis=-1),
+                np.concatenate([weights, tail_weight], axis=-1))
 
 
 class _Atoms(Demand):
@@ -252,3 +274,11 @@ class DiscreteEmpirical(_Atoms):
         mean, sd = self._mean_sd()
         return (f"DiscreteEmpirical({len(self.atoms)} atoms on [{lo:.6g} {hi:.6g}] "
                 f"mean={mean:.6g} sd={sd:.6g})")
+
+
+def integer_uniform(lo: int, hi: int) -> DiscreteEmpirical:
+    """Equal weights on the integers lo..hi: the paper's U(lo, hi)."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"integer uniform demand needs 0 <= lo <= hi, got lo={lo}, hi={hi}")
+    values = tuple(float(k) for k in range(lo, hi + 1))
+    return DiscreteEmpirical(values, (1.0 / len(values),) * len(values))

@@ -15,10 +15,15 @@ demand as negative stock (backorders).
 
 Every grid solver runs one backward loop, `_induct`, from a terminal table
 and a per-period step. Stage values are expectations of the interpolated
-next-period table over demand. They depend on a node only through its net
-worth xi and are concave in z, so the maximization over z runs once per
-distinct net worth (golden-section search plus explicit kink candidates),
-and each node takes that maximizer clipped to its own range [x, hi].
+next-period table over demand. Under lost sales the next state depends on
+demand only through sales min(D, z), so the demand above z is one node
+holding P(D >= z) (`Demand.sales_nodes`: 8 Gauss-Legendre points on
+[lo, z] and one at the support maximum for continuous demand); backorders
+carry z - D and keep both 8-point segments (`Demand.expectation_nodes`).
+Stage values depend on a node only through its net worth xi and are
+concave in z, so the maximization over z runs once per distinct net worth
+(golden-section search plus explicit kink candidates), and each node takes
+that maximizer clipped to its own range [x, hi].
 
 Every expectation looks the next table up bilinearly. One kernel serves
 values and gradient fields: on an evenly spaced axis (every Grid.regular
@@ -205,10 +210,15 @@ def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -
 
 
 def _expected_next(z, xi, horizon, n, next_value, bank=None, backlog=None):
-    """E_D[ next_value(x', y') ] for per-element (z, xi) under period n."""
+    """E_D[ next_value(x', y') ] for per-element (z, xi) under period n.
+
+    Lost sales take the sales nodes; a backlog carries z - D, which reads
+    the demand above z, and takes every node.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    nodes, weights = horizon.demand_in(n).expectation_nodes(z)
+    demand = horizon.demand_in(n)
+    nodes, weights = demand.sales_nodes(z) if backlog is None else demand.expectation_nodes(z)
     x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, horizon,
                                  bank=bank, backlog=backlog)
     return np.sum(next_value(x_next, y_next) * weights, axis=1)

@@ -39,7 +39,7 @@ def _stage_slope(cand, worth, n, horizon, next_table: ValueTable, rate,
     pp, hp, cp = normalized_params(horizon, n)
     cand = np.atleast_1d(np.asarray(cand, dtype=float))
     worth = np.atleast_1d(np.asarray(worth, dtype=float))
-    nodes, w = horizon.demand_in(n).expectation_nodes(cand)
+    nodes, w = horizon.demand_in(n).sales_nodes(cand)
     leftover, y_next = _next_state(cand[:, None], worth[:, None], nodes, n, horizon,
                                    bank=lambda amount: rate * amount)
     vx, vy = partials(next_table, leftover, y_next)

@@ -8,12 +8,6 @@ BASE_ECON = dict(price=2000.0, cost=1000.0, holding=500.0, deposit_rate=0.01, lo
 SALVAGE = 600.0
 
 
-def integer_uniform(lo: int, hi: int) -> cs.DiscreteEmpirical:
-    """Equal weights on the integers lo..hi: the paper's U(lo, hi)."""
-    values = tuple(float(k) for k in range(lo, hi + 1))
-    return cs.DiscreteEmpirical(values, (1.0 / len(values),) * len(values))
-
-
 #: "u*" keys are continuous on [lo, hi] (criteria 3-8 and the module suites);
 #: "iu*" keys are integer-valued, the instance of the reference tables
 DEMANDS = {
@@ -25,10 +19,10 @@ DEMANDS = {
     "zip09": cs.ZeroInflatedPoisson(0.09, 10),
     "zip02": cs.ZeroInflatedPoisson(0.02, 10),
     "zip00": cs.ZeroInflatedPoisson(0.0, 10),
-    "iu0_20": integer_uniform(0, 20),
-    "iu2_18": integer_uniform(2, 18),
-    "iu4_16": integer_uniform(4, 16),
-    "iu6_14": integer_uniform(6, 14),
+    "iu0_20": cs.integer_uniform(0, 20),
+    "iu2_18": cs.integer_uniform(2, 18),
+    "iu4_16": cs.integer_uniform(4, 16),
+    "iu6_14": cs.integer_uniform(6, 14),
 }
 
 

@@ -193,12 +193,19 @@ SOLVER = BASE_CONFIG["solver"]
      "demands[0].lambda must be a number, got inf"),
     ({"demands": [{"kind": "zip", "pi": 0.18, "lambda": 1e15}]},
      "demands[0].lambda must be at most 1000"),
+    ({"demands": [{"kind": "integer_uniform", "lo": 5, "hi": 2}]},
+     "demands[0]: integer uniform demand needs 0 <= lo <= hi, got lo=5, hi=2"),
+    ({"demands": [{"kind": "integer_uniform", "lo": 0, "hi": 20.5}]},
+     "demands[0].hi must be an integer >= 0, got 20.5"),
+    ({"demands": [{"kind": "integer_uniform", "lo": 0, "hi": 10 ** 6}]},
+     "demands[0].hi must be at most 1000"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
         "epsilon_zero", "check_reachability", "n_huge", "grid_nx_huge", "grid_ny_huge",
         "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge", "solver_typo",
         "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
-        "values_string", "lambda_infinite", "lambda_huge"])
+        "values_string", "lambda_infinite", "lambda_huge", "integer_lo_above_hi",
+        "integer_hi_fraction", "integer_hi_huge"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),

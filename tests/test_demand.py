@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cashstock
 from cashstock.demand import (
     DiscreteEmpirical,
     Uniform,
     ZeroInflatedPoisson,
+    integer_uniform,
 )
 
 U20 = Uniform(0, 20)
@@ -128,6 +131,34 @@ def test_expectation_nodes_per_element_kink():
     assert np.allclose(got, U20.loss(z), atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 30.0), st.floats(0.5, 30.0), st.floats(0.0, 20.0), st.floats(0.0, 1.0),
+       st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), st.floats(1.0, 10.0))
+def test_sales_nodes_match_expectation_nodes_over_sales(lo, width, below, at, cubic, step):
+    # E[g(min(D, z)) + step 1{D <= z}] for z below, inside and above the
+    # support: the step term reads the tail node's place, which must lie
+    # above z wherever it holds weight (the threshold slope's right limit)
+    demand = Uniform(lo, lo + width)
+    z = np.array([lo - below, lo + at * width, lo + width + below])
+
+    def expect(nodes_weights):
+        nodes, weights = nodes_weights
+        g = np.polyval(cubic, np.minimum(nodes, z[:, None])) + step * (nodes <= z[:, None])
+        return np.sum(g * weights, axis=1), np.sum(np.abs(g) * weights, axis=1)
+
+    got, _ = expect(demand.sales_nodes(z))
+    want, scale = expect(demand.expectation_nodes(z))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(demand.sales_nodes(z)[1].sum(axis=1) - 1.0) <= 1e-12)
+
+
+def test_sales_nodes_are_expectation_nodes_for_atoms():
+    for demand in (ZIP18, DiscreteEmpirical((0.0, 3.0, 7.0), (0.2, 0.5, 0.3))):
+        z = np.array([2.0, 7.0])
+        for got, want in zip(demand.sales_nodes(z), demand.expectation_nodes(z), strict=True):
+            assert np.array_equal(got, want)
+
+
 def test_sampling_inverse_transform():
     rng = np.random.default_rng(42)
     assert U20.quantile(0.5) == 10.0
@@ -152,6 +183,16 @@ def test_discrete_empirical_validation():
     merged = DiscreteEmpirical((2.0, 1.0, 2.0), (0.25, 0.5, 0.25))
     assert np.array_equal(merged.atoms, [1.0, 2.0])
     assert np.allclose(merged.probs, [0.5, 0.5])
+
+
+def test_integer_uniform_is_the_paper_uniform():
+    demand = integer_uniform(0, 20)
+    assert np.array_equal(demand.atoms, np.arange(21.0))
+    assert np.array_equal(demand.probs, np.full(21, 0.047619047619047616))
+    assert integer_uniform(3, 3).atoms.tolist() == [3.0]
+    for lo, hi in ((5, 2), (-1, 3)):
+        with pytest.raises(ValueError, match="0 <= lo <= hi"):
+            integer_uniform(lo, hi)
 
 
 def test_uniform_validation():

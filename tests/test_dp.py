@@ -3,14 +3,19 @@ import pytest
 
 import cashstock as cs
 from cashstock.dp import (
+    Z_TOL,
     Grid,
     ValueTable,
+    _induct,
+    _myopic_targets,
+    _next_state,
     _terminal_tables,
     golden_max,
     interp1,
     interp2,
+    worth_search,
 )
-from cashstock.extensions import backorder_grid
+from cashstock.extensions import backorder_dp, backorder_grid
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
@@ -337,6 +342,48 @@ def test_worth_search_matches_per_node_search(small_grid, key, z_cap):
         if key == "u0_20" and z_cap is None:
             # continuous demand keeps the stage value concave: never worse
             assert rel.min() > -1e-8
+
+
+def full_segment_oracle(hz, grid):
+    """backward_induct's (values, policies) with every stage expectation taken
+    over both 8-point Gauss-Legendre segments of demand, [lo, z] and [z, hi]:
+    16 lookups per (z, worth) where the solver's lost-sales path takes 9."""
+    vt, pt = _terminal_tables(hz, grid)
+
+    def step(n, next_table):
+        def f(z, xi):
+            nodes, w = hz.demand_in(n).expectation_nodes(z)
+            x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, hz)
+            return np.sum(next_table(x_next, y_next) * w, axis=1)
+
+        z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
+        return worth_search(f, grid, z_max, Z_TOL, _myopic_targets(hz, n))
+
+    return _induct(hz, grid, (pt.order_up_to, vt.values), step)
+
+
+def test_lost_sales_solve_matches_full_segment_oracle(small_grid):
+    hz = make_horizon("u0_20", 3)
+    sol = cs.backward_induct(hz, small_grid)
+    values, policies = full_segment_oracle(hz, small_grid)
+    for got, want in zip(sol.values, values, strict=True):
+        assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+    for got, want in zip(sol.policies, policies, strict=True):
+        assert np.array_equal(got.order_up_to, want.order_up_to)
+
+
+def test_backorders_keep_the_full_segment_expectation(small_grid, monkeypatch):
+    # backlogged stock z - D reads the demand above z, so backorder_dp must
+    # not take the one-node tail: its tables match a run whose lost-sales
+    # nodes are the full 16
+    hz = make_horizon("u0_20", 3)
+    grid = backorder_grid(hz, small_grid)
+    b = cs.BackorderParams(200.0)
+    got = backorder_dp(hz, b, grid)
+    monkeypatch.setattr(cs.Uniform, "sales_nodes", cs.Uniform.expectation_nodes)
+    want = backorder_dp(hz, b, grid)
+    for g, w in zip(got.values, want.values, strict=True):
+        assert np.abs(g.values - w.values).max() <= 1e-12 * np.abs(w.values).max()
 
 
 @pytest.mark.parametrize("key", ["u0_20", "zip18"])

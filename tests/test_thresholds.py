@@ -6,6 +6,7 @@ from cashstock.dp import Grid
 from cashstock.single_period import myopic_lower, myopic_upper
 from cashstock.thresholds import (
     _check_bracket,
+    _stage_slope,
     BracketError,
     PeriodThresholds,
     bisection_iterations,
@@ -129,6 +130,19 @@ def test_deposit_slope_exceeds_borrowing_slope_at_kink(small_solution):
     expected = cp * (0.15 - 0.01) * np.sum(w * vy, axis=1)
     assert psi - phi == pytest.approx(expected, rel=1e-9)
     assert np.all(psi > phi)
+
+
+def test_right_slope_equals_left_slope_without_atoms(small_solution):
+    # continuous demand has no atom at z, so both one-sided slopes weigh the
+    # same sales nodes, at an interior z and at the support maximum alike
+    hz, grid, sol = small_solution
+    worth = np.linspace(-20, 60, 9)
+    for z in (7.5, 20.0):
+        for rate in (1.15, 1.01):
+            cand = np.full(len(worth), z)
+            left = _stage_slope(cand, worth, 3, hz, sol.value(4), rate)
+            right = _stage_slope(cand, worth, 3, hz, sol.value(4), rate, right=True)
+            assert np.array_equal(right, left)
 
 
 def test_solve_thresholds_structure(small_solution):
