@@ -31,7 +31,7 @@ from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflate
 from .dp import Grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
-from .thresholds import BracketError, solve_thresholds
+from .thresholds import EPSILON, BracketError, solve_thresholds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,11 +147,10 @@ def parse_demand(spec, where: str) -> Demand:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _fixed_quadrature(value, what: str) -> int:
-    _require(_is_number(value) and value == QUAD_ORDER,
-             f"{what} must be {QUAD_ORDER} or absent: every expectation uses the fixed "
-             f"{QUAD_ORDER}-point Gauss-Legendre rule per segment, got {value!r}")
-    return QUAD_ORDER
+def _fixed(value, what: str, constant, reason: str):
+    _require(_is_number(value) and value == constant,
+             f"{what} must be {constant} or absent: {reason}, got {value!r}")
+    return constant
 
 
 def _no_reachability_gate(value, what: str) -> bool:
@@ -167,10 +166,15 @@ PERIOD_FIELDS = dict.fromkeys(("p", "c", "h", "i", "l"), (REQUIRED, _number))
 GRID_FIELDS = {"x_max": (REQUIRED, partial(_number, low=0.0, strict=True)),
                "y_min": (REQUIRED, _number), "y_max": (REQUIRED, _number),
                **dict.fromkeys(("nx", "ny"), (REQUIRED, partial(_integer, least=2)))}
-SOLVER_FIELDS = {"epsilon": (1e-3, partial(_number, low=0.0, strict=True)),
+SOLVER_FIELDS = {"epsilon": (EPSILON, partial(
+                     _fixed, constant=EPSILON,
+                     reason="the bisection pins every threshold to within this fixed width")),
                  "mc_paths": (100_000, partial(_integer, most=MAX_PATHS)),
                  "seed": (0, partial(_integer, least=0)),
-                 "quadrature_nodes": (QUAD_ORDER, _fixed_quadrature)}
+                 "quadrature_nodes": (QUAD_ORDER, partial(
+                     _fixed, constant=QUAD_ORDER,
+                     reason=f"every expectation uses the fixed {QUAD_ORDER}-point "
+                            "Gauss-Legendre rule per segment"))}
 ROOT_FIELDS = {"N": (REQUIRED, partial(_integer, most=MAX_PERIODS)),
                "salvage": (REQUIRED, _number),
                "periods": (REQUIRED, partial(_list, parse=partial(_fields, table=PERIOD_FIELDS))),
@@ -192,7 +196,6 @@ class RunConfig:
     periods: list[PeriodParams]
     demands: list[Demand]
     grid: Grid
-    epsilon: float
     mc_paths: int
     seed: int
     initial: tuple[float, float]
@@ -231,8 +234,8 @@ class RunConfig:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """The run of the config at `path`; `overrides` (grid_scale, paths, seed,
-    epsilon) replace the config's values, as the command-line flags do."""
+    """The run of the config at `path`; `overrides` (grid_scale, paths, seed)
+    replace the config's values, as the command-line flags do."""
     try:
         raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
@@ -246,7 +249,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     _require(len(root["initial"]) == 2,
              f"initial must be a list of two numbers [x, y], got {root['initial']}")
     overrides = overrides or {}
-    for flag, key in (("epsilon", "epsilon"), ("paths", "mc_paths"), ("seed", "seed")):
+    for flag, key in (("paths", "mc_paths"), ("seed", "seed")):
         if flag in overrides:
             solver[key] = SOLVER_FIELDS[key][1](overrides[flag], f"solver.{key}")
     scale = _number(overrides.get("grid_scale", 1.0), "grid scale", 0.0, strict=True)
@@ -257,7 +260,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     except ValueError as exc:  # a span too small for the nodes to differ
         raise ConfigError(f"grid: {exc}") from None
     return RunConfig(n, root["salvage"], periods, root["demands"], grid,
-                     solver["epsilon"], solver["mc_paths"], solver["seed"],
+                     solver["mc_paths"], solver["seed"],
                      tuple(root["initial"]), root["table_states"],
                      root["table_horizons"] or [n, 2 * n], raw)
 
@@ -300,7 +303,7 @@ class Emitter:
             "config_hash": config_hash(cfg.raw),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "solver": {
-                "epsilon": cfg.epsilon,
+                "epsilon": EPSILON,
                 "quadrature_nodes": QUAD_ORDER,
                 "mc_paths": cfg.mc_paths,
                 "seed": cfg.seed,
@@ -314,7 +317,7 @@ class Emitter:
 def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
     solution = backward_induct(horizon, cfg.grid)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon)
+    table = solve_thresholds(horizon, cfg.grid, solution=solution)
     X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
         z = solution.policy(n).order_up_to
@@ -395,7 +398,7 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
 def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
     solution = backward_induct(horizon, cfg.grid)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution, epsilon=cfg.epsilon)
+    table = solve_thresholds(horizon, cfg.grid, solution=solution)
     initial = State(*cfg.initial)
     policies = [ThresholdPolicy(table, label="optimal-thresholds"),
                 MyopicPolicy(horizon, "lower"), MyopicPolicy(horizon, "upper")]
@@ -425,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--paths", type=int)
         p.add_argument("--grid-scale", type=float)
-        p.add_argument("--epsilon", type=float)
         if name == "tables":
             p.add_argument("--which", choices=["table1", "table2"], default="table1")
     return parser
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {key: value for key in ("seed", "paths", "grid_scale", "epsilon")
+    overrides = {key: value for key in ("seed", "paths", "grid_scale")
                  if (value := getattr(args, key)) is not None}
     try:
         cfg = load_config(args.config, overrides)

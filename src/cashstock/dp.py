@@ -21,9 +21,10 @@ holding P(D >= z) (`Demand.sales_nodes`: 8 Gauss-Legendre points on
 [lo, z] and one at the support maximum for continuous demand); backorders
 carry z - D and keep both 8-point segments (`Demand.expectation_nodes`).
 Stage values depend on a node only through its net worth xi and are
-concave in z, so the maximization over z runs once per distinct net worth
-(golden-section search plus explicit kink candidates), and each node takes
-that maximizer clipped to its own range [x, hi].
+concave in z on each branch of z - xi (one per rate tier, else one), so
+the maximization runs once per branch and distinct net worth (golden-section
+search plus kink candidates), and each node takes the best branch's
+maximizer clipped to its own range.
 
 Every expectation looks the next table up bilinearly. One kernel serves
 values and gradient fields: on an evenly spaced axis (every Grid.regular
@@ -292,17 +293,18 @@ def worth_grid(grid: Grid) -> np.ndarray:
     return np.unique(np.round(sums, 9))
 
 
-def worth_search(f, grid: Grid, hi, tol: float, candidates=()):
-    """Maximize f(z, xi) over z in [x, hi] at every node (x, y), xi = x + y.
+def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
+    """Maximize f(z, xi, k) over z in [x, hi] at every node (x, y), xi = x + y.
 
-    f must depend on a node only through xi and be concave in z. Then one
-    golden-section search per distinct net worth w over [x_nodes[0],
-    max(hi)], with the kink z = w and the scalar `candidates` evaluated
-    exactly, gives a maximizer z*(w), and clip(z*(w), x, hi) is the node's
-    maximizer. Where the clip does not bind the node takes the search's
-    value; where it binds f is evaluated at the clipped point. `hi` is a
-    scalar or one bound per node in grid.mesh() order, as are the results.
-    Returns (argmax, value).
+    Branch k spans z - xi in branches[k] = (a_k, b_k), ends possibly
+    infinite; f must depend on a node only through xi and be concave in z
+    on each branch. One golden-section search per branch and distinct net
+    worth w, with the kink z = w, the branch's ends and the scalar
+    `candidates` evaluated exactly, gives z_k(w). A node clips it into
+    [max(x, xi + a_k), min(hi, xi + b_k)] and evaluates f there if the clip
+    binds; a branch that misses [x, hi] gives -inf. The best branch wins
+    (`_smallest_argmax`). `hi` is a scalar or one bound per node in
+    grid.mesh() order, as are the results. Returns (argmax, value).
     """
     X, Y = grid.mesh()
     x_flat = X.ravel()
@@ -311,18 +313,26 @@ def worth_search(f, grid: Grid, hi, tol: float, candidates=()):
     worth = worth_grid(grid)
     # worth_grid rounds the same sums, so every node finds its exact entry
     at = np.searchsorted(worth, np.round(xi_flat, 9))
-
-    def f_worth(z):
-        return f(z, worth)
-
-    z_w, v_w = golden_max(f_worth, np.full(worth.shape, grid.x_nodes[0]), float(hi.max()),
-                          tol, candidates=[worth, *candidates])
-    z = np.clip(z_w[at], x_flat, hi)
-    v = v_w[at]
-    bind = z != z_w[at]
-    if np.any(bind):
-        v[bind] = f(z[bind], xi_flat[bind])
-    return z, v
+    z_parts, v_parts = [], []
+    for k, (a, b) in enumerate(branches):
+        # golden_max evaluates the bracket's lower end; add the upper, if finite
+        ends = [worth + b] if np.isfinite(b) else []
+        z_w, v_w = golden_max(lambda z, _k=k: f(z, worth, _k),
+                              np.maximum(worth + a, grid.x_nodes[0]),
+                              np.minimum(worth + b, hi.max()), tol,
+                              candidates=[worth, *ends, *candidates])
+        lo_k, hi_k = np.maximum(x_flat, xi_flat + a), np.minimum(hi, xi_flat + b)
+        z = np.clip(z_w[at], lo_k, hi_k)
+        v = v_w[at]
+        bind = z != z_w[at]
+        if np.any(bind):
+            v[bind] = f(z[bind], xi_flat[bind], k)
+        v[lo_k > hi_k] = -np.inf
+        z_parts.append(z)
+        v_parts.append(v)
+    if len(z_parts) == 1:  # its own best; stacked copies would grow the heap
+        return z_parts[0], v_parts[0]
+    return _smallest_argmax(np.stack(z_parts), np.stack(v_parts))
 
 
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
@@ -392,32 +402,36 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
     """Solve the horizon on the grid; returns value and policy tables.
 
     The terminal table is the closed-form single-period optimum. Earlier
-    periods maximize the stage value over z in [x, z_max] with worth_search:
-    one golden-section search per distinct net worth, with the kink z = xi
-    and the myopic order-up-to levels evaluated explicitly, clipped to each
-    node's range. `z_cap(x, y)` optionally tightens the upper bound per node
-    (loan limits). `backlog` is a backorder penalty (see _next_state and
-    backorder_dp); the grid may then hold negative stock.
+    periods maximize the stage value over z in [x, z_max] with worth_search
+    on one unbounded branch, with the myopic order-up-to levels evaluated
+    explicitly. `z_cap(n, x, y)` optionally tightens period n's upper bound
+    per node (loan limits); in period N, whose objective is concave in the
+    order, it cuts the closed form's order. `backlog` is a backorder
+    penalty (see _next_state and backorder_dp); the grid may then hold
+    negative stock.
     """
     require_valid(horizon)
     if backlog is None and grid.x_nodes[0] < -1e-12:
         raise ValueError("inventory nodes must be nonnegative under lost sales")
     vt, pt = _terminal_tables(horizon, grid)
-    v_last = vt.values
+    z_last, v_last = pt.order_up_to, vt.values
+    X, Y = grid.mesh()
+    if z_cap is not None:
+        z_last = np.minimum(z_last, z_cap(horizon.n_periods, X, Y))
+        v_last = terminal_value(z_last - X, X, Y, horizon)
     if backlog is not None:
         v_last = v_last - backlog * horizon.demand_in(horizon.n_periods).mean()
-    X, Y = grid.mesh()
 
     def step(n, next_table):
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
-        hi = np.minimum(z_cap(X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
+        hi = np.minimum(z_cap(n, X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
 
-        def f(z, xi):
+        def f(z, xi, _k):
             return _expected_next(z, xi, horizon, n, next_table, backlog=backlog)
 
-        return worth_search(f, grid, hi, Z_TOL, _myopic_targets(horizon, n))
+        return worth_search(f, grid, hi, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(horizon, n))
 
-    values, policies = _induct(horizon, grid, (pt.order_up_to, v_last), step)
+    values, policies = _induct(horizon, grid, (z_last, v_last), step)
     return DPSolution(horizon, grid, values, policies)
 
 

@@ -2,9 +2,10 @@
 
 Each keeps the two-threshold structure of the base model and is a parameter
 of the one backward recursion in dp. Tiered rates turn the single pair of
-order-up-to levels into ladders (one level per rate tier) and replace the
-transition's bank term; a loan limit caps the feasible order; backorders are
-the transition's `backlog`: unmet demand is carried as negative stock at a
+order-up-to levels into ladders (one level per rate tier); each tier is a
+branch of the net-worth search, at its own rate. A loan limit caps the
+order in every period, at that period's unit cost. Backorders are the
+transition's `backlog`: unmet demand is carried as negative stock at a
 per-unit penalty.
 """
 
@@ -16,12 +17,9 @@ import numpy as np
 
 from . import single_period
 from .demand import Demand
-from .dp import (DPSolution, Grid, _expected_next, _induct, _smallest_argmax,
-                 backward_induct, golden_max)
+from .dp import (Z_TOL, DPSolution, Grid, _expected_next, _induct, _smallest_argmax,
+                 backward_induct, worth_search)
 from .model import HorizonSpec, PeriodParams, require_valid
-
-#: width to which each tier interval's golden-section bracket is narrowed
-TIER_Z_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -113,16 +111,14 @@ def _piecewise_G(q, x, y, params: PeriodParams, salvage: float,
 
 
 def piecewise_optimal_order(x: float, y: float, params: PeriodParams, salvage: float,
-                            schedule: PiecewiseRateSchedule, demand: Demand,
-                            ladder: ThresholdLadder | None = None) -> float:
+                            schedule: PiecewiseRateSchedule, demand: Demand) -> float:
     """Maximize the tiered single-period objective exactly.
 
     On each tier the objective is concave with interior optimum at that
     tier's order-up-to level, so the global maximizer is found among the
     tier-clamped levels, the tier boundaries, zero, and full cash use.
     """
-    if ladder is None:
-        ladder = piecewise_thresholds(params, salvage, schedule, demand)
+    ladder = piecewise_thresholds(params, salvage, schedule, demand)
     c = params.cost
     cands = [0.0, max(y, 0.0)]
     # deposit tiers: amount c(y - q) in (brk[k-1], brk[k]]
@@ -152,49 +148,34 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
                  grid: Grid) -> DPSolution:
     """Backward induction with the bank term replaced by the tiered schedule.
 
-    The stage value is concave between tier crossings but can jump where the
-    balance changes tier, so each tier's z-interval is searched separately,
-    per node: the value tables are not concave, so backward_induct's
-    clipped net-worth search does not apply.
+    Each rate tier is a branch of worth_search: the span of z - xi over
+    which the balance c(xi - z) stays in that tier, evaluated at the tier's
+    own fixed rate. Whole-balance tiers make the bank term jump at a break,
+    but on each branch the stage value is concave. At a break both
+    neighbouring tiers are evaluated, and the larger is the schedule's own
+    tie rule: the cheaper loan tier, the richer deposit tier. Period N is
+    the same step with terminal wealth as the next value.
     """
     require_valid(horizon)
-    n_last = horizon.n_periods
-    params_n = horizon.period(n_last)
-    demand_n = horizon.demand_in(n_last)
-    ladder_n = piecewise_thresholds(params_n, horizon.salvage, schedule, demand_n)
-    X, Y = grid.mesh()
-    q_term = np.vectorize(
-        lambda xx, yy: piecewise_optimal_order(
-            xx, yy, params_n, horizon.salvage, schedule, demand_n, ladder_n)
-    )(X, Y)
-    v_term = _piecewise_G(q_term, X, Y, params_n, horizon.salvage, schedule, demand_n)
+    dep = [0.0, *schedule.deposit_breaks, np.inf]
+    loan = [0.0, *schedule.loan_breaks, np.inf]
+    # (rate, lowest, highest loan balance c(z - xi)) per tier
+    tiers = ([(r, -hi, -lo) for r, lo, hi in zip(schedule.deposit_rates, dep, dep[1:])]
+             + [(r, lo, hi) for r, lo, hi in zip(schedule.loan_rates, loan, loan[1:])])
 
-    x_flat, y_flat = X.ravel(), Y.ravel()
-    xi_flat = x_flat + y_flat
-
-    def step(n, next_table):
+    def step(n, next_value):
         cost = horizon.period(n).cost
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
 
-        def f(z):
-            return _expected_next(z, xi_flat, horizon, n, next_table, bank=schedule.bank_flow)
+        def f(z, xi, k):
+            rate = 1.0 + tiers[k][0]
+            return _expected_next(z, xi, horizon, n, next_value,
+                                  bank=lambda amount: rate * amount)
 
-        # z-interval edges where the bank balance c(xi - z) crosses a tier break
-        edge_sets = [x_flat, np.minimum(np.maximum(xi_flat, x_flat), z_max),
-                     np.full_like(x_flat, z_max)]
-        for brk in schedule.deposit_breaks:
-            edge_sets.append(np.clip(xi_flat - brk / cost, x_flat, z_max))
-        for brk in schedule.loan_breaks:
-            edge_sets.append(np.clip(xi_flat + brk / cost, x_flat, z_max))
-        edges = np.sort(np.stack(edge_sets), axis=0)
-        z_parts, v_parts = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            z_star, v_star = golden_max(f, lo, hi, TIER_Z_TOL, candidates=[lo, hi])
-            z_parts.append(z_star)
-            v_parts.append(v_star)
-        return _smallest_argmax(np.stack(z_parts), np.stack(v_parts))
+        return worth_search(f, grid, z_max, Z_TOL, [(a / cost, b / cost) for _, a, b in tiers])
 
-    values, policies = _induct(horizon, grid, (X + q_term, v_term), step)
+    terminal = step(horizon.n_periods, lambda x, y: y)
+    values, policies = _induct(horizon, grid, terminal, step)
     return DPSolution(horizon, grid, values, policies)
 
 
@@ -228,17 +209,15 @@ def loan_limited_policy(x, y, bands: single_period.OrderBands, limit_units: floa
 
 
 def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid) -> DPSolution:
-    """Backward induction with the z-search capped at x + y^+ + limit units.
+    """Backward induction with period n's z-search capped at
+    x + y^+ + limit / c_n, the last period included.
 
     The cap only lowers each node's upper bound, so the net-worth search of
     backward_induct still applies: the clipped maximizer stays optimal.
     """
 
-    def z_cap(x, y, _h=horizon):
-        # capacity varies per period only through the unit cost; use the
-        # tightest cap so the cap binds conservatively across periods
-        units = min(limit.units(p.cost) for p in _h.periods)
-        return x + np.maximum(y, 0.0) + units
+    def z_cap(n, x, y):
+        return x + np.maximum(y, 0.0) + limit.units(horizon.period(n).cost)
 
     return backward_induct(horizon, grid, z_cap=z_cap)
 

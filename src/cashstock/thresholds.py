@@ -23,6 +23,9 @@ from .model import HorizonSpec, normalized_params, require_valid
 #: swing across the bracket before the bracket is rejected
 BRACKET_TOL = 0.05
 
+#: width to which the bisection pins each order-up-to level
+EPSILON = 1e-3
+
 
 class BracketError(RuntimeError):
     """A myopic bracket fails to enclose the root beyond tolerance."""
@@ -135,13 +138,13 @@ class ThresholdTable:
         return self.periods[n - 1]
 
 
-def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution | None = None,
-                     epsilon: float = 1e-3) -> ThresholdTable:
+def solve_thresholds(horizon: HorizonSpec, grid: Grid, *,
+                     solution: DPSolution | None = None) -> ThresholdTable:
     """Tabulate both order-up-to levels on the net-worth grid by bisection.
 
     The final period's levels come from the closed form and are constant in
     net worth; every earlier period bisects phi/psi between the myopic
-    brackets, per net-worth node.
+    brackets, per net-worth node, to within EPSILON.
     """
     require_valid(horizon)
     if solution is None:
@@ -177,7 +180,7 @@ def solve_thresholds(horizon: HorizonSpec, grid: Grid, *, solution: DPSolution |
             ends = [_stage_slope(np.full(len(w), end), w, n, horizon, next_table, rate,
                                  right=right) for end, right in ((lo, False), (hi, True))]
             _check_bracket(label, n, w, *ends)
-            roots.append(_bisect(left_slope, lo, hi, epsilon, m))
+            roots.append(_bisect(left_slope, lo, hi, EPSILON, m))
         (borrow, it_b), (deposit, it_d) = roots
         rows[n - 1] = PeriodThresholds(n, worth, borrow, deposit, lower, upper, it_b, it_d)
     return ThresholdTable(horizon, rows)

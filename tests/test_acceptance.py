@@ -41,7 +41,7 @@ from cashstock.extensions import (
     loan_limited_dp,
     piecewise_optimal_order,
 )
-from cashstock.thresholds import bisection_iterations, solve_thresholds
+from cashstock.thresholds import EPSILON, bisection_iterations, solve_thresholds
 
 from conftest import DEMANDS, BASE_ECON, SALVAGE, make_horizon
 
@@ -157,10 +157,9 @@ def test_criterion_3_closed_form_equivalence(desk_grid):
 
 def test_criterion_4_threshold_sandwich(solve_cache, desk_grid):
     failures = []
-    epsilon = 1e-3
+    epsilon = EPSILON
     hz = make_horizon("u0_20", 6)
-    table = solve_thresholds(hz, desk_grid, solution=solve_cache.solution("u0_20", 6),
-                             epsilon=epsilon)
+    table = solve_thresholds(hz, desk_grid, solution=solve_cache.solution("u0_20", 6))
     for row in table.periods:
         if row.n < 6:
             if not (np.all(row.borrow >= 6.8 - epsilon)

@@ -101,6 +101,10 @@ def test_initial_state_needs_two_numbers(tmp_path, capsys):
 FIXED_RULE = ("solver.quadrature_nodes must be 8 or absent: every expectation uses the "
               "fixed 8-point Gauss-Legendre rule per segment, got ")
 
+#: the message of a config that asks for another bisection width
+FIXED_EPSILON = ("solver.epsilon must be 0.001 or absent: the bisection pins every threshold "
+                 "to within this fixed width, got ")
+
 
 def test_quadrature_nodes_is_fixed(tmp_path, capsys):
     # configs written while the order was a setting still load
@@ -170,8 +174,9 @@ SOLVER = BASE_CONFIG["solver"]
     ({"demands": [{"kind": "uniform", "lo": None, "hi": 20}]}, "demands[0].lo must be a number"),
     ({"solver": {**SOLVER, "seed": "x"}}, "solver.seed must be an integer >= 0"),
     ({"solver": {**SOLVER, "mc_paths": 0}}, "solver.mc_paths must be a positive integer"),
-    ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon must be a number > 0"),
-    ({"solver": {**SOLVER, "epsilon": 0}}, "solver.epsilon must be a number > 0"),
+    ({"solver": {**SOLVER, "epsilon": -1}}, FIXED_EPSILON + "-1"),
+    ({"solver": {**SOLVER, "epsilon": 0}}, FIXED_EPSILON + "0"),
+    ({"solver": {**SOLVER, "epsilon": 1e-4}}, FIXED_EPSILON + "0.0001"),
     ({"check_reachability": "no"}, "check_reachability must be true or false"),
     ({"N": 10 ** 6}, "N must be at most 1000, got 1000000"),
     ({"grid": {**BASE_CONFIG["grid"], "nx": 1e15}}, "gives 1e+15 nodes; at most 4001"),
@@ -201,9 +206,9 @@ SOLVER = BASE_CONFIG["solver"]
      "demands[0].hi must be at most 1000"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
-        "epsilon_zero", "check_reachability", "n_huge", "grid_nx_huge", "grid_ny_huge",
-        "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge", "solver_typo",
-        "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
+        "epsilon_zero", "epsilon_finer", "check_reachability", "n_huge", "grid_nx_huge",
+        "grid_ny_huge", "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge",
+        "solver_typo", "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
         "values_string", "lambda_infinite", "lambda_huge", "integer_lo_above_hi",
         "integer_hi_fraction", "integer_hi_huge"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):

@@ -311,14 +311,18 @@ def test_deeper_capital_axis_leaves_values_unchanged(small_grid, key):
 
 def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
     """Value tables of a golden-section search at every node over [x, hi],
-    with the kink z = x + y and the myopic levels as candidates."""
+    with the kink z = x + y and the myopic levels as candidates. The last
+    period takes the closed form's order, cut to z_cap(N, x, y) if given."""
     X, Y = grid.mesh()
     x, y = X.ravel(), Y.ravel()
     values = [None] * hz.n_periods
-    values[-1] = _terminal_tables(hz, grid)[0]
+    values[-1], terminal_policy = _terminal_tables(hz, grid)
+    if z_cap is not None:
+        z = np.minimum(terminal_policy.order_up_to, z_cap(hz.n_periods, X, Y))
+        values[-1] = ValueTable(hz.n_periods, grid, cs.terminal_value(z - X, X, Y, hz))
     for n in range(hz.n_periods - 1, 0, -1):
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
-        hi = np.minimum(z_cap(x, y), z_max) if z_cap is not None else z_max
+        hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
         lower, upper = cs.myopic_lower(hz, n), cs.myopic_upper(hz, n)
         cands = [x + y, lower.borrow, lower.deposit, upper.borrow, upper.deposit]
         _, v = golden_max(lambda z, _n=n: cs.stage_value(z, x, y, _n, hz, values[_n]),
@@ -327,7 +331,7 @@ def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
     return values
 
 
-def loan_cap(x, y):
+def loan_cap(n, x, y):
     return x + np.maximum(y, 0.0) + 3.0
 
 
@@ -351,13 +355,13 @@ def full_segment_oracle(hz, grid):
     vt, pt = _terminal_tables(hz, grid)
 
     def step(n, next_table):
-        def f(z, xi):
+        def f(z, xi, _k):
             nodes, w = hz.demand_in(n).expectation_nodes(z)
             x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, hz)
             return np.sum(next_table(x_next, y_next) * w, axis=1)
 
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
-        return worth_search(f, grid, z_max, Z_TOL, _myopic_targets(hz, n))
+        return worth_search(f, grid, z_max, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(hz, n))
 
     return _induct(hz, grid, (pt.order_up_to, vt.values), step)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cashstock as cs
-from cashstock.dp import Grid, _next_state
+from cashstock.dp import Z_TOL, Grid, ValueTable, _expected_next, _next_state
 from cashstock.extensions import (
     BackorderParams,
     LoanLimit,
@@ -28,6 +28,9 @@ BANDS = cs.order_bands(cs.fractiles(PARAMS, SALVAGE), U20)
 TWO_TIER = PiecewiseRateSchedule(
     loan_rates=(0.15, 0.30), loan_breaks=(5000.0,),
     deposit_rates=(0.01,), deposit_breaks=())
+DEPOSIT_BREAK = PiecewiseRateSchedule(
+    loan_rates=(0.15, 0.30), loan_breaks=(5000.0,),
+    deposit_rates=(0.01, 0.03), deposit_breaks=(8000.0,))
 
 
 def test_schedule_validation():
@@ -142,7 +145,58 @@ def test_piecewise_dp_single_segment_matches_base():
     pw = piecewise_dp(hz, single, grid)
     rel = np.abs(pw.value(1).values - base.value(1).values) / (
         np.abs(base.value(1).values) + 1.0)
-    assert rel.max() < 2e-3
+    assert rel.max() < 1e-6
+
+
+def dense_oracle(hz, schedule, grid, n_z=801):
+    """piecewise_dp's value tables from a per-node maximum over n_z evenly
+    spaced z in [x, z_max] and the z where the balance meets a tier break,
+    each evaluated with the schedule's whole-balance bank flow."""
+    y = grid.y_nodes
+    values, next_value = [], (lambda x_next, y_next: y_next)
+    for n in range(hz.n_periods, 0, -1):
+        cost = hz.period(n).cost
+        z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
+        v = np.empty(grid.shape)
+        for i, x in enumerate(grid.x_nodes):
+            breaks = [x + y - b / cost for b in (*schedule.deposit_breaks, 0.0)]
+            breaks += [x + y + b / cost for b in schedule.loan_breaks]
+            z = np.column_stack([np.broadcast_to(np.linspace(x, z_max, n_z), (len(y), n_z)),
+                                 *(np.clip(b, x, z_max) for b in breaks)])
+            f = _expected_next(z.ravel(), np.repeat(x + y, z.shape[1]), hz, n, next_value,
+                               bank=schedule.bank_flow)
+            v[i] = f.reshape(z.shape).max(axis=1)
+        values.append(ValueTable(n, grid, v))
+        next_value = values[-1]
+    return values[::-1]
+
+
+@pytest.mark.parametrize("key", ["u0_20", "zip18"])
+@pytest.mark.parametrize("schedule", [TWO_TIER, DEPOSIT_BREAK],
+                         ids=["two_loan_tiers", "deposit_break"])
+def test_piecewise_dp_matches_dense_oracle(key, schedule):
+    hz = make_horizon(key, 3)
+    grid = Grid.regular(40, -60, 120, 11, 14)
+    sol = piecewise_dp(hz, schedule, grid)
+    for got, want in zip(sol.values, dense_oracle(hz, schedule, grid), strict=True):
+        gap = (got.values - want.values) / np.abs(want.values).max()
+        # no node below the oracle; above it only by the oracle's z spacing
+        assert gap.min() > -1e-7
+        assert gap.max() < 1e-4
+
+
+@pytest.mark.parametrize("schedule", [TWO_TIER, DEPOSIT_BREAK],
+                         ids=["two_loan_tiers", "deposit_break"])
+def test_piecewise_dp_terminal_period_is_the_ladder_rule(schedule):
+    hz = make_horizon("u0_20", 1)
+    grid = Grid.regular(40, -60, 120, 21, 26)
+    sol = piecewise_dp(hz, schedule, grid)
+    X, Y = grid.mesh()
+    q = np.vectorize(lambda x, y: piecewise_optimal_order(x, y, PARAMS, SALVAGE, schedule,
+                                                          U20))(X, Y)
+    assert sol.policy(1).order_up_to == pytest.approx(X + q, abs=Z_TOL)
+    want = _piecewise_G(q, X, Y, PARAMS, SALVAGE, schedule, U20)
+    assert np.abs(sol.value(1).values - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_piecewise_dp_extra_tier_costs_value():
@@ -196,6 +250,26 @@ def test_loan_limited_dp_unbinding_limit_reproduces_base():
     # a binding cap can only cost value, up to golden-section noise
     tight = loan_limited_dp(hz, LoanLimit(2000.0), grid)
     assert np.all(tight.value(1).values <= base.value(1).values + 1e-2)
+
+
+def test_loan_limit_binds_in_every_period(small_grid):
+    hz = make_horizon("u0_20", 3)
+    limit = LoanLimit(3000.0)
+    sol = loan_limited_dp(hz, limit, small_grid)
+    y_plus = np.maximum(small_grid.mesh()[1], 0.0)
+    for n in range(1, hz.n_periods + 1):
+        cap = y_plus + limit.units(hz.period(n).cost)
+        assert np.all(sol.policy(n).order_quantity() <= cap + 1e-12)
+
+
+def test_loan_limit_takes_each_periods_unit_cost(small_grid):
+    # unit cost falls from 1000 to 900; at x = 0 and no cash, the tightest
+    # cap of both periods would be 3000 / 1000, but period 2 can borrow 3000 / 900
+    hz = cs.HorizonSpec([PARAMS, replace(PARAMS, cost=900.0)], [U20, U20], SALVAGE)
+    sol = loan_limited_dp(hz, LoanLimit(3000.0), small_grid)
+    broke = small_grid.y_nodes <= 0.0
+    assert sol.policy(2).order_quantity()[0, broke] == pytest.approx(3000.0 / 900.0, abs=1e-12)
+    assert sol.policy(1).order_quantity()[0, broke] == pytest.approx(3.0, abs=Z_TOL)
 
 
 def test_backorder_revenue_example():

@@ -1,7 +1,10 @@
 """Module layering: each module imports only modules below it, at module top."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import cashstock as cs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cashstock"
 
@@ -33,3 +36,17 @@ def test_modules_import_only_lower_layers():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 for target in targets:
                     assert target in below, f"{name} imports {target}"
+
+
+def test_exported_functions_keep_their_defaulted_parameters():
+    # every defaulted parameter is a setting some caller must be able to
+    # change; a new one needs a caller that sets it
+    defaulted = {name: {key for key, param in inspect.signature(fn).parameters.items()
+                        if param.default is not param.empty}
+                 for name, fn in vars(cs).items() if inspect.isfunction(fn)}
+    assert {name: keys for name, keys in defaulted.items() if keys} == {
+        "backward_induct": {"z_cap", "backlog"},
+        "compare_bounds": {"lengths", "solution"},
+        "gap_report": {"initial"},
+        "solve_thresholds": {"solution"},
+    }

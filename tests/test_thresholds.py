@@ -169,7 +169,7 @@ def test_nearly_equal_rates_collapse_roots():
     params = cs.PeriodParams(2000, 1000, 500, 0.0999999, 0.1)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
     grid = Grid.regular(40, -60, 120, 81, 101)
-    table = solve_thresholds(hz, grid, epsilon=1e-4)
+    table = solve_thresholds(hz, grid)
     row = table.period(1)
     assert np.all(np.abs(row.borrow - row.deposit) < 1e-2)
 
