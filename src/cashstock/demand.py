@@ -5,6 +5,12 @@ quantile, the expected-leftover loss E[(x - D)^+], exact moments, quadrature
 node/weight sets for stagewise expectations (over demand, or over sales
 min(D, z) when unmet demand is lost), and inverse-transform sampling.
 Objects are immutable and safe to share across workers.
+
+Over sales the demand above z is one node at the support maximum: a
+continuous demand takes Gauss-Legendre points on [lo, z] beside it, atom
+demand every atom up to the largest z. Atom demand's quantile looks its
+CDF up in a bucket table (`_BucketSearch`), which returns exactly what
+np.searchsorted returns.
 """
 
 from __future__ import annotations
@@ -58,14 +64,15 @@ class Demand(ABC):
         `kink` is an array of shape (M,); the result broadcasts as (M, K).
         """
 
+    @abstractmethod
     def sales_nodes(self, z):
         """Per-element nodes/weights for E[g(D)] with g constant for D >= z.
 
         Under lost sales a period sees demand only through sales min(D, z),
-        so the demand above z may be one node. Atoms are exact as they are:
-        the default is expectation_nodes(z).
+        so the demand above z may be one node: it sits at the support
+        maximum, above z wherever it holds weight, so that both 1{D < z}
+        and 1{D <= z} read it as demand above z.
         """
-        return self.expectation_nodes(z)
 
     def moments(self) -> Moments:
         mean, sd = self._mean_sd()
@@ -104,6 +111,73 @@ def _gauss_segments(edges_lo, edges_hi, density):
     nodes = mid[..., None] + half[..., None] * gx
     weights = half[..., None] * gw * density
     return nodes, weights
+
+
+class _BucketSearch:
+    """np.searchsorted(values, q, side) by table lookup, for many queries
+    against one sorted array of finite values.
+
+    The line is cut into buckets [b w, (b + 1) w) with w a power of two, so
+    that a query's bucket floor(q / w) is computed exactly. A table holds the
+    number of values below each bucket; in a bucket holding at most one value,
+    one comparison with that value completes the count. Queries in the other
+    buckets are searched. The table has about BUCKETS_PER_VALUE entries per
+    value, however close the values lie (a CDF's tail entries differ by 1e-13).
+    """
+
+    BUCKETS_PER_VALUE = 4
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or len(values) == 0 or not np.all(np.isfinite(values)):
+            raise ValueError("bucket search needs a nonempty 1-D array of finite values")
+        share = self.BUCKETS_PER_VALUE * len(values)
+        # the width w = 2^exp, the largest power of two not above the values'
+        # span per bucket share, is raised until every bucket index is below
+        # 2^52 (exact in floating point) and clipped so that w and 1 / w are
+        # normal numbers
+        exp = math.frexp(values[-1] / share - values[0] / share)[1] - 1
+        exp = max(exp, math.frexp(max(-values[0], values[-1]))[1] - 52)
+        exp = min(max(exp, -1022), 1022)
+        self._values = values
+        self._scale = math.ldexp(1.0, -exp)
+        # a width above 1 takes floor(q) first: floor(floor(q) / w) is
+        # floor(q / w), and q / w would round a tiny negative q to -0
+        self._floor_first = exp > 0
+        # an empty bucket at each end takes the queries beyond the values
+        self._base = float(self._bucket(values[0])) - 1.0
+        self._last = float(self._bucket(values[-1])) - self._base + 1.0
+        with np.errstate(over="ignore"):  # an edge past the largest float is inf
+            edges = math.ldexp(1.0, exp) * (self._base + np.arange(self._last + 1.0))
+        below = np.searchsorted(values, edges, side="left")
+        crowded = np.append(np.diff(below) > 1, False)
+        # -1 marks a bucket whose queries are searched
+        self._table = np.where(crowded, -1, below)
+        self._crowded = bool(crowded.any())
+        # NaN past the last value: no query compares below it
+        self._padded = np.append(values, np.nan)
+
+    def _bucket(self, q):
+        s = np.floor(q) if self._floor_first else q
+        with np.errstate(over="ignore"):  # beyond the last bucket either way
+            return np.floor(s * self._scale)
+
+    def __call__(self, q, side: str):
+        q = np.asarray(q, dtype=float)
+        flat = q.reshape(-1)
+        b = self._bucket(flat)
+        b -= self._base
+        # fmin first: NaN goes to the last bucket, as searchsorted sorts it last
+        np.fmin(b, self._last, out=b)
+        np.fmax(b, 0.0, out=b)
+        idx = self._table[b.astype(np.intp)]
+        if self._crowded and idx.min(initial=0) < 0:
+            at = np.flatnonzero(idx < 0)
+            idx[at] = np.searchsorted(self._values, flat[at], side=side)
+        # an exact count is left as it is: the value at it is not below q
+        below = np.less if side == "left" else np.less_equal
+        idx += below(self._padded[idx], flat)
+        return idx.reshape(q.shape)
 
 
 @dataclass(frozen=True)
@@ -176,6 +250,7 @@ class _Atoms(Demand):
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_cum", np.cumsum(probs))
+        object.__setattr__(self, "_cum_search", _BucketSearch(self._cum))
 
     @property
     def support(self):
@@ -191,7 +266,7 @@ class _Atoms(Demand):
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u > 1):
             raise ValueError("quantile level outside [0, 1]")
-        idx = np.searchsorted(self._cum, u, side="left")
+        idx = self._cum_search(u, "left")
         return self.atoms[np.minimum(idx, len(self.atoms) - 1)]
 
     def loss(self, x):
@@ -200,6 +275,18 @@ class _Atoms(Demand):
 
     def expectation_nodes(self, kink):
         return self.atoms[None, :], self.probs[None, :]
+
+    def sales_nodes(self, z):
+        # every atom up to the largest z is its own node (an atom equal to z
+        # is read by the slope's 1{D <= z}); the atoms above it all sell z
+        # and become one node at the support maximum
+        z = np.asarray(z, dtype=float)
+        k = int(np.searchsorted(self.atoms, np.max(z, initial=-np.inf), side="right"))
+        if k >= len(self.atoms) - 1:
+            return self.expectation_nodes(z)
+        nodes = np.append(self.atoms[:k], self.atoms[-1])
+        weights = np.append(self.probs[:k], self.probs[k:].sum())
+        return nodes[None, :], weights[None, :]
 
 
 @dataclass(frozen=True)

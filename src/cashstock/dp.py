@@ -17,9 +17,10 @@ Every grid solver runs one backward loop, `_induct`, from a terminal table
 and a per-period step. Stage values are expectations of the interpolated
 next-period table over demand. Under lost sales the next state depends on
 demand only through sales min(D, z), so the demand above z is one node
-holding P(D >= z) (`Demand.sales_nodes`: 8 Gauss-Legendre points on
-[lo, z] and one at the support maximum for continuous demand); backorders
-carry z - D and keep both 8-point segments (`Demand.expectation_nodes`).
+at the support maximum (`Demand.sales_nodes`: beside it, 8 Gauss-Legendre
+points on [lo, z] for continuous demand, and every atom up to the largest
+z for atom demand); backorders carry z - D and keep every node
+(`Demand.expectation_nodes`).
 Stage values depend on a node only through its net worth xi and are
 concave in z on each branch of z - xi (one per rate tier, else one), so
 the maximization runs once per branch and distinct net worth (golden-section

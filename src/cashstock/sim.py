@@ -3,7 +3,9 @@
 Paths share one stream of uniforms per (seed, path, period), so competing
 policies are evaluated under common random numbers and gap estimates stay
 low-variance. Demands come from the same inverse transform the distribution
-objects use for sampling.
+objects use for sampling. The per-sample searches, atom demand's quantile
+and the threshold policy's place on the worth axis (`bands_at`), are
+bucket-table lookups that return what np.searchsorted returns.
 
 `run_policies` walks the paths in blocks of `BLOCK_PATHS`, small enough
 that a block's states and demands stay in cache. Each block's uniforms are

@@ -11,12 +11,14 @@ single_period bracket the roots from below (`myopic_lower`) and above
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import single_period
-from .dp import (DPSolution, Grid, ValueTable, _lerp, _locate, _next_state, backward_induct,
-                 partials, worth_grid)
+from .demand import _BucketSearch
+from .dp import (DPSolution, Grid, ValueTable, _lerp, _next_state, backward_induct, partials,
+                 worth_grid)
 from .model import HorizonSpec, normalized_params, require_valid
 
 #: a bracket end's slope may have the wrong sign by this share of the slope's
@@ -116,6 +118,10 @@ class PeriodThresholds:
     borrow_iterations: int
     deposit_iterations: int
 
+    @cached_property
+    def _worth_search(self) -> _BucketSearch:
+        return _BucketSearch(self.worth)
+
     def bands_at(self, worth):
         """(borrow, deposit) levels at `worth`: linear between the worth
         nodes, held at the end values beyond them. One lookup serves both.
@@ -123,9 +129,12 @@ class PeriodThresholds:
         The worth axis is searched even where it is evenly spaced: the
         fraction within a cell is then taken from the cell's own ends, as
         np.interp takes it, rather than from the offset to the first node,
-        whose rounding grows with the distance from it."""
-        idx, t = _locate(self.worth, 0.0, np.asarray(worth, dtype=float))
-        t = np.clip(t, 0.0, 1.0)
+        whose rounding grows with the distance from it. The search is
+        `_locate`'s, by table lookup."""
+        q = np.asarray(worth, dtype=float)
+        w = self.worth
+        idx = np.clip(self._worth_search(q, "right") - 1, 0, len(w) - 2)
+        t = np.clip((q - w[idx]) / (w[idx + 1] - w[idx]), 0.0, 1.0)
         return _lerp(self.borrow, idx, t), _lerp(self.deposit, idx, t)
 
 

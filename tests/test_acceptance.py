@@ -28,9 +28,12 @@ cannot reproduce from the model and parameters it has:
   definition of its "myopic policy I".
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import cashstock as cs
+from cashstock.cli import load_config
 from cashstock.dp import Grid
 from cashstock.extensions import (
     BackorderParams,
@@ -46,6 +49,7 @@ from cashstock.thresholds import EPSILON, bisection_iterations, solve_thresholds
 from conftest import DEMANDS, BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # The reference tables of the paper's numerical study. Their uniform rows were
 # computed on integer-valued demand (see the module docstring). TABLE1's ZIP
@@ -131,6 +135,31 @@ def test_criterion_2_bound_table(solve_cache):
             failures.append(
                 f"N={n} {key} x={x:.0f}: ordering violated (lo {lo:.0f}, V {v:.0f}, up {up:.0f})")
     report("criterion 2", failures, f"{len(TABLE2)} states checked")
+
+
+def test_paper_table_configs_hold_the_reference_instances(desk_grid):
+    # configs/paper_table1.json and paper_table2.json give `cashstock tables`
+    # the instances criteria 1 and 2 solve: demands, economics, horizons,
+    # states and grid
+    table1 = load_config(str(CONFIGS / "paper_table1.json"))
+    table2 = load_config(str(CONFIGS / "paper_table2.json"))
+    keys1 = [PAPER_INSTANCE.get(key, key) for key in TABLE1]
+    keys2 = [PAPER_INSTANCE[key] for key in dict.fromkeys(key for _, key, _ in TABLE2)]
+    assert table1.demands == [DEMANDS[key] for key in keys1]
+    assert table2.demands == [DEMANDS[key] for key in keys2]
+    for cfg in (table1, table2):
+        assert cfg.periods == [PARAMS] and cfg.salvage == SALVAGE
+        assert cfg.grid.shape == desk_grid.shape
+        assert np.array_equal(cfg.grid.x_nodes, desk_grid.x_nodes)
+        assert np.array_equal(cfg.grid.y_nodes, desk_grid.y_nodes)
+    assert table1.initial == (0.0, 0.0)
+    for key, dem in zip(keys1, table1.demands, strict=True):
+        assert table1.horizon(demand=dem) == make_horizon(key, 6)
+    lengths = sorted({n for n, _, _ in TABLE2})
+    assert table2.table_horizons == lengths
+    assert table2.table_states == sorted({x for _, _, x in TABLE2})
+    for key, dem in zip(keys2, table2.demands, strict=True):
+        assert table2.longest_horizon(lengths, demand=dem) == make_horizon(key, max(lengths))
 
 
 def test_criterion_3_closed_form_equivalence(desk_grid):

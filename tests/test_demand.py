@@ -14,6 +14,7 @@ from cashstock.demand import (
     DiscreteEmpirical,
     Uniform,
     ZeroInflatedPoisson,
+    _BucketSearch,
     integer_uniform,
 )
 
@@ -152,11 +153,76 @@ def test_sales_nodes_match_expectation_nodes_over_sales(lo, width, below, at, cu
     assert np.all(np.abs(demand.sales_nodes(z)[1].sum(axis=1) - 1.0) <= 1e-12)
 
 
-def test_sales_nodes_are_expectation_nodes_for_atoms():
-    for demand in (ZIP18, DiscreteEmpirical((0.0, 3.0, 7.0), (0.2, 0.5, 0.3))):
-        z = np.array([2.0, 7.0])
-        for got, want in zip(demand.sales_nodes(z), demand.expectation_nodes(z), strict=True):
-            assert np.array_equal(got, want)
+ATOM_DEMANDS = (ZIP18, DiscreteEmpirical((0.0, 3.0, 7.0, 7.5), (0.2, 0.4, 0.3, 0.1)),
+                integer_uniform(0, 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ATOM_DEMANDS),
+       st.lists(st.tuples(st.integers(0, 100), st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+                min_size=1, max_size=5),
+       st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), st.floats(1.0, 10.0))
+def test_sales_nodes_match_expectation_nodes_over_sales_for_atoms(demand, picks, cubic, step):
+    # z below the first atom, on atoms, between them and above the last: the
+    # atoms above the largest z are one node, and the step term reads an atom
+    # equal to z as demand at or below it (the threshold slope's right limit)
+    stops = np.concatenate([[demand.atoms[0] - 5.0], demand.atoms, [demand.atoms[-1] + 5.0]])
+    at = [i % (len(stops) - 1) for i, _ in picks]
+    z = np.array([stops[i] + f * (stops[i + 1] - stops[i]) for i, (_, f) in zip(at, picks)])
+
+    def expect(nodes_weights):
+        nodes, weights = nodes_weights
+        g = np.polyval(cubic, np.minimum(nodes, z[:, None])) + step * (nodes <= z[:, None])
+        return np.sum(g * weights, axis=1), np.sum(np.abs(g) * weights, axis=1)
+
+    nodes, weights = demand.sales_nodes(z)
+    got, _ = expect((nodes, weights))
+    want, scale = expect(demand.expectation_nodes(z))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
+    assert nodes.shape[1] <= np.sum(demand.atoms <= z.max()) + 1
+
+
+def _assert_searches_like_numpy(values, queries):
+    # every query at once, and each as a 0-d array, on both sides
+    search = _BucketSearch(values)
+    for side in ("left", "right"):
+        assert np.array_equal(search(queries, side), np.searchsorted(values, queries, side=side))
+        for q in queries[::7]:
+            got = search(np.float64(q), side)
+            assert np.ndim(got) == 0 and got == np.searchsorted(values, q, side=side)
+
+
+def _edge_queries(values):
+    with np.errstate(over="ignore"):  # the largest float's upper neighbour is inf
+        beside = [np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    return np.concatenate([values, *beside, [values[0] - 1.0, values[-1] + 1.0, -np.inf,
+                                             np.inf, np.nan, 0.0, -0.0, 1.0]])
+
+
+FLOATS = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=40), st.integers(1, 5),
+       st.lists(st.one_of(FLOATS, st.just(np.inf), st.just(-np.inf)), max_size=20))
+def test_bucket_search_is_searchsorted(values, every, extra):
+    # ties: every `every`-th value appears twice
+    values = np.sort(np.array(values + values[::every]))
+    _assert_searches_like_numpy(values, np.concatenate([_edge_queries(values), extra]))
+    _assert_searches_like_numpy(values[:1], _edge_queries(values))
+
+
+def test_bucket_search_on_a_crowded_cdf():
+    # ZIP(0.18, 1000): 1,233 atoms, and tail CDF entries equal or 1e-16 apart
+    cum = ZeroInflatedPoisson(0.18, 1000)._cum
+    assert len(cum) == 1233 and np.any(np.diff(cum) == 0.0)
+    u = np.random.default_rng(5).random(20_000)
+    _assert_searches_like_numpy(cum, np.concatenate([_edge_queries(cum), u]))
+    # the table grows with the number of values, not with their smallest gap
+    assert len(_BucketSearch(cum)._table) <= 2 * _BucketSearch.BUCKETS_PER_VALUE * len(cum) + 3
+    assert ZIP18.quantile(0.0) == 0.0 and ZIP18.quantile(1.0) == ZIP18.atoms[-1]
 
 
 def test_sampling_inverse_transform():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cashstock as cs
+from cashstock.demand import _Atoms
 from cashstock.dp import (
     Z_TOL,
     Grid,
@@ -388,6 +389,23 @@ def test_backorders_keep_the_full_segment_expectation(small_grid, monkeypatch):
     want = backorder_dp(hz, b, grid)
     for g, w in zip(got.values, want.values, strict=True):
         assert np.abs(g.values - w.values).max() <= 1e-12 * np.abs(w.values).max()
+
+
+@pytest.mark.parametrize("key", ["zip18", "iu0_20"])
+def test_atom_sales_nodes_match_every_atom(small_grid, monkeypatch, key):
+    # under lost sales the atoms above the largest z are one node: the tables
+    # match a run that looks every atom up, and the thresholds are equal
+    hz = make_horizon(key, 3)
+    sol = cs.backward_induct(hz, small_grid)
+    levels = cs.solve_thresholds(hz, small_grid, solution=sol)
+    monkeypatch.setattr(_Atoms, "sales_nodes", _Atoms.expectation_nodes)
+    want = cs.backward_induct(hz, small_grid)
+    want_levels = cs.solve_thresholds(hz, small_grid, solution=want)
+    for got, w in zip(sol.values, want.values, strict=True):
+        assert np.abs(got.values - w.values).max() <= 1e-12 * np.abs(w.values).max()
+    for got, w in zip(levels.periods, want_levels.periods, strict=True):
+        assert np.array_equal(got.borrow, w.borrow)
+        assert np.array_equal(got.deposit, w.deposit)
 
 
 @pytest.mark.parametrize("key", ["u0_20", "zip18"])

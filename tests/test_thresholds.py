@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cashstock as cs
-from cashstock.dp import Grid
+from cashstock.dp import Grid, _lerp, _locate
 from cashstock.single_period import myopic_lower, myopic_upper
 from cashstock.thresholds import (
     _check_bracket,
@@ -202,18 +202,22 @@ def _rows_for_bands_at(small_solution):
 
 def test_bands_at_matches_np_interp(small_solution):
     # within 4 ulps of the level at nodes, midpoints and random points, and
-    # held at the end levels (not extrapolated) beyond the worth range
+    # held at the end levels (not extrapolated) beyond the worth range; equal
+    # to the searched `_locate` lookup, which the table lookup replaces
     rng = np.random.default_rng(8)
     for row in _rows_for_bands_at(small_solution):
         w = row.worth
         cell = rng.integers(0, len(w) - 1, 20_000)
         queries = np.concatenate([
             w, 0.5 * (w[:-1] + w[1:]), w[cell] + rng.random(20_000) * (w[cell + 1] - w[cell]),
-            rng.uniform(-1.0, 1.0, 2_000),
+            np.nextafter(w, -np.inf), np.nextafter(w, np.inf), rng.uniform(-1.0, 1.0, 2_000),
             w[0] - np.array([1e-9, 1.0, 1e3]), w[-1] + np.array([1e-9, 1.0, 1e3])])
+        idx, t = _locate(w, 0.0, queries)
+        t = np.clip(t, 0.0, 1.0)
         for got, level in zip(row.bands_at(queries), (row.borrow, row.deposit)):
             want = np.interp(queries, w, level)
             assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+            assert np.array_equal(got, _lerp(level, idx, t))
         below, above = row.bands_at(np.array([w[0] - 1e3, w[-1] + 1e3]))[0]
         assert below == row.borrow[0] and above == row.borrow[-1]
         for q in (w[0] - 1.0, float(w[len(w) // 2]), 0.3, w[-1] + 1.0):
