@@ -38,7 +38,6 @@ from .dp import (
     partials,
     policy_value_tables,
     stage_value,
-    terminal_value,
     transition,
 )
 from .thresholds import (

@@ -18,11 +18,11 @@ from .dp import (
     DPSolution,
     Grid,
     _expected_next,
+    _terminal_wealth,
     backward_induct,
     golden_max,
     interp1,
     policy_value_tables,
-    terminal_value,
 )
 from .model import HorizonSpec, require_valid
 
@@ -61,8 +61,10 @@ def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
 def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[WorthValueTable]:
     """One-dimensional backward induction of the selling-back relaxation.
 
-    Terminal values equal the plain terminal value at zero stock. The optimal
-    trade clamps net worth between the two extracted levels.
+    Period N trades to the single-period rule's order at zero stock and
+    takes the expectation of terminal wealth through the transition, as
+    backward_induct does. The optimal trade clamps net worth between the
+    two extracted levels.
     """
     require_valid(horizon)
     _require_no_sellback_profit(horizon)
@@ -70,7 +72,7 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     n_last = horizon.n_periods
     bands = single_period.myopic_lower(horizon, n_last)
     q_term = single_period.optimal_order(0.0, worth_nodes, bands)
-    v_term = terminal_value(q_term, 0.0, worth_nodes, horizon)
+    v_term = _expected_next(q_term, worth_nodes, horizon, n_last, _terminal_wealth)
     tables: list = [None] * n_last
     tables[-1] = WorthValueTable(n_last, worth_nodes, v_term, q_term,
                                  bands.borrow, bands.deposit)

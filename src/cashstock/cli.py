@@ -340,8 +340,11 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
 
 def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     if which == "table1":
-        rows = [astuple(gap_report(cfg.horizon(demand=dem), cfg.grid, State(*cfg.initial)))
-                for dem in cfg.demands]
+        for k, dem in enumerate(cfg.demands):
+            _require(dem.mean() > 0, f"demands[{k}] has mean 0: table1's cv column "
+                     "(standard deviation / mean) is undefined")
+        horizons = [cfg.horizon(demand=dem) for dem in cfg.demands]
+        rows = [astuple(gap_report(hz, cfg.grid, State(*cfg.initial))) for hz in horizons]
         out.write_csv("table1.csv",
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
                        "v_myopic_upper", "gap_upper_pct"], rows)

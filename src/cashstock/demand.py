@@ -113,6 +113,15 @@ def _gauss_segments(edges_lo, edges_hi, density):
     return nodes, weights
 
 
+def _levels(u) -> np.ndarray:
+    """Quantile levels as an array; one outside [0, 1], or NaN, raises."""
+    u = np.asarray(u, dtype=float)
+    # NaN fails both comparisons; two reductions, as many as any() twice
+    if u.size and not (u.min() >= 0 and u.max() <= 1):
+        raise ValueError("quantile level outside [0, 1]")
+    return u
+
+
 class _BucketSearch:
     """np.searchsorted(values, q, side) by table lookup, for many queries
     against one sorted array of finite values.
@@ -202,9 +211,7 @@ class Uniform(Demand):
         return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > 1):
-            raise ValueError("quantile level outside [0, 1]")
+        u = _levels(u)
         return self.lo + u * (self.hi - self.lo)
 
     def loss(self, x):
@@ -263,9 +270,7 @@ class _Atoms(Demand):
         return cum[idx]
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > 1):
-            raise ValueError("quantile level outside [0, 1]")
+        u = _levels(u)
         idx = self._cum_search(u, "left")
         return self.atoms[np.minimum(idx, len(self.atoms) - 1)]
 

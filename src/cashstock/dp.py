@@ -13,26 +13,28 @@ with (p', h', c') = (p, -s, c). The extensions are parameters of it: `bank`
 replaces the two-rate bank term (tiered rates) and `backlog` carries unmet
 demand as negative stock (backorders).
 
-Every grid solver runs one backward loop, `_induct`, from a terminal table
-and a per-period step. Stage values are expectations of the interpolated
-next-period table over demand. Under lost sales the next state depends on
-demand only through sales min(D, z), so the demand above z is one node
-at the support maximum (`Demand.sales_nodes`: beside it, 8 Gauss-Legendre
-points on [lo, z] for continuous demand, and every atom up to the largest
-z for atom demand); backorders carry z - D and keep every node
-(`Demand.expectation_nodes`).
+Every grid solver runs one backward loop, `_induct`, from terminal wealth
+(x, y) -> y and a per-period step. Period N is a step like every other,
+whose next value is terminal wealth; the single-period closed form stays in
+`single_period` as the tests' independent cross-check. Stage values are
+expectations of the next value over demand. Under lost sales the next state
+depends on demand only through sales min(D, z), so the demand above z is
+one node at the support maximum (`Demand.sales_nodes`: beside it, 8
+Gauss-Legendre points on [lo, z] for continuous demand, and every atom up
+to the largest z for atom demand); backorders carry z - D and keep every
+node (`Demand.expectation_nodes`).
 Stage values depend on a node only through its net worth xi and are
 concave in z on each branch of z - xi (one per rate tier, else one), so
 the maximization runs once per branch and distinct net worth (golden-section
 search plus kink candidates), and each node takes the best branch's
 maximizer clipped to its own range.
 
-Every expectation looks the next table up bilinearly. One kernel serves
-values and gradient fields: on an evenly spaced axis (every Grid.regular
-grid) a query's cell is found by arithmetic, i = floor((q - x0) / h)
-clipped to the edge cells, and on any other axis by binary search; the
-fraction is left unclipped, so queries outside the grid extend linearly
-along the edge cell.
+Before period N every expectation looks the next table up bilinearly. One
+kernel serves values and gradient fields: on an evenly spaced axis (every
+Grid.regular grid) a query's cell is found by arithmetic,
+i = floor((q - x0) / h) clipped to the edge cells, and on any other axis by
+binary search; the fraction is left unclipped, so queries outside the grid
+extend linearly along the edge cell.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import HorizonSpec, State, normalized_params, require_valid
-from . import single_period
-from .single_period import myopic_lower, myopic_upper
+from .single_period import myopic_lower, myopic_upper, optimal_order
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -239,13 +240,6 @@ def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable):
     return out if np.ndim(z) else float(out[0])
 
 
-def terminal_value(q, x, y, horizon: HorizonSpec):
-    """Expected terminal wealth of ordering q in the last period (currency)."""
-    return single_period.expected_value_G(
-        q, x, y, horizon.period(horizon.n_periods), horizon.salvage,
-        horizon.demand_in(horizon.n_periods))
-
-
 def golden_max(f, lo, hi, tol: float, candidates=()):
     """Maximize per-element concave f over [lo, hi] by golden-section search.
 
@@ -374,26 +368,25 @@ class DPSolution:
             [PolicyTable(t.period - k, t.grid, t.order_up_to) for t in self.policies[k:]])
 
 
-def _terminal_tables(horizon: HorizonSpec, grid: Grid) -> tuple[ValueTable, PolicyTable]:
-    n = horizon.n_periods
-    X, Y = grid.mesh()
-    q = single_period.optimal_order(X, Y, myopic_lower(horizon, n))
-    return ValueTable(n, grid, terminal_value(q, X, Y, horizon)), PolicyTable(n, grid, X + q)
+def _terminal_wealth(x, y):
+    """The value after the last period: y' there is terminal wealth."""
+    return y
 
 
-def _induct(horizon: HorizonSpec, grid: Grid, terminal, step):
+def _induct(horizon: HorizonSpec, grid: Grid, step):
     """The backward recursion of every grid solver.
 
-    `terminal` is period N's (order-up-to, value) pair on the grid nodes, and
-    `step(n, next_table)` gives period n's pair from period n+1's value
-    table. Returns the value and the policy tables, period 1 first.
+    `step(n, next_value)` gives period n's (order-up-to, value) pair on the
+    grid nodes from period n+1's value, a callable (x', y') -> value: the
+    value table of period n+1, or terminal wealth when n = N. Returns the
+    value and the policy tables, period 1 first.
     """
     values, policies = [], []
-    z, v = terminal
+    next_value = _terminal_wealth
     for n in range(horizon.n_periods, 0, -1):
-        if values:
-            z, v = step(n, values[-1])
-        values.append(ValueTable(n, grid, np.reshape(v, grid.shape)))
+        z, v = step(n, next_value)
+        next_value = ValueTable(n, grid, np.reshape(v, grid.shape))
+        values.append(next_value)
         policies.append(PolicyTable(n, grid, np.reshape(z, grid.shape)))
     return values[::-1], policies[::-1]
 
@@ -402,37 +395,37 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
                     backlog=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
-    The terminal table is the closed-form single-period optimum. Earlier
-    periods maximize the stage value over z in [x, z_max] with worth_search
-    on one unbounded branch, with the myopic order-up-to levels evaluated
-    explicitly. `z_cap(n, x, y)` optionally tightens period n's upper bound
-    per node (loan limits); in period N, whose objective is concave in the
-    order, it cuts the closed form's order. `backlog` is a backorder
-    penalty (see _next_state and backorder_dp); the grid may then hold
-    negative stock.
+    Period N orders what the closed form orders (the single-period rule at
+    `myopic_lower(horizon, N)`) and takes the expectation of terminal
+    wealth through the transition. Earlier periods maximize the stage value
+    over z in [x, z_max] with worth_search on one unbounded branch, with the
+    myopic order-up-to levels evaluated explicitly. `z_cap(n, x, y)`
+    optionally tightens period n's upper bound per node (loan limits); in
+    period N, whose objective is concave in the order, it cuts the closed
+    form's order. `backlog` is a backorder penalty (see _next_state and
+    backorder_dp); the grid may then hold negative stock.
     """
     require_valid(horizon)
     if backlog is None and grid.x_nodes[0] < -1e-12:
         raise ValueError("inventory nodes must be nonnegative under lost sales")
-    vt, pt = _terminal_tables(horizon, grid)
-    z_last, v_last = pt.order_up_to, vt.values
     X, Y = grid.mesh()
-    if z_cap is not None:
-        z_last = np.minimum(z_last, z_cap(horizon.n_periods, X, Y))
-        v_last = terminal_value(z_last - X, X, Y, horizon)
-    if backlog is not None:
-        v_last = v_last - backlog * horizon.demand_in(horizon.n_periods).mean()
+    x, y = X.ravel(), Y.ravel()
 
-    def step(n, next_table):
+    def step(n, next_value):
+        if n == horizon.n_periods:
+            z = x + optimal_order(x, y, myopic_lower(horizon, n))
+            if z_cap is not None:
+                z = np.minimum(z, z_cap(n, x, y))
+            return z, _expected_next(z, x + y, horizon, n, next_value, backlog=backlog)
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
-        hi = np.minimum(z_cap(n, X.ravel(), Y.ravel()), z_max) if z_cap is not None else z_max
+        hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
 
         def f(z, xi, _k):
-            return _expected_next(z, xi, horizon, n, next_table, backlog=backlog)
+            return _expected_next(z, xi, horizon, n, next_value, backlog=backlog)
 
         return worth_search(f, grid, hi, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(horizon, n))
 
-    values, policies = _induct(horizon, grid, (z_last, v_last), step)
+    values, policies = _induct(horizon, grid, step)
     return DPSolution(horizon, grid, values, policies)
 
 
@@ -444,11 +437,9 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueT
     require_valid(horizon)
     X, Y = grid.mesh()
     x, y = X.ravel(), Y.ravel()
-    q_last = np.maximum(policy(horizon.n_periods, x, y), 0.0)
 
-    def step(n, next_table):
+    def step(n, next_value):
         z = x + np.maximum(policy(n, x, y), 0.0)
-        return z, _expected_next(z, x + y, horizon, n, next_table)
+        return z, _expected_next(z, x + y, horizon, n, next_value)
 
-    terminal = (x + q_last, terminal_value(q_last, x, y, horizon))
-    return _induct(horizon, grid, terminal, step)[0]
+    return _induct(horizon, grid, step)[0]

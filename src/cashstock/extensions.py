@@ -154,7 +154,8 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
     but on each branch the stage value is concave. At a break both
     neighbouring tiers are evaluated, and the larger is the schedule's own
     tie rule: the cheaper loan tier, the richer deposit tier. Period N is
-    the same step with terminal wealth as the next value.
+    the same step, searched like the others, with terminal wealth as the
+    next value (`dp._induct`).
     """
     require_valid(horizon)
     dep = [0.0, *schedule.deposit_breaks, np.inf]
@@ -174,8 +175,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
 
         return worth_search(f, grid, z_max, Z_TOL, [(a / cost, b / cost) for _, a, b in tiers])
 
-    terminal = step(horizon.n_periods, lambda x, y: y)
-    values, policies = _induct(horizon, grid, terminal, step)
+    values, policies = _induct(horizon, grid, step)
     return DPSolution(horizon, grid, values, policies)
 
 
@@ -247,25 +247,20 @@ def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
     return Grid(np.concatenate([neg, base.x_nodes]), base.y_nodes)
 
 
-@dataclass(eq=False)
-class BackorderSolution(DPSolution):
-    terminal_bands: single_period.OrderBands
-
-
-def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> BackorderSolution:
+def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> DPSolution:
     """Backward induction with backlogged demand: x' = z - D, penalty b.
 
     Backorders are the base recursion with the transition's `backlog` set
     to b: unmet demand is carried as negative stock, and the penalty on it
     enters as sales valued at p + b less b E[D] (see dp._next_state). So
-    this is backward_induct on the horizon at price p + b, and its terminal
-    table is the lost-sales closed form at p + b less b E[D]. The grid's
-    inventory axis must extend below zero (see backorder_grid). The
-    post-order level keeps the two-threshold trichotomy in net worth.
+    this is backward_induct on the horizon at price p + b; its period N
+    orders by the single-period rule at p + b, and the transition charges
+    b E[D] there as in every period. The grid's inventory axis must extend
+    below zero (see backorder_grid). The post-order level keeps the
+    two-threshold trichotomy in net worth.
     """
     require_valid(horizon)
     priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
                          horizon.demands, horizon.salvage)
     solution = backward_induct(priced, grid, backlog=b.penalty)
-    bands = single_period.myopic_lower(priced, horizon.n_periods)
-    return BackorderSolution(horizon, grid, solution.values, solution.policies, bands)
+    return DPSolution(horizon, grid, solution.values, solution.policies)

@@ -133,8 +133,9 @@ def validate(horizon: HorizonSpec) -> ValidationReport:
     for idx, params in enumerate(horizon.periods):
         n = idx + 1
         tag = f"period {n}"
-        if params.cost < 0:
-            report.violations.append(f"{tag}: c >= 0 violated (c={params.cost})")
+        # capital is measured in product units, so a free product has no scale
+        if not params.cost > 0:
+            report.violations.append(f"{tag}: c > 0 violated (c={params.cost})")
         if params.holding < 0:
             report.violations.append(f"{tag}: h >= 0 violated (h={params.holding})")
         if params.price < params.cost:

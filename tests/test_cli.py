@@ -204,13 +204,14 @@ SOLVER = BASE_CONFIG["solver"]
      "demands[0].hi must be an integer >= 0, got 20.5"),
     ({"demands": [{"kind": "integer_uniform", "lo": 0, "hi": 10 ** 6}]},
      "demands[0].hi must be at most 1000"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "c": 0}]}, "period 1: c > 0 violated (c=0.0)"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
         "epsilon_zero", "epsilon_finer", "check_reachability", "n_huge", "grid_nx_huge",
         "grid_ny_huge", "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge",
         "solver_typo", "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
         "values_string", "lambda_infinite", "lambda_huge", "integer_lo_above_hi",
-        "integer_hi_fraction", "integer_hi_huge"])
+        "integer_hi_fraction", "integer_hi_huge", "cost_zero"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),
@@ -405,6 +406,23 @@ def test_tables_policy_gaps(tmp_path):
     assert len(rows) == 2  # one row per demand scenario
     for row in rows:
         assert float(row[2]) > 0
+
+
+@pytest.mark.parametrize("demand", [{"kind": "integer_uniform", "lo": 0, "hi": 0},
+                                    {"kind": "zip", "pi": 0.18, "lambda": 0}],
+                         ids=["integer_uniform_0_0", "zip_lambda_0"])
+def test_table1_zero_mean_demand_is_config_error(tmp_path, capsys, monkeypatch, demand):
+    # the cv column divides by the mean: the command stops before any solve
+    def no_solve(*args):
+        raise AssertionError("gap_report ran")
+
+    monkeypatch.setattr("cashstock.cli.gap_report", no_solve)
+    path = write_config(tmp_path, demands=[BASE_CONFIG["demands"][0], demand])
+    out = tmp_path / "o"
+    assert main(["tables", "--which", "table1", "--config", str(path), "--out", str(out)]) == 2
+    assert ("demands[1] has mean 0: table1's cv column (standard deviation / mean) "
+            "is undefined") in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
 
 
 def test_tables_value_bounds(tmp_path):

@@ -41,6 +41,11 @@ def test_quantile_examples():
         U20.quantile(1.5)
     with pytest.raises(ValueError):
         ZIP18.quantile(-0.01)
+    # NaN is no level: it fails the range check, alone or among valid levels
+    for dem in (ZIP18, integer_uniform(0, 20), U20):
+        for u in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="outside"):
+                dem.quantile(u)
 
 
 def test_quantile_cdf_generalized_inverse():

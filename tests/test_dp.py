@@ -10,12 +10,12 @@ from cashstock.dp import (
     _induct,
     _myopic_targets,
     _next_state,
-    _terminal_tables,
     golden_max,
     interp1,
     interp2,
     worth_search,
 )
+from cashstock.bounds import default_worth_grid, selling_back_dp
 from cashstock.extensions import backorder_dp, backorder_grid
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
@@ -155,9 +155,15 @@ def test_partials_linear_field():
     assert dy == pytest.approx([17.0, 17.0])
 
 
+def closed_form_table(grid, n):
+    """Period n's table when it is the last: the single-period optimum under
+    U(0,20) on the grid nodes, from the closed form."""
+    X, Y = grid.mesh()
+    return ValueTable(n, grid, cs.value_closed_form(X, Y, PARAMS, SALVAGE, U20))
+
+
 def test_partials_terminal_table_deposit_slope(desk_grid):
-    hz = make_horizon("u0_20", 1)
-    vt, _ = _terminal_tables(hz, desk_grid)
+    vt = closed_form_table(desk_grid, 1)
     # interior point with x above the deposit band: dV/dy = c (1+i) = 1010
     _, dy = cs.partials(vt, 20.0, 30.0)
     assert float(dy) == pytest.approx(1010.0, rel=1e-9)
@@ -191,23 +197,57 @@ def test_transition_hold_and_deposit():
     assert (s.x, s.y) == pytest.approx((5.0, 7.0))
 
 
-def test_terminal_value_matches_single_period():
-    hz = make_horizon("u0_20", 4)
-    rng = np.random.default_rng(2)
-    q = rng.uniform(0, 15, 50)
-    x = rng.uniform(0, 20, 50)
-    y = rng.uniform(-10, 25, 50)
-    assert np.array_equal(
-        cs.terminal_value(q, x, y, hz),
-        cs.expected_value_G(q, x, y, PARAMS, SALVAGE, U20))
-    bands = cs.order_bands(cs.fractiles(PARAMS, SALVAGE), U20)
-    assert cs.terminal_value(bands.borrow, 0.0, 0.0, hz) == pytest.approx(5160.714285714286)
+def period_n_tables(solver, key, grid):
+    """(solver's period-N table, the closed form's) on a 2-period horizon;
+    the closed form never goes through the solver's code."""
+    hz = make_horizon(key, 2)
+    demand = hz.demand_in(2)
+    X, Y = grid.mesh()
+    if solver == "backward_induct":
+        got = cs.backward_induct(hz, grid).value(2).values
+        return got, cs.value_closed_form(X, Y, PARAMS, SALVAGE, demand)
+    if solver == "loan_limited_dp":
+        limit = cs.LoanLimit(5000.0)
+        got = cs.loan_limited_dp(hz, limit, grid).value(2).values
+        q = cs.loan_limited_policy(X, Y, cs.myopic_lower(hz, 2), limit.units(PARAMS.cost))
+        return got, cs.expected_value_G(q, X, Y, PARAMS, SALVAGE, demand)
+    if solver == "backorder_dp":
+        b = 200.0
+        grid = backorder_grid(hz, grid)
+        X, Y = grid.mesh()
+        got = backorder_dp(hz, cs.BackorderParams(b), grid).value(2).values
+        priced = cs.PeriodParams(**{**BASE_ECON, "price": PARAMS.price + b})
+        return got, cs.value_closed_form(X, Y, priced, SALVAGE, demand) - b * demand.mean()
+    if solver == "policy_value_tables":
+        policy = cs.MyopicPolicy(hz, "upper").order
+        got = cs.policy_value_tables(hz, grid, policy)[1].values
+        q = policy(2, X.ravel(), Y.ravel()).reshape(X.shape)
+        return got, cs.expected_value_G(q, X, Y, PARAMS, SALVAGE, demand)
+    worth = default_worth_grid(grid)
+    got = selling_back_dp(hz, worth)[1].values
+    return got, cs.value_closed_form(0.0, worth, PARAMS, SALVAGE, demand)
 
 
-def test_terminal_value_pure_debt_service():
+@pytest.mark.parametrize("solver, key", [
+    ("backward_induct", "u0_20"), ("backward_induct", "zip18"), ("backward_induct", "iu0_20"),
+    ("loan_limited_dp", "u0_20"), ("backorder_dp", "u0_20"), ("policy_value_tables", "u0_20"),
+    ("selling_back_dp", "u0_20")])
+def test_period_n_table_is_the_closed_form(small_grid, solver, key):
+    # period N is a step through the one transition with terminal wealth as
+    # its next value; the single-period closed form is the independent check
+    got, want = period_n_tables(solver, key, small_grid)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pure_debt_service_in_period_n():
+    # no order from (0, -5): the debt accrues at the loan rate, c (1+l) per unit
     params = cs.PeriodParams(2000, 1000, 500, 0.01, 0.15)
     hz = cs.HorizonSpec.stationary(1, params, U20, 0.0)
-    assert cs.terminal_value(0.0, 0.0, -5.0, hz) == pytest.approx(-5.0 * 1000 * 1.15)
+    grid = Grid.regular(10, -10, 10, 11, 21)
+    table = cs.policy_value_tables(hz, grid, lambda n, x, y: np.zeros_like(x))[0]
+    ix, iy = 0, int(np.flatnonzero(grid.y_nodes == -5.0)[0])
+    assert table.values[ix, iy] == pytest.approx(-5.0 * 1000 * 1.15, rel=1e-12)
 
 
 def test_stage_value_contract():
@@ -236,7 +276,7 @@ def brute_force_two_period(x, y, z_lattice, d_lattice):
 def test_stage_value_against_brute_force():
     hz = make_horizon("u0_20", 2)
     grid = Grid.regular(40, -60, 120, 161, 201)
-    vt, _ = _terminal_tables(hz, grid)
+    vt = closed_form_table(grid, 2)
     z_lattice = np.linspace(0, 30, 601)
     d_lattice = np.linspace(0.005, 19.995, 2000) * 1.0  # midpoint rule on U(0,20)
     for x, y in [(0.0, 0.0), (3.0, 8.0), (10.0, -4.0)]:
@@ -252,7 +292,8 @@ def test_backward_induct_single_period_equals_closed_form(small_grid):
     X, Y = small_grid.mesh()
     closed = cs.value_closed_form(X, Y, PARAMS, SALVAGE, U20)
     assert np.allclose(sol.value(1).values, closed, rtol=5e-3)
-    assert np.max(np.abs(sol.value(1).values - closed)) < 1e-9  # same code path
+    # the transition's expectation of terminal wealth at the closed form's order
+    assert np.max(np.abs(sol.value(1).values - closed)) < 1e-9
 
 
 def test_policy_table_order_quantity(small_grid):
@@ -313,14 +354,17 @@ def test_deeper_capital_axis_leaves_values_unchanged(small_grid, key):
 def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
     """Value tables of a golden-section search at every node over [x, hi],
     with the kink z = x + y and the myopic levels as candidates. The last
-    period takes the closed form's order, cut to z_cap(N, x, y) if given."""
+    period is the closed form, its order cut to z_cap(N, x, y) if given."""
     X, Y = grid.mesh()
     x, y = X.ravel(), Y.ravel()
-    values = [None] * hz.n_periods
-    values[-1], terminal_policy = _terminal_tables(hz, grid)
+    n_last = hz.n_periods
+    params, demand = hz.period(n_last), hz.demand_in(n_last)
+    z = X + cs.optimal_order(X, Y, cs.myopic_lower(hz, n_last))
     if z_cap is not None:
-        z = np.minimum(terminal_policy.order_up_to, z_cap(hz.n_periods, X, Y))
-        values[-1] = ValueTable(hz.n_periods, grid, cs.terminal_value(z - X, X, Y, hz))
+        z = np.minimum(z, z_cap(n_last, X, Y))
+    values = [None] * n_last
+    values[-1] = ValueTable(n_last, grid,
+                            cs.expected_value_G(z - X, X, Y, params, hz.salvage, demand))
     for n in range(hz.n_periods - 1, 0, -1):
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
@@ -352,10 +396,16 @@ def test_worth_search_matches_per_node_search(small_grid, key, z_cap):
 def full_segment_oracle(hz, grid):
     """backward_induct's (values, policies) with every stage expectation taken
     over both 8-point Gauss-Legendre segments of demand, [lo, z] and [z, hi]:
-    16 lookups per (z, worth) where the solver's lost-sales path takes 9."""
-    vt, pt = _terminal_tables(hz, grid)
+    16 lookups per (z, worth) where the solver's lost-sales path takes 9.
+    Period N is the closed form."""
+    X, Y = grid.mesh()
 
     def step(n, next_table):
+        if n == hz.n_periods:
+            bands = cs.myopic_lower(hz, n)
+            closed = cs.value_closed_form(X, Y, hz.period(n), hz.salvage, hz.demand_in(n))
+            return X + cs.optimal_order(X, Y, bands), closed
+
         def f(z, xi, _k):
             nodes, w = hz.demand_in(n).expectation_nodes(z)
             x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, hz)
@@ -364,7 +414,7 @@ def full_segment_oracle(hz, grid):
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
         return worth_search(f, grid, z_max, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(hz, n))
 
-    return _induct(hz, grid, (pt.order_up_to, vt.values), step)
+    return _induct(hz, grid, step)
 
 
 def test_lost_sales_solve_matches_full_segment_oracle(small_grid):

@@ -309,10 +309,22 @@ def test_backorder_large_penalty_raises_deposit_band():
     grid = backorder_grid(hz, Grid.regular(40, -60, 120, 41, 51))
     small = backorder_dp(hz, BackorderParams(1.0), grid)
     big = backorder_dp(hz, BackorderParams(5000.0), grid)
+    # period N's levels, read on the x = 0 slice: the order-up-to level at
+    # the poorest node is the borrow level, at the richest the deposit level
+    ix = int(np.flatnonzero(grid.x_nodes == 0.0)[0])
+
+    def bands(solution):
+        z = solution.policy(hz.n_periods).order_up_to[ix]
+        return z[0], z[-1]
+
+    (small_borrow, small_deposit), (big_borrow, big_deposit) = bands(small), bands(big)
+    # both ends lie in their regimes: worth below the borrow level, above the deposit level
+    assert grid.y_nodes[0] < min(small_borrow, big_borrow)
+    assert grid.y_nodes[-1] > max(small_deposit, big_deposit)
     # terminal fractiles at effective price p + b rise toward 1
-    assert big.terminal_bands.deposit >= small.terminal_bands.deposit
-    assert big.terminal_bands.deposit >= BANDS.deposit
-    assert big.terminal_bands.borrow >= BANDS.borrow
+    assert big_deposit >= small_deposit
+    assert big_deposit >= BANDS.deposit
+    assert big_borrow >= BANDS.borrow
 
 
 def test_backorder_policy_trichotomy_structure():

@@ -50,3 +50,17 @@ def test_exported_functions_keep_their_defaulted_parameters():
         "gap_report": {"initial"},
         "solve_thresholds": {"solution"},
     }
+
+
+def test_only_single_period_calls_the_closed_form():
+    # every solver's last period is a step through the one transition; the
+    # closed form is the tests' independent cross-check, so no other module
+    # may call it (a call would fork the recursion again)
+    closed = {"expected_value_G", "value_closed_form"}
+    for name, tree in _modules():
+        if name == "single_period":
+            continue
+        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) in closed
+                      or getattr(node.func, "attr", None) in closed)]
+        assert not calls, f"{name} calls the closed form at lines {calls}"
