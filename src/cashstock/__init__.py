@@ -25,7 +25,6 @@ from .single_period import (
     myopic_lower,
     myopic_upper,
     optimal_order,
-    speculation_value,
     order_bands,
     value_closed_form,
 )
@@ -37,8 +36,6 @@ from .dp import (
     backward_induct,
     partials,
     policy_value_tables,
-    stage_value,
-    transition,
 )
 from .thresholds import (
     BracketError,
@@ -74,7 +71,6 @@ from .sim import (
     ThresholdPolicy,
     gap_report,
     run_policies,
-    run_policy,
 )
 
 __version__ = "0.1.0"

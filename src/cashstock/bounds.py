@@ -142,12 +142,9 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
             np.array_equal(solution.grid.x_nodes, grid.x_nodes)
             and np.array_equal(solution.grid.y_nodes, grid.y_nodes)):
         raise ValueError("solution was solved on another horizon or grid")
-    pairs = [single_period.myopic_upper(horizon, n) for n in range(1, n_last + 1)]
-
-    def upper_policy(n, x, y):
-        return single_period.optimal_order(x, y, pairs[n - 1])
-
-    lower_tables = policy_value_tables(horizon, grid, upper_policy)
+    bands = single_period.myopic_bands(horizon, "upper")
+    lower_tables = policy_value_tables(
+        horizon, grid, lambda n, x, y: single_period.optimal_order(x, y, bands[n - 1]))
     sell_back = selling_back_dp(horizon, default_worth_grid(grid))
 
     rows = []

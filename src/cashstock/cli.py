@@ -147,34 +147,12 @@ def parse_demand(spec, where: str) -> Demand:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _fixed(value, what: str, constant, reason: str):
-    _require(_is_number(value) and value == constant,
-             f"{what} must be {constant} or absent: {reason}, got {value!r}")
-    return constant
-
-
-def _no_reachability_gate(value, what: str) -> bool:
-    _require(isinstance(value, bool), f"{what} must be true or false, got {value!r}")
-    _require(not value, f"{what} must be false or absent: the grid-reachability gate was "
-             "removed, because its interval bound on reachable capital rejected grids whose "
-             "solution a wider capital axis does not change (the paper's 161x201 grid among "
-             "them)")
-    return False
-
-
 PERIOD_FIELDS = dict.fromkeys(("p", "c", "h", "i", "l"), (REQUIRED, _number))
 GRID_FIELDS = {"x_max": (REQUIRED, partial(_number, low=0.0, strict=True)),
                "y_min": (REQUIRED, _number), "y_max": (REQUIRED, _number),
                **dict.fromkeys(("nx", "ny"), (REQUIRED, partial(_integer, least=2)))}
-SOLVER_FIELDS = {"epsilon": (EPSILON, partial(
-                     _fixed, constant=EPSILON,
-                     reason="the bisection pins every threshold to within this fixed width")),
-                 "mc_paths": (100_000, partial(_integer, most=MAX_PATHS)),
-                 "seed": (0, partial(_integer, least=0)),
-                 "quadrature_nodes": (QUAD_ORDER, partial(
-                     _fixed, constant=QUAD_ORDER,
-                     reason=f"every expectation uses the fixed {QUAD_ORDER}-point "
-                            "Gauss-Legendre rule per segment"))}
+SOLVER_FIELDS = {"mc_paths": (100_000, partial(_integer, most=MAX_PATHS)),
+                 "seed": (0, partial(_integer, least=0))}
 ROOT_FIELDS = {"N": (REQUIRED, partial(_integer, most=MAX_PERIODS)),
                "salvage": (REQUIRED, _number),
                "periods": (REQUIRED, partial(_list, parse=partial(_fields, table=PERIOD_FIELDS))),
@@ -185,8 +163,7 @@ ROOT_FIELDS = {"N": (REQUIRED, partial(_integer, most=MAX_PERIODS)),
                "initial": ([0.0, 0.0], _list),
                "table_states": ([0.0, 7.0, 14.0], partial(_list, low=0.0)),
                # [] stands for [N, 2N]; twice N's bound, as [N, 2N] reaches
-               "table_horizons": ([], partial(_list, parse=_integer, most=2 * MAX_PERIODS)),
-               "check_reachability": (False, _no_reachability_gate)}
+               "table_horizons": ([], partial(_list, parse=_integer, most=2 * MAX_PERIODS))}
 
 
 @dataclass
@@ -314,14 +291,23 @@ class Emitter:
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _require_on_grid(grid: Grid, what: str, x: float, y: float) -> None:
+    """A table read at a state outside the grid would be extrapolated."""
+    (x_lo, x_hi), (y_lo, y_hi) = ((v[0], v[-1]) for v in (grid.x_nodes, grid.y_nodes))
+    _require(x_lo <= x <= x_hi and y_lo <= y <= y_hi,
+             f"{what} puts the state ({x:g}, {y:g}) outside the grid, x in [{x_lo:g}, "
+             f"{x_hi:g}] and y in [{y_lo:g}, {y_hi:g}], where its value would be extrapolated")
+
+
 def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
+    _require_on_grid(cfg.grid, "initial", *cfg.initial)
     solution = backward_induct(horizon, cfg.grid)
     table = solve_thresholds(horizon, cfg.grid, solution=solution)
     X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
-        z = solution.policy(n).order_up_to
-        cols = (X, Y, solution.value(n).values, z, z - X)
+        policy = solution.policy(n)
+        cols = (X, Y, solution.value(n).values, policy.order_up_to, policy.order_quantity())
         out.write_csv(f"value_period_{n}.csv", ["x", "y", "value", "order_up_to", "q"],
                       np.column_stack([c.ravel() for c in cols]))
     thr_rows = np.concatenate([
@@ -343,6 +329,7 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
         for k, dem in enumerate(cfg.demands):
             _require(dem.mean() > 0, f"demands[{k}] has mean 0: table1's cv column "
                      "(standard deviation / mean) is undefined")
+        _require_on_grid(cfg.grid, "initial", *cfg.initial)
         horizons = [cfg.horizon(demand=dem) for dem in cfg.demands]
         rows = [astuple(gap_report(hz, cfg.grid, State(*cfg.initial))) for hz in horizons]
         out.write_csv("table1.csv",
@@ -354,6 +341,8 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     # released before the next; the shorter horizons are read as its tails
     lengths = sorted(set(cfg.table_horizons))
     states = [(x, 0.0) for x in cfg.table_states]
+    for k, (x, y) in enumerate(states):
+        _require_on_grid(cfg.grid, f"table_states[{k}]", x, y)
     horizons = [cfg.longest_horizon(lengths, demand=dem) for dem in cfg.demands]
     try:  # the relaxation's condition reads the periods, which every demand shares
         _require_no_sellback_profit(horizons[0])

@@ -3,8 +3,9 @@
 Every distribution exposes the same small surface: cdf, generalized-inverse
 quantile, the expected-leftover loss E[(x - D)^+], exact moments, quadrature
 node/weight sets for stagewise expectations (over demand, or over sales
-min(D, z) when unmet demand is lost), and inverse-transform sampling.
-Objects are immutable and safe to share across workers.
+min(D, z) when unmet demand is lost). The Monte Carlo samples demand by
+inverting uniforms through `quantile`. Objects are immutable and safe to
+share across workers.
 
 Over sales the demand above z is one node at the support maximum: a
 continuous demand takes Gauss-Legendre points on [lo, z] beside it, atom
@@ -87,10 +88,6 @@ class Demand(ABC):
 
     def mean(self) -> float:
         return self._mean_sd()[0]
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-transform sampling; deterministic for a fixed stream."""
-        return self.quantile(rng.random(size))
 
 
 @cache

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import HorizonSpec, State, normalized_params, require_valid
+from .model import HorizonSpec, normalized_params, require_valid
 from .single_period import myopic_lower, myopic_upper, optimal_order
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -201,17 +201,6 @@ def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=No
     return z - d, y_next - backlog / c_next * horizon.demand_in(n).mean()
 
 
-def transition(state: State, z: float, d: float, n: int, horizon: HorizonSpec) -> State:
-    """Next inventory-capital state after ordering up to z and selling d.
-
-    In the last period the capital is terminal wealth in currency.
-    """
-    if z < state.x - 1e-12:
-        raise ValueError(f"post-order stock {z} below on-hand inventory {state.x}")
-    x, y = _next_state(z, state.x + state.y, d, n, horizon)
-    return State(float(x), float(y))
-
-
 def _expected_next(z, xi, horizon, n, next_value, bank=None, backlog=None):
     """E_D[ next_value(x', y') ] for per-element (z, xi) under period n.
 
@@ -225,19 +214,6 @@ def _expected_next(z, xi, horizon, n, next_value, bank=None, backlog=None):
     x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, horizon,
                                  bank=bank, backlog=backlog)
     return np.sum(next_value(x_next, y_next) * weights, axis=1)
-
-
-def stage_value(z, x, y, n: int, horizon: HorizonSpec, next_table: ValueTable):
-    """Expected next-period value of choosing stock level z >= x in period n."""
-    if not 1 <= n <= horizon.n_periods - 1:
-        raise ValueError(f"stage value defined for 1 <= n <= N-1, got n={n}")
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(z_arr < x_arr - 1e-12):
-        raise ValueError("post-order stock below on-hand inventory")
-    out = _expected_next(z_arr, x_arr + np.atleast_1d(np.asarray(y, dtype=float)),
-                         horizon, n, next_table)
-    return out if np.ndim(z) else float(out[0])
 
 
 def golden_max(f, lo, hi, tol: float, candidates=()):

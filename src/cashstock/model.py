@@ -37,10 +37,6 @@ class State:
     x: float
     y: float
 
-    @property
-    def net_worth(self) -> float:
-        return self.x + self.y
-
 
 @dataclass(frozen=True)
 class HorizonSpec:

@@ -2,8 +2,8 @@
 
 Paths share one stream of uniforms per (seed, path, period), so competing
 policies are evaluated under common random numbers and gap estimates stay
-low-variance. Demands come from the same inverse transform the distribution
-objects use for sampling. The per-sample searches, atom demand's quantile
+low-variance. Demands are the uniforms inverted through each period's
+`Demand.quantile`. The per-sample searches, atom demand's quantile
 and the threshold policy's place on the worth axis (`bands_at`), are
 bucket-table lookups that return what np.searchsorted returns.
 
@@ -24,7 +24,6 @@ import numpy as np
 from . import single_period
 from .dp import Grid, _next_state, backward_induct, policy_value_tables
 from .model import HorizonSpec, State, require_valid
-from .single_period import myopic_lower, myopic_upper
 from .thresholds import ThresholdTable, policy_from_thresholds
 
 
@@ -64,10 +63,7 @@ class MyopicPolicy(Policy):
     """Single-period rule with the modified salvage convention per period."""
 
     def __init__(self, horizon: HorizonSpec, which: str):
-        if which not in ("lower", "upper"):
-            raise ValueError("which must be 'lower' or 'upper'")
-        pick = myopic_lower if which == "lower" else myopic_upper
-        self.pairs = [pick(horizon, n) for n in range(1, horizon.n_periods + 1)]
+        self.pairs = single_period.myopic_bands(horizon, which)
         self.label = f"myopic-{which}"
 
     def order(self, n, x, y):
@@ -117,12 +113,6 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
         half = float(1.96 * sd / np.sqrt(paths))
         results.append(SimResult(mean, half, paths, _label(policy)))
     return results
-
-
-def run_policy(horizon: HorizonSpec, policy, initial: State, paths: int,
-               seed: int) -> SimResult:
-    """`run_policies` for one policy."""
-    return run_policies(horizon, [policy], initial, paths, seed)[0]
 
 
 def _label(policy) -> str:

@@ -103,15 +103,6 @@ def value_closed_form(x, y, params: PeriodParams, salvage: float, demand: Demand
     return expected_value_G(optimal_order(x, y, bands), x, y, params, salvage, demand)
 
 
-def speculation_value(params: PeriodParams, salvage: float, demand: Demand) -> float:
-    """Expected terminal worth from (0, 0): (p - s) E[D; D < borrow level] > 0.
-
-    Positive whenever demand puts mass below the loan-financed level, i.e.
-    ordering entirely on credit already has positive expected value.
-    """
-    return float(value_closed_form(0.0, 0.0, params, salvage, demand))
-
-
 def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> OrderBands:
     return order_bands(fractiles(horizon.period(n), salvage), horizon.demand_in(n))
 
@@ -130,3 +121,12 @@ def myopic_upper(horizon: HorizonSpec, n: int) -> OrderBands:
     if shortfall:
         raise ValueError(shortfall)
     return _myopic_pair(horizon, n, horizon.period(n + 1).cost - horizon.period(n).holding)
+
+
+def myopic_bands(horizon: HorizonSpec, which: str) -> list[OrderBands]:
+    """The myopic policy's bands in every period, period 1 first: `which` is
+    "lower" (holding cost only) or "upper" (liquidation credit)."""
+    if which not in ("lower", "upper"):
+        raise ValueError("which must be 'lower' or 'upper'")
+    pick = myopic_lower if which == "lower" else myopic_upper
+    return [pick(horizon, n) for n in range(1, horizon.n_periods + 1)]

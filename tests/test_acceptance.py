@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 import cashstock as cs
-from cashstock.cli import load_config
+from cashstock.cli import load_config, main
 from cashstock.dp import Grid
 from cashstock.extensions import (
     BackorderParams,
@@ -137,6 +137,38 @@ def test_criterion_2_bound_table(solve_cache):
     report("criterion 2", failures, f"{len(TABLE2)} states checked")
 
 
+def test_criterion_2_through_the_cli(solve_cache, tmp_path):
+    # `cashstock tables --which table2` on configs/paper_table2.json: every
+    # row meets TABLE2 as criterion 2 does, and writes the values of the
+    # tables criterion 2 reads, whose lower bound is MyopicPolicy(hz, "upper")
+    out = tmp_path / "table2"
+    assert main(["tables", "--which", "table2", "--config", str(CONFIGS / "paper_table2.json"),
+                 "--out", str(out)]) == 0
+    lines = (out / "table2.csv").read_text().splitlines()
+    assert lines[0] == ("N,demand,x,v_opt,v_lower,gap_lower,gap_lower_pct,"
+                        "v_upper,gap_upper,gap_upper_pct")
+    key_of = {DEMANDS[instance].label: key for key, instance in PAPER_INSTANCE.items()}
+    failures, rows = [], {}
+    for line in lines[1:]:
+        n, label, x, v, lo, _, _, up, _, _ = line.split(",")
+        rows[int(n), key_of[label], float(x)] = (v, lo, up)
+    assert rows.keys() == TABLE2.keys()
+    for (n, key, x), written in rows.items():
+        instance = PAPER_INSTANCE[key]
+        tables = (solve_cache.solution(instance, n).value(1)(x, 0.0),
+                  solve_cache.myopic_value(instance, n, "upper")(x, 0.0),
+                  solve_cache.selling_back(instance, n)[0](x))
+        for name, cell, table, ref in zip(("V", "lower", "upper"), written, tables,
+                                          TABLE2[n, key, x]):
+            if abs(float(cell) - ref) > 0.015 * ref:
+                failures.append(f"N={n} {key} x={x:.0f}: {name} {cell} vs reference "
+                                f"{ref:.0f} beyond 1.5%")
+            if cell != f"{float(table):.6g}":
+                failures.append(f"N={n} {key} x={x:.0f}: {name} {cell} written, "
+                                f"{float(table):.6g} in the tables")
+    report("criterion 2 through the CLI", failures, f"{len(rows)} rows of table2.csv")
+
+
 def test_paper_table_configs_hold_the_reference_instances(desk_grid):
     # configs/paper_table1.json and paper_table2.json give `cashstock tables`
     # the instances criteria 1 and 2 solve: demands, economics, horizons,
@@ -171,7 +203,8 @@ def test_criterion_3_closed_form_equivalence(desk_grid):
     rel = np.abs(sol.value(1).values - closed) / (np.abs(closed) + 1.0)
     if rel.max() > 5e-3:
         failures.append(f"grid DP vs closed form: max rel dev {rel.max():.2e} > 0.5%")
-    spec = cs.speculation_value(PARAMS, SALVAGE, DEMANDS["u0_20"])
+    # the speculation value: expected terminal worth from (0, 0)
+    spec = float(cs.value_closed_form(0.0, 0.0, PARAMS, SALVAGE, DEMANDS["u0_20"]))
     # independent oracle: (p - s) E[D 1{D < borrow level}] by quadrature
     bands = cs.order_bands(cs.fractiles(PARAMS, SALVAGE), DEMANDS["u0_20"])
     nodes, w = DEMANDS["u0_20"].expectation_nodes(np.array([bands.borrow]))
@@ -308,8 +341,8 @@ def test_criterion_7_simulation_self_consistency(solve_cache, desk_grid):
     hz = make_horizon("u0_20", 6)
     sol = solve_cache.solution("u0_20", 6)
     table = solve_thresholds(hz, desk_grid, solution=sol)
-    res = cs.run_policy(hz, cs.ThresholdPolicy(table), cs.State(0.0, 0.0),
-                        1_000_000, seed=2026)
+    res = cs.run_policies(hz, [cs.ThresholdPolicy(table)], cs.State(0.0, 0.0),
+                          1_000_000, seed=2026)[0]
     v = float(sol.value(1)(0.0, 0.0))
     failures = []
     if abs(res.mean - v) > res.half_width + 0.01 * abs(v):

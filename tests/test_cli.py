@@ -20,7 +20,7 @@ BASE_CONFIG = {
     "periods": [{"p": 2000, "c": 1000, "h": 500, "i": 0.01, "l": 0.15}],
     "demands": [{"kind": "uniform", "lo": 0, "hi": 20}],
     "grid": {"x_max": 40, "y_min": -60, "y_max": 120, "nx": 41, "ny": 51},
-    "solver": {"epsilon": 0.001, "mc_paths": 5000, "seed": 7},
+    "solver": {"mc_paths": 5000, "seed": 7},
 }
 
 
@@ -97,25 +97,17 @@ def test_initial_state_needs_two_numbers(tmp_path, capsys):
     assert "initial must be a list of two numbers" in capsys.readouterr().err
 
 
-#: the message of a config that asks for another quadrature rule
-FIXED_RULE = ("solver.quadrature_nodes must be 8 or absent: every expectation uses the "
-              "fixed 8-point Gauss-Legendre rule per segment, got ")
-
-#: the message of a config that asks for another bisection width
-FIXED_EPSILON = ("solver.epsilon must be 0.001 or absent: the bisection pins every threshold "
-                 "to within this fixed width, got ")
-
-
 def test_quadrature_nodes_is_fixed(tmp_path, capsys):
-    # configs written while the order was a setting still load
-    path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": 8})
+    # the quadrature rule and the bisection width are module constants, which
+    # the manifest records; a config key for either is an unknown field
     out = tmp_path / "o"
-    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["solver"]["quadrature_nodes"] == 8
-    for nodes in (0, 16):
-        path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], "quadrature_nodes": nodes})
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert (solver["quadrature_nodes"], solver["epsilon"]) == (8, 0.001)
+    for key, value in (("quadrature_nodes", 8), ("epsilon", 0.001)):
+        path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], key: value})
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
-        assert FIXED_RULE + repr(nodes) in capsys.readouterr().err
+        assert f"solver.{key}: unknown field" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 
@@ -174,15 +166,16 @@ SOLVER = BASE_CONFIG["solver"]
     ({"demands": [{"kind": "uniform", "lo": None, "hi": 20}]}, "demands[0].lo must be a number"),
     ({"solver": {**SOLVER, "seed": "x"}}, "solver.seed must be an integer >= 0"),
     ({"solver": {**SOLVER, "mc_paths": 0}}, "solver.mc_paths must be a positive integer"),
-    ({"solver": {**SOLVER, "epsilon": -1}}, FIXED_EPSILON + "-1"),
-    ({"solver": {**SOLVER, "epsilon": 0}}, FIXED_EPSILON + "0"),
-    ({"solver": {**SOLVER, "epsilon": 1e-4}}, FIXED_EPSILON + "0.0001"),
-    ({"check_reachability": "no"}, "check_reachability must be true or false"),
+    ({"solver": {**SOLVER, "epsilon": -1}}, "solver.epsilon: unknown field"),
+    ({"solver": {**SOLVER, "epsilon": 0}}, "solver.epsilon: unknown field"),
+    ({"solver": {**SOLVER, "epsilon": 1e-4}}, "solver.epsilon: unknown field"),
+    ({"check_reachability": "no"}, "check_reachability: unknown field"),
     ({"N": 10 ** 6}, "N must be at most 1000, got 1000000"),
     ({"grid": {**BASE_CONFIG["grid"], "nx": 1e15}}, "gives 1e+15 nodes; at most 4001"),
     ({"grid": {**BASE_CONFIG["grid"], "ny": 4002}}, "gives 4002 nodes; at most 4001"),
     ({"solver": {**SOLVER, "mc_paths": 10 ** 12}}, "solver.mc_paths must be at most 50000000"),
-    ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}}, FIXED_RULE + repr(10 ** 15)),
+    ({"solver": {**SOLVER, "quadrature_nodes": 10 ** 15}},
+     "solver.quadrature_nodes: unknown field"),
     ({"table_horizons": [3, 10 ** 9]}, "table_horizons[1] must be at most 2000"),
     ({"solver": {**SOLVER, "mc_path": 5}},
      "solver.mc_path: unknown field; did you mean 'mc_paths'?"),
@@ -228,10 +221,9 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 #: every field of BASE_CONFIG, the nested ones too, and the optional fields
-FIELDS = ([(k,) for k in (*BASE_CONFIG, "initial", "table_states", "table_horizons",
-                          "check_reachability")]
+FIELDS = ([(k,) for k in (*BASE_CONFIG, "initial", "table_states", "table_horizons")]
           + [("grid", k) for k in BASE_CONFIG["grid"]]
-          + [("solver", k) for k in (*SOLVER, "quadrature_nodes")]
+          + [("solver", k) for k in SOLVER]
           + [("periods", 0, k) for k in BASE_CONFIG["periods"][0]]
           + [("demands", 0, k) for k in BASE_CONFIG["demands"][0]])
 
@@ -338,6 +330,13 @@ def test_readme_config_schema_loads(tmp_path):
     assert cfg.horizon().n_periods == cfg.n_periods == 6
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == example.count("print(")
+
+
 def per_cell_csv(header, rows) -> str:
     """Reference: every cell formatted on its own, numbers as %.6g."""
     return "".join(",".join(v if isinstance(v, str) else f"{float(v):.6g}" for v in row) + "\n"
@@ -385,13 +384,49 @@ def test_solve_deterministic_across_runs(tmp_path):
 
 
 def test_check_reachability_true_is_config_error(tmp_path, capsys):
-    path = write_config(tmp_path, check_reachability=True)
+    # the solver has no grid-reachability gate, so the key is unknown
     out = tmp_path / "o"
-    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
-    assert ("check_reachability must be false or absent: the grid-reachability gate "
-            "was removed") in capsys.readouterr().err
+    for value in (True, False):
+        path = write_config(tmp_path, check_reachability=value)
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert "check_reachability: unknown field" in capsys.readouterr().err
     assert not out.exists()  # rejected before anything is solved
-    load_config(str(write_config(tmp_path, check_reachability=False)))
+
+
+#: the grid of BASE_CONFIG, as the out-of-grid message gives it
+ON_GRID = ("outside the grid, x in [0, 40] and y in [-60, 120], where its value would be "
+           "extrapolated")
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    (["solve"], {"initial": [60, 200]}, "initial puts the state (60, 200) " + ON_GRID),
+    (["tables", "--which", "table1"], {"initial": [0, -61]},
+     "initial puts the state (0, -61) " + ON_GRID),
+    (["tables", "--which", "table2"], {"table_states": [0, 80]},
+     "table_states[1] puts the state (80, 0) " + ON_GRID),
+], ids=["solve_initial", "table1_initial", "table2_table_states"])
+def test_state_outside_the_grid_is_config_error(tmp_path, capsys, monkeypatch, command, changes,
+                                                message):
+    # a table read off the grid would be a silent extrapolation: the command
+    # stops before any solve
+    def no_solve(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr("cashstock.dp._induct", no_solve)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, **changes)
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
+def test_default_table_states_do_not_fail_solve_on_a_small_grid(tmp_path):
+    # only `tables --which table2` reads the table at table_states
+    grid = {"x_max": 10, "y_min": -20, "y_max": 30, "nx": 11, "ny": 11}
+    path = write_config(tmp_path, grid=grid)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert main(["tables", "--which", "table2", "--config", str(path),
+                 "--out", str(tmp_path / "t")]) == 2
 
 
 def test_tables_policy_gaps(tmp_path):

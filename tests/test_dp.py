@@ -7,9 +7,11 @@ from cashstock.dp import (
     Z_TOL,
     Grid,
     ValueTable,
+    _expected_next,
     _induct,
     _myopic_targets,
     _next_state,
+    _terminal_wealth,
     golden_max,
     interp1,
     interp2,
@@ -180,21 +182,18 @@ def test_partials_concave_table_nonincreasing():
 
 def test_transition_examples():
     hz = make_horizon("u0_20", 3)
-    # stationary normalized economics: p' = 2, h' = 0.5, c' = 1
-    s = cs.transition(cs.State(4.0, 6.0), 10.0, 4.0, 1, hz)
-    assert (s.x, s.y) == pytest.approx((6.0, 5.0))
-    s = cs.transition(cs.State(4.0, 6.0), 12.0, 15.0, 1, hz)
-    assert (s.x, s.y) == pytest.approx((0.0, 21.7))
-    with pytest.raises(ValueError):
-        cs.transition(cs.State(4.0, 6.0), 3.0, 1.0, 1, hz)
+    # stationary normalized economics: p' = 2, h' = 0.5, c' = 1; from the
+    # state (4, 6), net worth 10
+    assert _next_state(10.0, 10.0, 4.0, 1, hz) == pytest.approx((6.0, 5.0))
+    assert _next_state(12.0, 10.0, 15.0, 1, hz) == pytest.approx((0.0, 21.7))
 
 
 def test_transition_hold_and_deposit():
-    # z = x, no demand, h = 0, i = 0: stock unchanged, cash re-deposited flat
+    # z = x = 5 from (5, 7), no demand, h = 0, i = 0: stock unchanged, cash
+    # re-deposited flat
     params = cs.PeriodParams(2000, 1000, 0.0, 0.0, 0.15)
     hz = cs.HorizonSpec.stationary(3, params, U20, SALVAGE)
-    s = cs.transition(cs.State(5.0, 7.0), 5.0, 0.0, 1, hz)
-    assert (s.x, s.y) == pytest.approx((5.0, 7.0))
+    assert _next_state(5.0, 12.0, 0.0, 1, hz) == pytest.approx((5.0, 7.0))
 
 
 def period_n_tables(solver, key, grid):
@@ -251,14 +250,18 @@ def test_pure_debt_service_in_period_n():
 
 
 def test_stage_value_contract():
+    # the stage value of z from net worth xi is the expectation of the next
+    # value through the transition, per element; a constant table gives itself
     hz = make_horizon("u0_20", 2)
     g = Grid.regular(40, -60, 120, 41, 51)
     vt = ValueTable(2, g, np.full(g.shape, 123.0))
-    with pytest.raises(ValueError):
-        cs.stage_value(5.0, 0.0, 0.0, 2, hz, vt)  # terminal handled separately
-    assert cs.stage_value(7.0, 1.0, 3.0, 1, hz, vt) == pytest.approx(123.0)
-    with pytest.raises(ValueError):
-        cs.stage_value(0.5, 1.0, 3.0, 1, hz, vt)
+    assert _expected_next(7.0, 4.0, hz, 1, vt) == pytest.approx([123.0])
+    zs = np.array([1.0, 7.0, 30.0])
+    assert _expected_next(zs, np.full(3, 4.0), hz, 1, vt) == pytest.approx(np.full(3, 123.0))
+    # in period N the next value is terminal wealth: the closed form's G at
+    # the order z - x, here from (1, 3)
+    assert _expected_next(7.0, 4.0, hz, 2, _terminal_wealth) == pytest.approx(
+        [cs.expected_value_G(6.0, 1.0, 3.0, PARAMS, SALVAGE, U20)], rel=1e-12)
 
 
 def brute_force_two_period(x, y, z_lattice, d_lattice):
@@ -282,7 +285,7 @@ def test_stage_value_against_brute_force():
     for x, y in [(0.0, 0.0), (3.0, 8.0), (10.0, -4.0)]:
         oracle = brute_force_two_period(x, y, z_lattice, d_lattice)
         zs = np.maximum(z_lattice, x)
-        got = cs.stage_value(zs, np.full_like(zs, x), np.full_like(zs, y), 1, hz, vt).max()
+        got = _expected_next(zs, np.full_like(zs, x + y), hz, 1, vt).max()
         assert got == pytest.approx(oracle, rel=5e-3)
 
 
@@ -370,7 +373,7 @@ def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
         lower, upper = cs.myopic_lower(hz, n), cs.myopic_upper(hz, n)
         cands = [x + y, lower.borrow, lower.deposit, upper.borrow, upper.deposit]
-        _, v = golden_max(lambda z, _n=n: cs.stage_value(z, x, y, _n, hz, values[_n]),
+        _, v = golden_max(lambda z, _n=n: _expected_next(z, x + y, hz, _n, values[_n]),
                           x, hi, z_tol, candidates=cands)
         values[n - 1] = ValueTable(n, grid, v.reshape(grid.shape))
     return values

@@ -38,6 +38,27 @@ def test_modules_import_only_lower_layers():
                     assert target in below, f"{name} imports {target}"
 
 
+def test_exported_names():
+    # the package's public surface, held exactly as the defaulted parameters
+    # are: a new export is a visible edit here
+    exported = {name for name, obj in vars(cs).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert exported == {
+        "BackorderParams", "BoundReport", "BracketError", "CriticalRatios", "DPSolution",
+        "Demand", "DiscreteEmpirical", "GapRow", "Grid", "HorizonSpec", "InvalidHorizonError",
+        "LoanLimit", "MyopicPolicy", "OrderBands", "PeriodParams", "PiecewiseRateSchedule",
+        "PolicyTable", "SimResult", "State", "ThresholdLadder", "ThresholdPolicy",
+        "ThresholdTable", "Uniform", "ValidationReport", "ValueTable", "WorthValueTable",
+        "ZeroInflatedPoisson", "backorder_dp", "backorder_grid", "backward_induct",
+        "compare_bounds", "expected_value_G", "fractiles", "gap_report", "integer_uniform",
+        "loan_limited_dp", "loan_limited_policy", "myopic_lower", "myopic_upper",
+        "normalized_params", "optimal_order", "order_bands", "partials", "piecewise_dp",
+        "piecewise_optimal_order", "piecewise_thresholds", "policy_from_thresholds",
+        "policy_value_tables", "run_policies", "selling_back_dp", "solve_thresholds",
+        "stage_slope_borrowing", "stage_slope_deposit", "validate", "value_closed_form",
+    }
+
+
 def test_exported_functions_keep_their_defaulted_parameters():
     # every defaulted parameter is a setting some caller must be able to
     # change; a new one needs a caller that sets it

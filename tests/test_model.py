@@ -115,11 +115,6 @@ def test_upper_myopic_validity_flag():
     assert any("liquidation" in w for w in validate(hz).warnings)
 
 
-def test_state_net_worth():
-    s = cs.State(3.0, -5.0)
-    assert s.net_worth == -2.0
-
-
 def test_make_horizon_helper():
     hz = make_horizon("u0_20", 6)
     assert hz.n_periods == 6

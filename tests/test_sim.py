@@ -10,7 +10,6 @@ from cashstock.sim import (
     ThresholdPolicy,
     gap_report,
     run_policies,
-    run_policy,
 )
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
@@ -34,7 +33,7 @@ def test_pure_compounding_with_zero_demand():
     # q = 0 forever, no demand: cash just compounds at the deposit rate
     demand = cs.DiscreteEmpirical((0.0,), (1.0,))
     hz = cs.HorizonSpec.stationary(5, cs.PeriodParams(**BASE_ECON), demand, SALVAGE)
-    res = run_policy(hz, NoOrderPolicy(), cs.State(0.0, 10.0), 64, seed=0)
+    res = run_policies(hz, [NoOrderPolicy()], cs.State(0.0, 10.0), 64, seed=0)[0]
     assert res.mean == pytest.approx(10.0 * 1000.0 * 1.01**5, rel=1e-12)
     assert res.half_width == pytest.approx(0.0, abs=1e-9)
 
@@ -42,7 +41,7 @@ def test_pure_compounding_with_zero_demand():
 def test_single_period_optimum_from_empty_state():
     # with N = 1 the lower myopic policy is the plain single-period rule
     hz = make_horizon("u0_20", 1)
-    res = run_policy(hz, MyopicPolicy(hz, "lower"), cs.State(0.0, 0.0), 400_000, seed=5)
+    res = run_policies(hz, [MyopicPolicy(hz, "lower")], cs.State(0.0, 0.0), 400_000, seed=5)[0]
     # closed-form expectation 5160.71
     assert abs(res.mean - 5160.714285714286) <= res.half_width
 
@@ -50,9 +49,9 @@ def test_single_period_optimum_from_empty_state():
 def test_determinism_and_seeding():
     hz = make_horizon("u0_20", 3)
     pol = MyopicPolicy(hz, "lower")
-    a = run_policy(hz, pol, cs.State(0.0, 0.0), 5000, seed=11)
-    b = run_policy(hz, pol, cs.State(0.0, 0.0), 5000, seed=11)
-    c = run_policy(hz, pol, cs.State(0.0, 0.0), 5000, seed=12)
+    a = run_policies(hz, [pol], cs.State(0.0, 0.0), 5000, seed=11)[0]
+    b = run_policies(hz, [pol], cs.State(0.0, 0.0), 5000, seed=11)[0]
+    c = run_policies(hz, [pol], cs.State(0.0, 0.0), 5000, seed=12)[0]
     assert a.mean == b.mean and a.half_width == b.half_width
     assert a.mean != c.mean
     assert a.half_width > 0
@@ -62,16 +61,16 @@ def test_determinism_and_seeding():
 def test_negative_order_rejected():
     hz = make_horizon("u0_20", 2)
     with pytest.raises(ValueError):
-        run_policy(hz, NegativePolicy(), cs.State(0.0, 0.0), 10, seed=0)
+        run_policies(hz, [NegativePolicy()], cs.State(0.0, 0.0), 10, seed=0)[0]
     with pytest.raises(ValueError):
-        run_policy(hz, NoOrderPolicy(), cs.State(0.0, 0.0), 0, seed=0)
+        run_policies(hz, [NoOrderPolicy()], cs.State(0.0, 0.0), 0, seed=0)[0]
 
 
 def test_common_random_numbers_across_policies():
     # same seed, same demand draws: the value gap is much tighter than the CI
     hz = make_horizon("u0_20", 4)
-    lo = run_policy(hz, MyopicPolicy(hz, "lower"), cs.State(0.0, 0.0), 50_000, seed=2)
-    up = run_policy(hz, MyopicPolicy(hz, "upper"), cs.State(0.0, 0.0), 50_000, seed=2)
+    lo = run_policies(hz, [MyopicPolicy(hz, "lower")], cs.State(0.0, 0.0), 50_000, seed=2)[0]
+    up = run_policies(hz, [MyopicPolicy(hz, "upper")], cs.State(0.0, 0.0), 50_000, seed=2)[0]
     assert up.mean > lo.mean  # better policy wins on CRN paths
 
 
@@ -91,7 +90,7 @@ def test_gap_report_fields(small_grid):
 def test_gap_report_consistent_with_simulation(small_grid):
     hz = make_horizon("u0_20", 3)
     row = gap_report(hz, small_grid)
-    sim = run_policy(hz, MyopicPolicy(hz, "lower"), cs.State(0.0, 0.0), 400_000, seed=9)
+    sim = run_policies(hz, [MyopicPolicy(hz, "lower")], cs.State(0.0, 0.0), 400_000, seed=9)[0]
     assert abs(sim.mean - row.lower_value) <= sim.half_width + 0.01 * abs(row.lower_value)
 
 
@@ -99,7 +98,7 @@ def test_threshold_policy_simulation_matches_dp(small_grid):
     hz = make_horizon("u0_20", 3)
     sol = cs.backward_induct(hz, small_grid)
     table = cs.solve_thresholds(hz, small_grid, solution=sol)
-    res = run_policy(hz, ThresholdPolicy(table), cs.State(0.0, 0.0), 400_000, seed=13)
+    res = run_policies(hz, [ThresholdPolicy(table)], cs.State(0.0, 0.0), 400_000, seed=13)[0]
     v = float(sol.value(1)(0.0, 0.0))
     assert abs(res.mean - v) <= res.half_width + 0.01 * abs(v)
 
@@ -129,7 +128,7 @@ def test_run_policies_equals_separate_runs(three_policies, paths):
     together = run_policies(hz, policies, start, paths, seed=31)
     assert [r.label for r in together] == ["two-threshold", "myopic-lower", "myopic-upper"]
     for policy, res in zip(policies, together):
-        alone = run_policy(hz, policy, start, paths, seed=31)
+        alone = run_policies(hz, [policy], start, paths, seed=31)[0]
         assert res == alone  # mean, half_width, paths and label, bit for bit
         assert (res.mean, res.half_width) == whole_array_run(hz, policy, start, paths, 31)
 

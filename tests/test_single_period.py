@@ -7,7 +7,6 @@ from cashstock.single_period import (
     fractiles,
     optimal_order,
     order_bands,
-    speculation_value,
     value_closed_form,
 )
 
@@ -103,18 +102,20 @@ def test_value_equals_G_at_optimal_order():
 
 
 def test_speculation_value():
+    # expected terminal worth from (0, 0): (p - s) E[D; D < borrow level] > 0
+    def spec(demand):
+        return value_closed_form(0.0, 0.0, PARAMS, SALVAGE, demand)
+
     # (p - s) * int_0^alpha t f(t) dt = 1400 * alpha^2/40
-    assert speculation_value(PARAMS, SALVAGE, U20) == pytest.approx(
-        1400 * (20 * A_EXACT) ** 2 / 40, rel=1e-12)
+    assert spec(U20) == pytest.approx(1400 * (20 * A_EXACT) ** 2 / 40, rel=1e-12)
     # U(6,14): 1400 * (alpha^2 - 36)/16 with alpha = 6 + 8a = 10.857143
     alpha = 6 + 8 * A_EXACT
-    assert speculation_value(PARAMS, SALVAGE, U614) == pytest.approx(
-        1400 * (alpha**2 - 36) / 16, rel=1e-12)
-    assert speculation_value(PARAMS, SALVAGE, U614) == pytest.approx(7164.2857, abs=1e-3)
+    assert spec(U614) == pytest.approx(1400 * (alpha**2 - 36) / 16, rel=1e-12)
+    assert spec(U614) == pytest.approx(7164.2857, abs=1e-3)
     # no demand, no profit
     zero = cs.DiscreteEmpirical((0.0,), (1.0,))
-    assert speculation_value(PARAMS, SALVAGE, zero) == pytest.approx(0.0, abs=1e-12)
-    assert speculation_value(PARAMS, SALVAGE, U20) > 0.0
+    assert spec(zero) == pytest.approx(0.0, abs=1e-12)
+    assert spec(U20) > 0.0
 
 
 def test_G_concave_in_q():
