@@ -18,6 +18,7 @@ from .dp import (
     DPSolution,
     Grid,
     _expected_next,
+    _require_on_grid,
     _terminal_wealth,
     backward_induct,
     golden_max,
@@ -123,7 +124,8 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
 
     Lower bound: the liquidation-credit myopic policy evaluated under the
     true dynamics. Upper bound: the selling-back relaxation at the state's
-    net worth. Violations beyond CHAIN_TOL relative are flagged.
+    net worth. Violations beyond CHAIN_TOL relative are flagged. A state
+    outside the grid, where the tables would be extrapolated, raises.
 
     `lengths` are the horizon lengths n <= N to report (default: N alone),
     each for every state, in the order given. The n-period horizon is the
@@ -136,6 +138,8 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
     lengths = [n_last] if lengths is None else list(lengths)
     if not all(1 <= n <= n_last for n in lengths):
         raise ValueError(f"horizon lengths {lengths} must lie in 1..{n_last}")
+    for k, (x, y) in enumerate(states):
+        _require_on_grid(grid, f"states[{k}]", x, y)
     if solution is None:
         solution = backward_induct(horizon, grid)
     elif solution.horizon != horizon or not (

@@ -4,7 +4,7 @@ Subcommands: solve, tables, figures, simulate. Config is a JSON document;
 see README for the schema. Every run writes a manifest listing the emitted
 files; CSV bodies are deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 2 config error, 3 solver bracket failure.
+Exit codes: 0 success, 2 config error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 import time
 from dataclasses import astuple, dataclass
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +27,13 @@ from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_
                      selling_back_dp)
 from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson,
                      integer_uniform)
-from .dp import Grid, backward_induct
+from .dp import Grid, _require_on_grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
-from .thresholds import EPSILON, BracketError, solve_thresholds
+from .thresholds import EPSILON, ThresholdTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_SOLVER = 3
 
 #: upper bounds on the sizes a config may ask for, so that an absurd value
 #: is a config error before anything is allocated; each is far beyond the
@@ -251,27 +249,38 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
+def _fmt_column(column) -> list[str]:
+    # each distinct float formatted once; distinct by bit pattern, so that
+    # -0.0, 0.0 and NaN keep their own text
+    bits = np.asarray(column, dtype=float).view(np.uint64)
+    distinct, at = np.unique(bits, return_inverse=True)
+    text = np.array([_fmt(v) for v in distinct.view(float).tolist()], dtype=object)
+    return text[at].tolist()
+
+
 class Emitter:
     """Writes CSVs into the output directory and records them for the manifest."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list[str] = []
+        #: per period, the binding threshold levels clipped into their
+        #: brackets (solve and simulate); written to the manifest when set
+        self.clipped_levels: list[dict] | None = None
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         """Write `rows`, a 2-D array or an iterable of rows, under `header`.
 
-        Numbers are written as `_fmt` writes them and string cells as they
-        are; each column holds numbers or strings throughout, as its first
-        row does.
+        Numbers are written as `_fmt` writes them, each distinct number of a
+        column formatted once, and string cells as they are; each column
+        holds numbers or strings throughout, as its first row does.
         """
-        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
-        text = ",".join(header) + "\n"
-        if rows:
-            line = ",".join("%s" if isinstance(v, str) else "%.6g" for v in rows[0])
-            text += "\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows)) + "\n"
-        (self.out_dir / name).write_text(text)
+        columns = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
+        cells = [col if isinstance(col[0], str) else _fmt_column(col)
+                 for col in columns if len(col)]
+        lines = [",".join(header), *map(",".join, zip(*cells))]
+        (self.out_dir / name).write_text("\n".join(lines) + "\n")
         self.files.append(name)
 
     def write_manifest(self, command: str, cfg: RunConfig) -> None:
@@ -288,22 +297,31 @@ class Emitter:
             },
             "outputs": sorted(self.files),
         }
+        if self.clipped_levels is not None:
+            manifest["clipped_levels"] = self.clipped_levels
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _require_on_grid(grid: Grid, what: str, x: float, y: float) -> None:
-    """A table read at a state outside the grid would be extrapolated."""
-    (x_lo, x_hi), (y_lo, y_hi) = ((v[0], v[-1]) for v in (grid.x_nodes, grid.y_nodes))
-    _require(x_lo <= x <= x_hi and y_lo <= y <= y_hi,
-             f"{what} puts the state ({x:g}, {y:g}) outside the grid, x in [{x_lo:g}, "
-             f"{x_hi:g}] and y in [{y_lo:g}, {y_hi:g}], where its value would be extrapolated")
+def _state_on_grid(grid: Grid, what: str, x: float, y: float) -> None:
+    try:
+        _require_on_grid(grid, what, x, y)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _clipped_levels(table: ThresholdTable) -> list[dict]:
+    """Per period, how many binding levels fell outside their myopic bracket
+    and were clipped into it: a grid too coarse for the levels shows here."""
+    return [{"period": row.n, "borrow": row.borrow_clipped, "deposit": row.deposit_clipped}
+            for row in table.periods]
 
 
 def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
-    _require_on_grid(cfg.grid, "initial", *cfg.initial)
+    _state_on_grid(cfg.grid, "initial", *cfg.initial)
     solution = backward_induct(horizon, cfg.grid)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution)
+    table = ThresholdTable.from_solution(solution)
+    out.clipped_levels = _clipped_levels(table)
     X, Y = cfg.grid.mesh()
     for n in range(1, horizon.n_periods + 1):
         policy = solution.policy(n)
@@ -329,7 +347,7 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
         for k, dem in enumerate(cfg.demands):
             _require(dem.mean() > 0, f"demands[{k}] has mean 0: table1's cv column "
                      "(standard deviation / mean) is undefined")
-        _require_on_grid(cfg.grid, "initial", *cfg.initial)
+        _state_on_grid(cfg.grid, "initial", *cfg.initial)
         horizons = [cfg.horizon(demand=dem) for dem in cfg.demands]
         rows = [astuple(gap_report(hz, cfg.grid, State(*cfg.initial))) for hz in horizons]
         out.write_csv("table1.csv",
@@ -342,7 +360,7 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
     lengths = sorted(set(cfg.table_horizons))
     states = [(x, 0.0) for x in cfg.table_states]
     for k, (x, y) in enumerate(states):
-        _require_on_grid(cfg.grid, f"table_states[{k}]", x, y)
+        _state_on_grid(cfg.grid, f"table_states[{k}]", x, y)
     horizons = [cfg.longest_horizon(lengths, demand=dem) for dem in cfg.demands]
     try:  # the relaxation's condition reads the periods, which every demand shares
         _require_no_sellback_profit(horizons[0])
@@ -389,8 +407,8 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     horizon = cfg.horizon()
-    solution = backward_induct(horizon, cfg.grid)
-    table = solve_thresholds(horizon, cfg.grid, solution=solution)
+    table = ThresholdTable.from_solution(backward_induct(horizon, cfg.grid))
+    out.clipped_levels = _clipped_levels(table)
     initial = State(*cfg.initial)
     policies = [ThresholdPolicy(table, label="optimal-thresholds"),
                 MyopicPolicy(horizon, "lower"), MyopicPolicy(horizon, "upper")]
@@ -440,9 +458,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BracketError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     out.write_manifest(args.command, cfg)
     return code
 

@@ -258,6 +258,15 @@ def _smallest_argmax(zs, fs):
     return np.where(fs >= tie, zs, np.inf).min(axis=0), best
 
 
+def _require_on_grid(grid: Grid, what: str, x: float, y: float) -> None:
+    """A table read at a state outside the grid would be extrapolated."""
+    (x_lo, x_hi), (y_lo, y_hi) = ((v[0], v[-1]) for v in (grid.x_nodes, grid.y_nodes))
+    if not (x_lo <= x <= x_hi and y_lo <= y <= y_hi):
+        raise ValueError(
+            f"{what} puts the state ({x:g}, {y:g}) outside the grid, x in [{x_lo:g}, "
+            f"{x_hi:g}] and y in [{y_lo:g}, {y_hi:g}], where its value would be extrapolated")
+
+
 def worth_grid(grid: Grid) -> np.ndarray:
     """Deduplicated union of x + y node sums."""
     sums = (grid.x_nodes[:, None] + grid.y_nodes[None, :]).ravel()
@@ -275,7 +284,9 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
     [max(x, xi + a_k), min(hi, xi + b_k)] and evaluates f there if the clip
     binds; a branch that misses [x, hi] gives -inf. The best branch wins
     (`_smallest_argmax`). `hi` is a scalar or one bound per node in
-    grid.mesh() order, as are the results. Returns (argmax, value).
+    grid.mesh() order, as are the results. Returns (argmax, value, z_w),
+    z_w the list of each branch's z_k(w) on worth_grid(grid), before any
+    node's clip.
     """
     X, Y = grid.mesh()
     x_flat = X.ravel()
@@ -284,7 +295,7 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
     worth = worth_grid(grid)
     # worth_grid rounds the same sums, so every node finds its exact entry
     at = np.searchsorted(worth, np.round(xi_flat, 9))
-    z_parts, v_parts = [], []
+    z_parts, v_parts, z_worth = [], [], []
     for k, (a, b) in enumerate(branches):
         # golden_max evaluates the bracket's lower end; add the upper, if finite
         ends = [worth + b] if np.isfinite(b) else []
@@ -301,9 +312,10 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
         v[lo_k > hi_k] = -np.inf
         z_parts.append(z)
         v_parts.append(v)
+        z_worth.append(z_w)
     if len(z_parts) == 1:  # its own best; stacked copies would grow the heap
-        return z_parts[0], v_parts[0]
-    return _smallest_argmax(np.stack(z_parts), np.stack(v_parts))
+        return z_parts[0], v_parts[0], z_worth
+    return (*_smallest_argmax(np.stack(z_parts), np.stack(v_parts)), z_worth)
 
 
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
@@ -319,6 +331,10 @@ class DPSolution:
     grid: Grid
     values: list[ValueTable]    # values[n-1] is period n
     policies: list[PolicyTable]
+    #: row n-1 is period n's maximizer on worth_grid(grid), before each
+    #: node's clip to [x, hi], for n < N; None where the levels are not a
+    #: rule of net worth alone (tiered rates, a loan limit, backorders)
+    worth_argmax: np.ndarray | None
 
     def value(self, n: int) -> ValueTable:
         return self.values[n - 1]
@@ -341,7 +357,8 @@ class DPSolution:
         return DPSolution(
             HorizonSpec(hz.periods[k:], hz.demands[k:], hz.salvage), self.grid,
             [ValueTable(t.period - k, t.grid, t.values) for t in self.values[k:]],
-            [PolicyTable(t.period - k, t.grid, t.order_up_to) for t in self.policies[k:]])
+            [PolicyTable(t.period - k, t.grid, t.order_up_to) for t in self.policies[k:]],
+            None if self.worth_argmax is None else self.worth_argmax[k:])
 
 
 def _terminal_wealth(x, y):
@@ -375,7 +392,9 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
     `myopic_lower(horizon, N)`) and takes the expectation of terminal
     wealth through the transition. Earlier periods maximize the stage value
     over z in [x, z_max] with worth_search on one unbounded branch, with the
-    myopic order-up-to levels evaluated explicitly. `z_cap(n, x, y)`
+    myopic order-up-to levels evaluated explicitly. Without z_cap or backlog
+    the solution keeps each period's per-worth maximizer, from which
+    `ThresholdTable.from_solution` reads both levels. `z_cap(n, x, y)`
     optionally tightens period n's upper bound per node (loan limits); in
     period N, whose objective is concave in the order, it cuts the closed
     form's order. `backlog` is a backorder penalty (see _next_state and
@@ -386,6 +405,12 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
         raise ValueError("inventory nodes must be nonnegative under lost sales")
     X, Y = grid.mesh()
     x, y = X.ravel(), Y.ravel()
+    # z(w) gives a two-threshold rule of w alone only without a per-node cap
+    # or a backlog. One array for every period, allocated before the
+    # search's temporaries: a table kept per period would sit among them on
+    # the heap and cost 40% more page faults (tables --which table2)
+    worth_argmax = (np.empty((horizon.n_periods - 1, len(worth_grid(grid))))
+                    if z_cap is None and backlog is None else None)
 
     def step(n, next_value):
         if n == horizon.n_periods:
@@ -399,10 +424,14 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
         def f(z, xi, _k):
             return _expected_next(z, xi, horizon, n, next_value, backlog=backlog)
 
-        return worth_search(f, grid, hi, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(horizon, n))
+        z, v, (z_w,) = worth_search(f, grid, hi, Z_TOL, [(-np.inf, np.inf)],
+                                    _myopic_targets(horizon, n))
+        if worth_argmax is not None:
+            worth_argmax[n - 1] = z_w
+        return z, v
 
     values, policies = _induct(horizon, grid, step)
-    return DPSolution(horizon, grid, values, policies)
+    return DPSolution(horizon, grid, values, policies, worth_argmax)
 
 
 def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueTable]:

@@ -173,10 +173,12 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
             return _expected_next(z, xi, horizon, n, next_value,
                                   bank=lambda amount: rate * amount)
 
-        return worth_search(f, grid, z_max, Z_TOL, [(a / cost, b / cost) for _, a, b in tiers])
+        z, v, _ = worth_search(f, grid, z_max, Z_TOL,
+                               [(a / cost, b / cost) for _, a, b in tiers])
+        return z, v
 
     values, policies = _induct(horizon, grid, step)
-    return DPSolution(horizon, grid, values, policies)
+    return DPSolution(horizon, grid, values, policies, None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,4 +265,4 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> DPSolu
     priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
                          horizon.demands, horizon.salvage)
     solution = backward_induct(priced, grid, backlog=b.penalty)
-    return DPSolution(horizon, grid, solution.values, solution.policies)
+    return DPSolution(horizon, grid, solution.values, solution.policies, None)

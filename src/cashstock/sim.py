@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .dp import Grid, _next_state, backward_induct, policy_value_tables
+from .dp import Grid, _next_state, _require_on_grid, backward_induct, policy_value_tables
 from .model import HorizonSpec, State, require_valid
 from .thresholds import ThresholdTable, policy_from_thresholds
 
@@ -138,8 +138,10 @@ def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0
     Values come from policy-evaluation sweeps on the same grid and
     quadrature as the optimal solution, so discretization bias largely
     cancels in the gaps. Monte Carlo is used as a cross-check in tests, not
-    here.
+    here. An initial state outside the grid, where the tables would be
+    extrapolated, raises.
     """
+    _require_on_grid(grid, "initial", initial.x, initial.y)
     solution = backward_induct(horizon, grid)
     v_opt = float(solution.value(1)(initial.x, initial.y))
     values = {}

@@ -1,4 +1,4 @@
-"""Order-up-to thresholds per period via bisection on first-order conditions.
+"""Order-up-to thresholds per period, as functions of net worth.
 
 For periods before the last, the two optimal order-up-to levels at net worth
 w solve phi(z) = 0 (loan-financed level) and psi(z) = 0 (deposit-financed
@@ -6,6 +6,12 @@ level), where phi/psi are the one-sided derivatives of the stage value in z
 on the borrowing and depositing branches. The myopic policies of
 single_period bracket the roots from below (`myopic_lower`) and above
 (`myopic_upper`).
+
+Two tables come from a solved DP. `ThresholdTable.from_solution` reads both
+levels off the DP's own net-worth search: where its maximizer z(w) lies
+above w the loan-financed level binds, and where below, the deposit-financed
+one. `solve_thresholds` is the paper's algorithm: it bisects phi and psi
+between the brackets, and the tests hold the two against each other.
 """
 
 from __future__ import annotations
@@ -117,6 +123,9 @@ class PeriodThresholds:
     upper: single_period.OrderBands
     borrow_iterations: int
     deposit_iterations: int
+    #: binding levels that fell outside their bracket and were clipped into it
+    borrow_clipped: int = 0
+    deposit_clipped: int = 0
 
     @cached_property
     def _worth_search(self) -> _BucketSearch:
@@ -145,6 +154,45 @@ class ThresholdTable:
 
     def period(self, n: int) -> PeriodThresholds:
         return self.periods[n - 1]
+
+    @classmethod
+    def from_solution(cls, solution: DPSolution) -> "ThresholdTable":
+        """Both levels read off the DP's per-worth maximizer z(w).
+
+        Where z(w) > w the loan-financed level binds and is z(w); where
+        z(w) < w the deposit-financed level binds and is z(w). A binding
+        level outside its myopic bracket is clipped into it, and counted. A
+        level that does not bind takes the bracket end that the rule ignores
+        there, lower.borrow or upper.deposit, so borrow <= deposit. The
+        final period's levels are the closed form's, as in solve_thresholds.
+        """
+        if solution.worth_argmax is None:
+            raise ValueError("the solution's levels are not a rule of net worth alone: "
+                             "it has tiered rates, a loan limit or backorders")
+        horizon = solution.horizon
+        n_last = horizon.n_periods
+        worth = worth_grid(solution.grid)
+        pair_n = single_period.myopic_lower(horizon, n_last)
+        rows = [PeriodThresholds(n_last, worth, np.full(len(worth), pair_n.borrow),
+                                 np.full(len(worth), pair_n.deposit), pair_n, pair_n, 0, 0)]
+        for n in range(n_last - 1, 0, -1):
+            lower = single_period.myopic_lower(horizon, n)
+            upper = single_period.myopic_upper(horizon, n)
+            z_w = solution.worth_argmax[n - 1]
+            borrow, borrow_clipped = _bound_level(z_w, z_w > worth, lower.borrow,
+                                                  upper.borrow, lower.borrow)
+            deposit, deposit_clipped = _bound_level(z_w, z_w < worth, lower.deposit,
+                                                    upper.deposit, upper.deposit)
+            rows.append(PeriodThresholds(n, worth, borrow, deposit, lower, upper, 0, 0,
+                                         borrow_clipped, deposit_clipped))
+        return cls(horizon, rows[::-1])
+
+
+def _bound_level(z_w, binds, lo: float, hi: float, idle: float) -> tuple[np.ndarray, int]:
+    # the level z_w clipped into [lo, hi] where it binds, `idle` elsewhere;
+    # and how many binding levels the clip moved
+    outside = binds & ((z_w < lo) | (z_w > hi))
+    return np.where(binds, np.clip(z_w, lo, hi), idle), int(np.count_nonzero(outside))
 
 
 def solve_thresholds(horizon: HorizonSpec, grid: Grid, *,

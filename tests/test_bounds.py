@@ -141,6 +141,18 @@ def test_compare_bounds_reads_shorter_horizons_as_tails(small_bounds):
         compare_bounds(hz, grid, states, lengths=[5], solution=sol)
 
 
+def test_compare_bounds_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
+    # the tables would be extrapolated there: the report stops before any solve
+    def no_solve(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr("cashstock.dp._induct", no_solve)
+    hz = make_horizon("u0_20", 3)
+    with pytest.raises(ValueError, match=r"states\[1\] puts the state \(80, 0\) outside the "
+                       r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
+        compare_bounds(hz, small_grid, [(0.0, 0.0), (80.0, 0.0)])
+
+
 def test_compare_bounds_rejects_a_mismatched_solution(small_bounds):
     hz, grid, sol, _ = small_bounds
     states = [(0.0, 0.0)]

@@ -345,9 +345,13 @@ def per_cell_csv(header, rows) -> str:
 
 def test_write_csv_bytes_match_per_cell_format(tmp_path):
     label = DiscreteEmpirical(tuple(range(21)), (1 / 21,) * 21).label  # as `tables` writes it
+    # each column formats its distinct numbers once: -0.0 and 0.0, NaNs of
+    # either sign and both infinities must keep their own text
     cells = [-0.0, 1e-7, 123456789.0, 123456789, 4.0, float("nan"), float("inf"),
              np.float64(0.1) + 0.2, np.int64(5000), -2.5e-300]
-    rows = [(label, *cells), (label, *cells[::-1])]
+    signed = [0.0, -0.0, -float("nan"), float("-inf"), float("inf"), float("nan"), -0.0, 0.0,
+              float("-inf"), 1e-7]
+    rows = [(label, *cells), (label, *cells[::-1]), (label, *signed), (label, *cells)]
     header = ["demand", *(f"c{k}" for k in range(len(cells)))]
     out = Emitter(tmp_path)
     out.write_csv("rows.csv", header, rows)
@@ -372,6 +376,30 @@ def test_solve_outputs_and_manifest(tmp_path):
     assert header == ["period", "net_worth", "borrow_lo", "borrow", "borrow_hi",
                       "deposit_lo", "deposit", "deposit_hi"]
     assert len(rows) > 100
+
+
+def test_grid_bound_bracket_horizon_solves_and_counts_its_clips(tmp_path):
+    # tests/test_properties.py's GRID_BOUND_BRACKET on the desk axes at grid
+    # scale 0.5 (81x101), where the bisection's bracket check blames the
+    # grid: the levels read off the DP lie inside their brackets, and the
+    # manifest counts the binding levels that had to be clipped into them
+    grid = json.loads((CONFIGS / "base.json").read_text())["grid"]
+    periods = [{"p": 1095.703125, "c": 1000, "h": 0, "i": 0, "l": 0.03125},
+               {"p": 2337.5, "c": 935, "h": 0, "i": 0, "l": 0.25}]
+    path = write_config(tmp_path, N=2, periods=periods, salvage=0, grid=grid)
+    for command in ("solve", "simulate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--grid-scale", "0.5", "--paths", "1000"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver"]["grid_shape"] == [81, 101]
+        assert manifest["clipped_levels"] == [{"period": 1, "borrow": 0, "deposit": 3},
+                                              {"period": 2, "borrow": 0, "deposit": 0}]
+    _, rows = read_csv(tmp_path / "solve" / "thresholds.csv")
+    _, _, borrow_lo, borrow, borrow_hi, deposit_lo, deposit, deposit_hi = np.array(
+        rows, dtype=float).T
+    assert np.all((borrow_lo <= borrow) & (borrow <= borrow_hi))
+    assert np.all((deposit_lo <= deposit) & (deposit <= deposit_hi))
 
 
 def test_solve_deterministic_across_runs(tmp_path):

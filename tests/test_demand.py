@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cashstock
@@ -140,10 +140,13 @@ def test_expectation_nodes_per_element_kink():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 30.0), st.floats(0.5, 30.0), st.floats(0.0, 20.0), st.floats(0.0, 1.0),
        st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), st.floats(1.0, 10.0))
+@example(lo=0.0, width=1.0, below=5e-324, at=0.0, cubic=[0.0, 0.0, 1.0, 0.0], step=1.0)
 def test_sales_nodes_match_expectation_nodes_over_sales(lo, width, below, at, cubic, step):
     # E[g(min(D, z)) + step 1{D <= z}] for z below, inside and above the
     # support: the step term reads the tail node's place, which must lie
-    # above z wherever it holds weight (the threshold slope's right limit)
+    # above z wherever it holds weight (the threshold slope's right limit).
+    # The bound is floored at the smallest normal float: with z a subnormal
+    # below the support, g underflows in the reference and its scale is 0
     demand = Uniform(lo, lo + width)
     z = np.array([lo - below, lo + at * width, lo + width + below])
 
@@ -154,7 +157,7 @@ def test_sales_nodes_match_expectation_nodes_over_sales(lo, width, below, at, cu
 
     got, _ = expect(demand.sales_nodes(z))
     want, scale = expect(demand.expectation_nodes(z))
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * scale, np.finfo(float).tiny))
     assert np.all(np.abs(demand.sales_nodes(z)[1].sum(axis=1) - 1.0) <= 1e-12)
 
 

@@ -415,7 +415,9 @@ def full_segment_oracle(hz, grid):
             return np.sum(next_table(x_next, y_next) * w, axis=1)
 
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
-        return worth_search(f, grid, z_max, Z_TOL, [(-np.inf, np.inf)], _myopic_targets(hz, n))
+        z, v, _ = worth_search(f, grid, z_max, Z_TOL, [(-np.inf, np.inf)],
+                               _myopic_targets(hz, n))
+        return z, v
 
     return _induct(hz, grid, step)
 

@@ -87,6 +87,18 @@ def test_gap_report_fields(small_grid):
     assert row.upper_gap_pct < row.lower_gap_pct
 
 
+def test_gap_report_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
+    # the tables would be extrapolated there: the report stops before any solve
+    def no_solve(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr("cashstock.dp._induct", no_solve)
+    hz = make_horizon("u0_20", 3)
+    with pytest.raises(ValueError, match=r"initial puts the state \(60, 200\) outside the "
+                       r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
+        gap_report(hz, small_grid, cs.State(60.0, 200.0))
+
+
 def test_gap_report_consistent_with_simulation(small_grid):
     hz = make_horizon("u0_20", 3)
     row = gap_report(hz, small_grid)

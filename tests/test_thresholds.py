@@ -165,6 +165,66 @@ def test_solve_thresholds_structure(small_solution):
             assert row.borrow_iterations == 0
 
 
+@pytest.mark.parametrize("key", ["u0_20", "iu0_20", "zip18"])
+def test_levels_read_off_the_dp_reproduce_its_policy(small_grid, key):
+    # where the search's per-worth maximizer lies inside its bracket, the
+    # two-threshold rule on the table gives the DP's own order at every node;
+    # every level lies inside its bracket
+    hz = make_horizon(key, 3)
+    sol = cs.backward_induct(hz, small_grid)
+    table = cs.ThresholdTable.from_solution(sol)
+    X, Y = small_grid.mesh()
+    x, y = X.ravel(), Y.ravel()
+    worth = worth_grid(small_grid)
+    at = np.searchsorted(worth, np.round(x + y, 9))
+    for row in table.periods:
+        n, lo, up = row.n, row.lower, row.upper
+        assert np.all((lo.borrow <= row.borrow) & (row.borrow <= up.borrow))
+        assert np.all((lo.deposit <= row.deposit) & (row.deposit <= up.deposit))
+        assert np.all(row.borrow <= row.deposit)
+        if n < hz.n_periods:
+            z_w, w = sol.worth_argmax[n - 1][at], worth[at]
+            inside = (((z_w > w) & (lo.borrow <= z_w) & (z_w <= up.borrow))
+                      | ((z_w < w) & (lo.deposit <= z_w) & (z_w <= up.deposit))
+                      | ((z_w == w) & (lo.borrow <= w) & (w <= up.deposit)))
+            # on U(0,20) the deposit level sits at its upper bracket end, and
+            # the grid puts 8 and 19 worths' maximizers just beyond it (2% of
+            # the nodes); the rest must follow the rule
+            assert inside.mean() > 0.95
+        else:
+            inside = np.ones_like(x, dtype=bool)
+        z_rule = x + cs.policy_from_thresholds(table, x, y, n)
+        z_dp = sol.policy(n).order_up_to.ravel()
+        assert np.abs(z_rule - z_dp)[inside].max() <= 1e-9, n
+
+
+def test_levels_read_off_a_tail_are_the_tail_of_the_levels(small_solution):
+    hz, grid, sol = small_solution
+    whole = cs.ThresholdTable.from_solution(sol)
+    tail = cs.ThresholdTable.from_solution(sol.tail(1))
+    assert tail.horizon == make_horizon("u0_20", 3)
+    for got, want in zip(tail.periods, whole.periods[1:], strict=True):
+        assert got.n == want.n - 1
+        for field in ("borrow", "deposit"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.borrow_clipped, got.deposit_clipped) == (want.borrow_clipped,
+                                                             want.deposit_clipped)
+
+
+@pytest.mark.parametrize("solver", [
+    lambda hz, g: cs.piecewise_dp(hz, cs.PiecewiseRateSchedule((0.15, 0.30), (5000.0,), (0.01,)), g),
+    lambda hz, g: cs.loan_limited_dp(hz, cs.LoanLimit(3000.0), g),
+    lambda hz, g: cs.backorder_dp(hz, cs.BackorderParams(50.0), cs.backorder_grid(hz, g)),
+], ids=["piecewise", "loan_limited", "backorder"])
+def test_levels_need_a_rule_of_net_worth_alone(small_grid, solver):
+    # tiered rates search several branches; a loan cap and the backorder
+    # horizon's priced search move the levels off the lost-sales brackets
+    sol = solver(make_horizon("u0_20", 2), small_grid)
+    assert sol.worth_argmax is None
+    with pytest.raises(ValueError, match="net worth alone"):
+        cs.ThresholdTable.from_solution(sol)
+
+
 def test_nearly_equal_rates_collapse_roots():
     params = cs.PeriodParams(2000, 1000, 500, 0.0999999, 0.1)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
