@@ -3,8 +3,9 @@
 A finite-horizon, single-product model where orders can be financed by cash
 on hand or a loan, idle cash earns deposit interest, and the objective is
 expected terminal wealth. Provides the single-period closed form, grid
-dynamic programming, threshold computation by bisection, value-function
-bounds, model extensions, Monte Carlo policy evaluation, and a CLI.
+dynamic programming and the thresholds read off its net-worth search,
+value-function bounds, model extensions, Monte Carlo policy evaluation, and
+a CLI.
 """
 
 from .demand import Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson, integer_uniform

@@ -2,9 +2,10 @@
 
 Allowing the firm to sell stock back at the current unit cost collapses the
 state to net worth w = x + y and yields a one-dimensional relaxation whose
-value dominates the true value function. Myopic policies evaluated under the
-true dynamics provide lower bounds; the report places both around the
-optimum for selected states.
+value dominates the true value function; it is a run of the one backward
+recursion (`dp._induct`) on a net-worth axis, at zero stock. Myopic policies
+evaluated under the true dynamics provide lower bounds; the report places
+both around the optimum for selected states.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ import numpy as np
 
 from . import single_period
 from .dp import (
+    Z_TOL,
     DPSolution,
     Grid,
     _expected_next,
+    _induct,
+    _last_step,
     _require_on_grid,
-    _terminal_wealth,
-    backward_induct,
     golden_max,
     interp1,
     policy_value_tables,
 )
 from .model import HorizonSpec, require_valid
-
-#: width to which the relaxation's golden-section bracket is narrowed
-SELL_BACK_Z_TOL = 1e-3
 
 #: relative slack of the bound chain lower <= optimal <= upper
 CHAIN_TOL = 5e-3
@@ -41,12 +40,13 @@ class WorthValueTable:
     period: int
     worth: np.ndarray
     values: np.ndarray
-    target: np.ndarray          # optimal post-trade stock per worth node
-    borrow_level: float         # trade up to this when worth is below it
-    deposit_level: float        # trade down to this when worth is above it
+    #: optimal post-trade stock per worth node, clamp(w, borrow, deposit):
+    #: on an axis reaching past both levels, target[0] and target[-1]
+    target: np.ndarray
 
-    def __call__(self, w):
-        return interp1(self.worth, self.values, w)
+    def __call__(self, x, y):
+        """The value at the state (x, y): the table read at x + y."""
+        return interp1(self.worth, self.values, np.add(x, y))
 
 
 def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
@@ -60,37 +60,26 @@ def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
 
 
 def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[WorthValueTable]:
-    """One-dimensional backward induction of the selling-back relaxation.
+    """Backward induction of the selling-back relaxation on `worth_nodes`.
 
-    Period N trades to the single-period rule's order at zero stock and
-    takes the expectation of terminal wealth through the transition, as
-    backward_induct does. The optimal trade clamps net worth between the
-    two extracted levels.
+    A run of `dp._induct` whose states are net worths at zero stock:
+    period N is backward_induct's last-period step there, and each earlier
+    period trades to the stock that maximizes the stage value, searched to
+    Z_TOL with the kink z = w evaluated exactly. Period 1 first.
     """
     require_valid(horizon)
     _require_no_sellback_profit(horizon)
     worth_nodes = np.asarray(worth_nodes, dtype=float)
-    n_last = horizon.n_periods
-    bands = single_period.myopic_lower(horizon, n_last)
-    q_term = single_period.optimal_order(0.0, worth_nodes, bands)
-    v_term = _expected_next(q_term, worth_nodes, horizon, n_last, _terminal_wealth)
-    tables: list = [None] * n_last
-    tables[-1] = WorthValueTable(n_last, worth_nodes, v_term, q_term,
-                                 bands.borrow, bands.deposit)
     zeros = np.zeros_like(worth_nodes)
-    for n in range(n_last - 1, 0, -1):
-        nxt = tables[n]
+
+    def step(n, next_value):
+        if n == horizon.n_periods:
+            return _last_step(horizon, 0.0, worth_nodes, next_value)
         z_max = float(max(worth_nodes[-1], 0.0) + horizon.demand_in(n).quantile(0.999))
+        return golden_max(lambda z: _expected_next(z, worth_nodes, horizon, n, next_value),
+                          zeros, z_max, Z_TOL, candidates=[np.clip(worth_nodes, 0.0, z_max)])
 
-        def f(z, _n=n, _nxt=nxt):
-            return _expected_next(z, worth_nodes, horizon, _n, lambda xn, yn: _nxt(xn + yn))
-
-        target, vals = golden_max(f, zeros, z_max, SELL_BACK_Z_TOL,
-                                  candidates=[np.clip(worth_nodes, 0.0, z_max)])
-        # the optimal trade is clamp(w, borrow, deposit): read the flat ends
-        tables[n - 1] = WorthValueTable(n, worth_nodes, vals, target,
-                                        float(target[0]), float(target[-1]))
-    return tables
+    return _induct(horizon, step, lambda n, z, v: WorthValueTable(n, worth_nodes, v, z))
 
 
 @dataclass
@@ -117,35 +106,27 @@ class BoundReport:
         return any(r.violated for r in self.rows)
 
 
-def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
-                   lengths=None,
-                   solution: DPSolution | None = None) -> BoundReport:
+def compare_bounds(solution: DPSolution, states, *, lengths=None) -> BoundReport:
     """Bound chain lower <= optimal <= upper at the given states.
 
-    Lower bound: the liquidation-credit myopic policy evaluated under the
-    true dynamics. Upper bound: the selling-back relaxation at the state's
-    net worth. Violations beyond CHAIN_TOL relative are flagged. A state
-    outside the grid, where the tables would be extrapolated, raises.
+    Optimal: the solution's, on its horizon and grid. Lower bound: the
+    liquidation-credit myopic policy evaluated under the true dynamics.
+    Upper bound: the selling-back relaxation at the state's net worth.
+    Violations beyond CHAIN_TOL relative are flagged. A state outside the
+    grid, where the tables would be extrapolated, raises before any bound.
 
     `lengths` are the horizon lengths n <= N to report (default: N alone),
     each for every state, in the order given. The n-period horizon is the
-    last n periods of `horizon`, so its rows read the one set of tables at
-    offset N - n (see DPSolution.tail). `solution` must be solved on
-    `horizon` and `grid`.
+    last n periods of the solution's horizon, so its rows read the one set
+    of tables at offset N - n (see DPSolution.tail).
     """
-    require_valid(horizon)
+    horizon, grid = solution.horizon, solution.grid
     n_last = horizon.n_periods
     lengths = [n_last] if lengths is None else list(lengths)
     if not all(1 <= n <= n_last for n in lengths):
         raise ValueError(f"horizon lengths {lengths} must lie in 1..{n_last}")
     for k, (x, y) in enumerate(states):
         _require_on_grid(grid, f"states[{k}]", x, y)
-    if solution is None:
-        solution = backward_induct(horizon, grid)
-    elif solution.horizon != horizon or not (
-            np.array_equal(solution.grid.x_nodes, grid.x_nodes)
-            and np.array_equal(solution.grid.y_nodes, grid.y_nodes)):
-        raise ValueError("solution was solved on another horizon or grid")
     bands = single_period.myopic_bands(horizon, "upper")
     lower_tables = policy_value_tables(
         horizon, grid, lambda n, x, y: single_period.optimal_order(x, y, bands[n - 1]))
@@ -158,7 +139,7 @@ def compare_bounds(horizon: HorizonSpec, grid: Grid, states, *,
         for x, y in states:
             v = float(value(x, y))
             lo = float(lower_tables[k](x, y))
-            up = float(sell_back[k](x + y))
+            up = float(sell_back[k](x, y))
             tol = CHAIN_TOL * max(abs(v), 1.0)
             rows.append(BoundRow(
                 n_periods=n, x=float(x), y=float(y), optimal=v,

@@ -27,10 +27,10 @@ from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_
                      selling_back_dp)
 from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson,
                      integer_uniform)
-from .dp import Grid, _require_on_grid, backward_induct
+from .dp import Z_TOL, Grid, _require_on_grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
 from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
-from .thresholds import EPSILON, ThresholdTable
+from .thresholds import ThresholdTable
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,7 +289,7 @@ class Emitter:
             "config_hash": config_hash(cfg.raw),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "solver": {
-                "epsilon": EPSILON,
+                "z_tol": Z_TOL,
                 "quadrature_nodes": QUAD_ORDER,
                 "mc_paths": cfg.mc_paths,
                 "seed": cfg.seed,
@@ -348,8 +348,8 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
             _require(dem.mean() > 0, f"demands[{k}] has mean 0: table1's cv column "
                      "(standard deviation / mean) is undefined")
         _state_on_grid(cfg.grid, "initial", *cfg.initial)
-        horizons = [cfg.horizon(demand=dem) for dem in cfg.demands]
-        rows = [astuple(gap_report(hz, cfg.grid, State(*cfg.initial))) for hz in horizons]
+        rows = [astuple(gap_report(backward_induct(cfg.horizon(demand=dem), cfg.grid),
+                                   State(*cfg.initial))) for dem in cfg.demands]
         out.write_csv("table1.csv",
                       ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
                        "v_myopic_upper", "gap_upper_pct"], rows)
@@ -366,7 +366,8 @@ def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
         _require_no_sellback_profit(horizons[0])
     except ValueError as exc:
         raise ConfigError(f"invalid horizon for the selling-back bound: {exc}") from None
-    reports = [compare_bounds(hz, cfg.grid, states, lengths=lengths) for hz in horizons]
+    reports = [compare_bounds(backward_induct(hz, cfg.grid), states, lengths=lengths)
+               for hz in horizons]
     rows = [(n, dem.label, r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
              r.upper, r.upper_gap, r.upper_gap_pct)
             for n in cfg.table_horizons

@@ -13,16 +13,18 @@ with (p', h', c') = (p, -s, c). The extensions are parameters of it: `bank`
 replaces the two-rate bank term (tiered rates) and `backlog` carries unmet
 demand as negative stock (backorders).
 
-Every grid solver runs one backward loop, `_induct`, from terminal wealth
-(x, y) -> y and a per-period step. Period N is a step like every other,
-whose next value is terminal wealth; the single-period closed form stays in
-`single_period` as the tests' independent cross-check. Stage values are
-expectations of the next value over demand. Under lost sales the next state
-depends on demand only through sales min(D, z), so the demand above z is
-one node at the support maximum (`Demand.sales_nodes`: beside it, 8
-Gauss-Legendre points on [lo, z] for continuous demand, and every atom up
-to the largest z for atom demand); backorders carry z - D and keep every
-node (`Demand.expectation_nodes`).
+Every solver runs one backward loop, `_induct`, from terminal wealth
+(x, y) -> y and a per-period step: the grid solvers on the grid, and the
+selling-back relaxation (`bounds.selling_back_dp`) on net worth x + y at
+zero stock. Period N is a step like every other; backward_induct and the
+relaxation share it (`_last_step`: the closed form's order), and the closed
+form stays in `single_period` as the tests' independent cross-check.
+Stage values are expectations of the next value over demand. Under lost
+sales the next state depends on demand only through sales min(D, z), so
+the demand above z is one node at the support maximum
+(`Demand.sales_nodes`: beside it, 8 Gauss-Legendre points on [lo, z] for
+continuous demand, and every atom up to the largest z for atom demand);
+backorders carry z - D and keep every node (`Demand.expectation_nodes`).
 Stage values depend on a node only through its net worth xi and are
 concave in z on each branch of z - xi (one per rate tier, else one), so
 the maximization runs once per branch and distinct net worth (golden-section
@@ -366,39 +368,56 @@ def _terminal_wealth(x, y):
     return y
 
 
-def _induct(horizon: HorizonSpec, grid: Grid, step):
-    """The backward recursion of every grid solver.
+def _induct(horizon: HorizonSpec, step, table) -> list:
+    """The backward recursion of every solver.
 
-    `step(n, next_value)` gives period n's (order-up-to, value) pair on the
-    grid nodes from period n+1's value, a callable (x', y') -> value: the
-    value table of period n+1, or terminal wealth when n = N. Returns the
-    value and the policy tables, period 1 first.
+    `step(n, next_value)` gives period n's (order-up-to, value) pair from
+    period n+1's value, a callable (x', y') -> value: the table of period
+    n+1, or terminal wealth when n = N. `table(n, z, v)` wraps the pair as
+    period n's table, which is period n-1's next value. Returns the tables,
+    period 1 first.
     """
-    values, policies = [], []
-    next_value = _terminal_wealth
+    tables = [_terminal_wealth]
     for n in range(horizon.n_periods, 0, -1):
-        z, v = step(n, next_value)
-        next_value = ValueTable(n, grid, np.reshape(v, grid.shape))
-        values.append(next_value)
-        policies.append(PolicyTable(n, grid, np.reshape(z, grid.shape)))
-    return values[::-1], policies[::-1]
+        tables.append(table(n, *step(n, tables[-1])))
+    return tables[:0:-1]
+
+
+def _grid_solution(horizon: HorizonSpec, grid: Grid, step, worth_argmax=None) -> DPSolution:
+    """`_induct` with grid tables: a value and a policy table per period,
+    the step's arrays in grid.mesh() order."""
+    policies = []
+
+    def table(n, z, v):
+        policies.insert(0, PolicyTable(n, grid, np.reshape(z, grid.shape)))
+        return ValueTable(n, grid, np.reshape(v, grid.shape))
+
+    return DPSolution(horizon, grid, _induct(horizon, step, table), policies, worth_argmax)
+
+
+def _last_step(horizon: HorizonSpec, x, y, next_value, hi=np.inf, backlog=None):
+    """Period N's (order-up-to, value) at the states (x, y): the closed
+    form's order (the rule at `myopic_lower(horizon, N)`), cut at `hi`, and
+    the expectation of terminal wealth `next_value` through the transition.
+    The objective is concave in the order, so the cut order stays optimal."""
+    n = horizon.n_periods
+    z = np.minimum(x + optimal_order(x, y, myopic_lower(horizon, n)), hi)
+    return z, _expected_next(z, x + y, horizon, n, next_value, backlog=backlog)
 
 
 def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
                     backlog=None) -> DPSolution:
     """Solve the horizon on the grid; returns value and policy tables.
 
-    Period N orders what the closed form orders (the single-period rule at
-    `myopic_lower(horizon, N)`) and takes the expectation of terminal
-    wealth through the transition. Earlier periods maximize the stage value
+    Period N is `_last_step`. Earlier periods maximize the stage value
     over z in [x, z_max] with worth_search on one unbounded branch, with the
     myopic order-up-to levels evaluated explicitly. Without z_cap or backlog
     the solution keeps each period's per-worth maximizer, from which
     `ThresholdTable.from_solution` reads both levels. `z_cap(n, x, y)`
     optionally tightens period n's upper bound per node (loan limits); in
-    period N, whose objective is concave in the order, it cuts the closed
-    form's order. `backlog` is a backorder penalty (see _next_state and
-    backorder_dp); the grid may then hold negative stock.
+    period N it cuts the closed form's order. `backlog` is a backorder
+    penalty (see _next_state and backorder_dp); the grid may then hold
+    negative stock.
     """
     require_valid(horizon)
     if backlog is None and grid.x_nodes[0] < -1e-12:
@@ -414,10 +433,8 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
 
     def step(n, next_value):
         if n == horizon.n_periods:
-            z = x + optimal_order(x, y, myopic_lower(horizon, n))
-            if z_cap is not None:
-                z = np.minimum(z, z_cap(n, x, y))
-            return z, _expected_next(z, x + y, horizon, n, next_value, backlog=backlog)
+            hi = np.inf if z_cap is None else z_cap(n, x, y)
+            return _last_step(horizon, x, y, next_value, hi, backlog)
         z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
 
@@ -430,8 +447,7 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
             worth_argmax[n - 1] = z_w
         return z, v
 
-    values, policies = _induct(horizon, grid, step)
-    return DPSolution(horizon, grid, values, policies, worth_argmax)
+    return _grid_solution(horizon, grid, step, worth_argmax)
 
 
 def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueTable]:
@@ -447,4 +463,4 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueT
         z = x + np.maximum(policy(n, x, y), 0.0)
         return z, _expected_next(z, x + y, horizon, n, next_value)
 
-    return _induct(horizon, grid, step)[0]
+    return _grid_solution(horizon, grid, step).values

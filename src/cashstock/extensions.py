@@ -17,7 +17,7 @@ import numpy as np
 
 from . import single_period
 from .demand import Demand
-from .dp import (Z_TOL, DPSolution, Grid, _expected_next, _induct, _smallest_argmax,
+from .dp import (Z_TOL, DPSolution, Grid, _expected_next, _grid_solution, _smallest_argmax,
                  backward_induct, worth_search)
 from .model import HorizonSpec, PeriodParams, require_valid
 
@@ -177,8 +177,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
                                [(a / cost, b / cost) for _, a, b in tiers])
         return z, v
 
-    values, policies = _induct(horizon, grid, step)
-    return DPSolution(horizon, grid, values, policies, None)
+    return _grid_solution(horizon, grid, step)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .dp import Grid, _next_state, _require_on_grid, backward_induct, policy_value_tables
+from .dp import DPSolution, _next_state, _require_on_grid, policy_value_tables
 from .model import HorizonSpec, State, require_valid
 from .thresholds import ThresholdTable, policy_from_thresholds
 
@@ -132,17 +132,17 @@ class GapRow:
     upper_gap_pct: float
 
 
-def gap_report(horizon: HorizonSpec, grid: Grid, initial: State = State(0.0, 0.0)) -> GapRow:
+def gap_report(solution: DPSolution, initial: State) -> GapRow:
     """Exact (grid) evaluation of both myopic policies against the optimum.
 
-    Values come from policy-evaluation sweeps on the same grid and
-    quadrature as the optimal solution, so discretization bias largely
-    cancels in the gaps. Monte Carlo is used as a cross-check in tests, not
-    here. An initial state outside the grid, where the tables would be
-    extrapolated, raises.
+    Values come from policy-evaluation sweeps on the solution's horizon and
+    grid, with the same quadrature as the solution, so discretization bias
+    largely cancels in the gaps. Monte Carlo is used as a cross-check in
+    tests, not here. An initial state outside the grid, where the tables
+    would be extrapolated, raises before either sweep runs.
     """
+    horizon, grid = solution.horizon, solution.grid
     _require_on_grid(grid, "initial", initial.x, initial.y)
-    solution = backward_induct(horizon, grid)
     v_opt = float(solution.value(1)(initial.x, initial.y))
     values = {}
     for which in ("lower", "upper"):

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import single_period
 from .demand import _BucketSearch
-from .dp import (DPSolution, Grid, ValueTable, _lerp, _next_state, backward_induct, partials,
-                 worth_grid)
-from .model import HorizonSpec, normalized_params, require_valid
+from .dp import DPSolution, ValueTable, _lerp, _next_state, partials, worth_grid
+from .model import HorizonSpec, normalized_params
 
 #: a bracket end's slope may have the wrong sign by this share of the slope's
 #: swing across the bracket before the bracket is rejected
@@ -195,17 +194,15 @@ def _bound_level(z_w, binds, lo: float, hi: float, idle: float) -> tuple[np.ndar
     return np.where(binds, np.clip(z_w, lo, hi), idle), int(np.count_nonzero(outside))
 
 
-def solve_thresholds(horizon: HorizonSpec, grid: Grid, *,
-                     solution: DPSolution | None = None) -> ThresholdTable:
+def solve_thresholds(solution: DPSolution) -> ThresholdTable:
     """Tabulate both order-up-to levels on the net-worth grid by bisection.
 
     The final period's levels come from the closed form and are constant in
-    net worth; every earlier period bisects phi/psi between the myopic
-    brackets, per net-worth node, to within EPSILON.
+    net worth; every earlier period bisects phi/psi of the solution's value
+    tables between the myopic brackets, per net-worth node, to within
+    EPSILON.
     """
-    require_valid(horizon)
-    if solution is None:
-        solution = backward_induct(horizon, grid)
+    horizon, grid = solution.horizon, solution.grid
     worth = worth_grid(grid)
     m = len(worth)
     n_last = horizon.n_periods

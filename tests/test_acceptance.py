@@ -125,7 +125,7 @@ def test_criterion_2_bound_table(solve_cache):
         sol = solve_cache.solution(instance, n)
         v = float(sol.value(1)(x, 0.0))
         lo = float(solve_cache.myopic_value(instance, n, "upper")(x, 0.0))
-        up = float(solve_cache.selling_back(instance, n)[0](x))
+        up = float(solve_cache.selling_back(instance, n)[0](x, 0.0))
         for name, got, ref in [("V", v, v_ref), ("lower", lo, lo_ref), ("upper", up, up_ref)]:
             if abs(got - ref) > 0.015 * ref:
                 failures.append(
@@ -157,7 +157,7 @@ def test_criterion_2_through_the_cli(solve_cache, tmp_path):
         instance = PAPER_INSTANCE[key]
         tables = (solve_cache.solution(instance, n).value(1)(x, 0.0),
                   solve_cache.myopic_value(instance, n, "upper")(x, 0.0),
-                  solve_cache.selling_back(instance, n)[0](x))
+                  solve_cache.selling_back(instance, n)[0](x, 0.0))
         for name, cell, table, ref in zip(("V", "lower", "upper"), written, tables,
                                           TABLE2[n, key, x]):
             if abs(float(cell) - ref) > 0.015 * ref:
@@ -221,7 +221,7 @@ def test_criterion_4_threshold_sandwich(solve_cache, desk_grid):
     failures = []
     epsilon = EPSILON
     hz = make_horizon("u0_20", 6)
-    table = solve_thresholds(hz, desk_grid, solution=solve_cache.solution("u0_20", 6))
+    table = solve_thresholds(solve_cache.solution("u0_20", 6))
     for row in table.periods:
         if row.n < 6:
             if not (np.all(row.borrow >= 6.8 - epsilon)
@@ -289,7 +289,7 @@ def test_criterion_5_structural_properties(solve_cache, desk_grid):
             break
 
     # policy trichotomy: grid argmax agrees with the threshold rule within a cell
-    table = solve_thresholds(hz, desk_grid, solution=sol)
+    table = solve_thresholds(sol)
     X, Y = desk_grid.mesh()
     cell = max(float(np.diff(desk_grid.x_nodes).max()),
                float(np.diff(desk_grid.y_nodes).max()))
@@ -340,7 +340,7 @@ def test_criterion_6_extension_sanity(small_grid):
 def test_criterion_7_simulation_self_consistency(solve_cache, desk_grid):
     hz = make_horizon("u0_20", 6)
     sol = solve_cache.solution("u0_20", 6)
-    table = solve_thresholds(hz, desk_grid, solution=sol)
+    table = solve_thresholds(sol)
     res = cs.run_policies(hz, [cs.ThresholdPolicy(table)], cs.State(0.0, 0.0),
                           1_000_000, seed=2026)[0]
     v = float(sol.value(1)(0.0, 0.0))

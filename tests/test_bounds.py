@@ -7,7 +7,7 @@ from cashstock.bounds import (
     default_worth_grid,
     selling_back_dp,
 )
-from cashstock.dp import Grid, _next_state
+from cashstock.dp import Grid, _expected_next, _next_state
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
@@ -70,9 +70,11 @@ def test_clamp_structure(small_bounds):
     _, _, _, sell = small_bounds
     for table in sell[:-1]:
         cell = float(np.max(np.diff(table.worth)))
-        clamp = np.clip(table.worth, table.borrow_level, table.deposit_level)
+        # the trade clamps net worth between the levels at the target's ends
+        borrow, deposit = table.target[0], table.target[-1]
+        clamp = np.clip(table.worth, borrow, deposit)
         assert np.max(np.abs(table.target - clamp)) <= cell + 1e-3
-        assert table.borrow_level <= table.deposit_level
+        assert borrow <= deposit
 
 
 def test_value_chain(small_bounds):
@@ -83,15 +85,15 @@ def test_value_chain(small_bounds):
     ys = rng.uniform(-20, 40, 25)
     v = sol.value(1)(xs, ys)
     lo = lower(xs, ys)
-    up = sell[0](xs + ys)
+    up = sell[0](xs, ys)
     tol = 5e-3 * np.abs(v) + 1.0
     assert np.all(lo <= v + tol)
     assert np.all(v <= up + tol)
 
 
 def test_compare_bounds_report(small_bounds):
-    hz, grid, sol, _ = small_bounds
-    report = compare_bounds(hz, grid, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)], solution=sol)
+    _, _, sol, _ = small_bounds
+    report = compare_bounds(sol, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)])
     assert len(report.rows) == 3
     assert not report.any_violation
     for row in report.rows:
@@ -106,7 +108,7 @@ def test_upper_bound_tight_at_zero_stock(small_bounds):
     hz, grid, sol, sell = small_bounds
     worth = np.linspace(5, 40, 8)
     v = sol.value(1)(np.zeros_like(worth), worth)
-    vs = sell[0](worth)
+    vs = sell[0](0.0, worth)
     assert np.all(np.abs(vs - v) <= 0.01 * np.abs(v))
 
 
@@ -125,39 +127,46 @@ def test_selling_back_tail_is_the_shorter_relaxation(key):
     for got, want in zip(long[6:], short, strict=True):
         assert got.period == want.period + 6
         assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.target, want.target)
-        assert (got.borrow_level, got.deposit_level) == (want.borrow_level, want.deposit_level)
+        assert np.array_equal(got.target, want.target)  # and so both levels, its ends
 
 
 def test_compare_bounds_reads_shorter_horizons_as_tails(small_bounds):
-    hz, grid, sol, _ = small_bounds
+    _, _, sol, _ = small_bounds
     states = [(0.0, 0.0), (7.0, 0.0)]
-    both = compare_bounds(hz, grid, states, lengths=[2, 4], solution=sol)
+    both = compare_bounds(sol, states, lengths=[2, 4])
     assert [r.n_periods for r in both.rows] == [2, 2, 4, 4]
-    assert both.rows[2:] == compare_bounds(hz, grid, states, solution=sol).rows
-    short = compare_bounds(make_horizon("u0_20", 2), grid, states, solution=sol.tail(2))
-    assert both.rows[:2] == short.rows
+    assert both.rows[2:] == compare_bounds(sol, states).rows
+    short = compare_bounds(sol.tail(2), states)
+    assert short.rows == both.rows[:2]
     with pytest.raises(ValueError, match="lengths"):
-        compare_bounds(hz, grid, states, lengths=[5], solution=sol)
+        compare_bounds(sol, states, lengths=[5])
 
 
 def test_compare_bounds_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
-    # the tables would be extrapolated there: the report stops before any solve
+    # the tables would be extrapolated there: the report stops before the
+    # myopic sweep or the relaxation runs
+    solution = cs.backward_induct(make_horizon("u0_20", 3), small_grid)
+
     def no_solve(*args):
         raise AssertionError("a solver ran")
 
     monkeypatch.setattr("cashstock.dp._induct", no_solve)
-    hz = make_horizon("u0_20", 3)
+    monkeypatch.setattr("cashstock.bounds._induct", no_solve)
     with pytest.raises(ValueError, match=r"states\[1\] puts the state \(80, 0\) outside the "
                        r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
-        compare_bounds(hz, small_grid, [(0.0, 0.0), (80.0, 0.0)])
+        compare_bounds(solution, [(0.0, 0.0), (80.0, 0.0)])
 
 
-def test_compare_bounds_rejects_a_mismatched_solution(small_bounds):
-    hz, grid, sol, _ = small_bounds
-    states = [(0.0, 0.0)]
-    with pytest.raises(ValueError, match="another horizon or grid"):
-        compare_bounds(hz, grid, states, solution=sol.tail(1))
-    coarse = Grid.regular(40, -60, 120, 41, 51)
-    with pytest.raises(ValueError, match="another horizon or grid"):
-        compare_bounds(hz, coarse, states, solution=sol)
+@pytest.mark.parametrize("key", ["zip18", "iu0_20"])
+def test_relaxation_search_matches_a_local_dense_scan(key):
+    # period 1's golden-section search against 2001 trades within 0.01 of its
+    # target at every net worth, each read through the transition against
+    # period 2's table: no trade found by the scan may beat the search
+    hz = make_horizon(key, 2)
+    worth = default_worth_grid(Grid.regular(40, -60, 120, 41, 51))
+    first, second = selling_back_dp(hz, worth)
+    offsets = np.linspace(-0.01, 0.01, 2001)
+    z = np.maximum(first.target[:, None] + offsets, 0.0)
+    scan = _expected_next(z.ravel(), np.repeat(worth, len(offsets)), hz, 1, second)
+    excess = scan.reshape(z.shape).max(axis=1) - first.values
+    assert excess.max() <= 5e-9 * np.abs(first.values).max()

@@ -12,6 +12,7 @@ from cashstock.bounds import compare_bounds
 from cashstock.cli import (DEMAND_KINDS, GRID_FIELDS, PERIOD_FIELDS, ROOT_FIELDS, SOLVER_FIELDS,
                            ConfigError, Emitter, build_parser, load_config, main)
 from cashstock.demand import DiscreteEmpirical
+from cashstock.dp import backward_induct
 from cashstock.model import HorizonSpec
 
 BASE_CONFIG = {
@@ -98,12 +99,14 @@ def test_initial_state_needs_two_numbers(tmp_path, capsys):
 
 
 def test_quadrature_nodes_is_fixed(tmp_path, capsys):
-    # the quadrature rule and the bisection width are module constants, which
-    # the manifest records; a config key for either is an unknown field
+    # the quadrature rule and the net-worth search's tolerance are module
+    # constants, which the manifest records; a config key for the rule or
+    # for the bisection width is an unknown field
     out = tmp_path / "o"
     assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
     solver = json.loads((out / "manifest.json").read_text())["solver"]
-    assert (solver["quadrature_nodes"], solver["epsilon"]) == (8, 0.001)
+    assert (solver["quadrature_nodes"], solver["z_tol"]) == (8, 1e-4)
+    assert "epsilon" not in solver
     for key, value in (("quadrature_nodes", 8), ("epsilon", 0.001)):
         path = write_config(tmp_path, solver={**BASE_CONFIG["solver"], key: value})
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "p")]) == 2
@@ -513,7 +516,8 @@ def test_table2_rows_match_per_horizon_bounds(tmp_path):
     for n in (3, 1, 2):
         for dem in cfg.demands:
             hz = HorizonSpec.stationary(n, cfg.periods[0], dem, cfg.salvage)
-            for r in compare_bounds(hz, cfg.grid, [(0.0, 0.0), (7.0, 0.0)]).rows:
+            solution = backward_induct(hz, cfg.grid)
+            for r in compare_bounds(solution, [(0.0, 0.0), (7.0, 0.0)]).rows:
                 want.append([f"{n:.6g}", dem.label] + [f"{v:.6g}" for v in (
                     r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
                     r.upper, r.upper_gap, r.upper_gap_pct)])

@@ -8,7 +8,7 @@ from cashstock.dp import (
     Grid,
     ValueTable,
     _expected_next,
-    _induct,
+    _grid_solution,
     _myopic_targets,
     _next_state,
     _terminal_wealth,
@@ -397,7 +397,7 @@ def test_worth_search_matches_per_node_search(small_grid, key, z_cap):
 
 
 def full_segment_oracle(hz, grid):
-    """backward_induct's (values, policies) with every stage expectation taken
+    """backward_induct's solution with every stage expectation taken
     over both 8-point Gauss-Legendre segments of demand, [lo, z] and [z, hi]:
     16 lookups per (z, worth) where the solver's lost-sales path takes 9.
     Period N is the closed form."""
@@ -419,16 +419,16 @@ def full_segment_oracle(hz, grid):
                                _myopic_targets(hz, n))
         return z, v
 
-    return _induct(hz, grid, step)
+    return _grid_solution(hz, grid, step)
 
 
 def test_lost_sales_solve_matches_full_segment_oracle(small_grid):
     hz = make_horizon("u0_20", 3)
     sol = cs.backward_induct(hz, small_grid)
-    values, policies = full_segment_oracle(hz, small_grid)
-    for got, want in zip(sol.values, values, strict=True):
+    oracle = full_segment_oracle(hz, small_grid)
+    for got, want in zip(sol.values, oracle.values, strict=True):
         assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
-    for got, want in zip(sol.policies, policies, strict=True):
+    for got, want in zip(sol.policies, oracle.policies, strict=True):
         assert np.array_equal(got.order_up_to, want.order_up_to)
 
 
@@ -452,10 +452,10 @@ def test_atom_sales_nodes_match_every_atom(small_grid, monkeypatch, key):
     # match a run that looks every atom up, and the thresholds are equal
     hz = make_horizon(key, 3)
     sol = cs.backward_induct(hz, small_grid)
-    levels = cs.solve_thresholds(hz, small_grid, solution=sol)
+    levels = cs.solve_thresholds(sol)
     monkeypatch.setattr(_Atoms, "sales_nodes", _Atoms.expectation_nodes)
     want = cs.backward_induct(hz, small_grid)
-    want_levels = cs.solve_thresholds(hz, small_grid, solution=want)
+    want_levels = cs.solve_thresholds(want)
     for got, w in zip(sol.values, want.values, strict=True):
         assert np.abs(got.values - w.values).max() <= 1e-12 * np.abs(w.values).max()
     for got, w in zip(levels.periods, want_levels.periods, strict=True):

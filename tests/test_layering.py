@@ -67,9 +67,7 @@ def test_exported_functions_keep_their_defaulted_parameters():
                  for name, fn in vars(cs).items() if inspect.isfunction(fn)}
     assert {name: keys for name, keys in defaulted.items() if keys} == {
         "backward_induct": {"z_cap", "backlog"},
-        "compare_bounds": {"lengths", "solution"},
-        "gap_report": {"initial"},
-        "solve_thresholds": {"solution"},
+        "compare_bounds": {"lengths"},
     }
 
 
@@ -85,3 +83,20 @@ def test_only_single_period_calls_the_closed_form():
                  and (getattr(node.func, "id", None) in closed
                       or getattr(node.func, "attr", None) in closed)]
         assert not calls, f"{name} calls the closed form at lines {calls}"
+
+
+def test_every_module_top_import_is_used():
+    # a name imported at module top and never read is left over from code
+    # that moved or went; __future__ imports bind no name
+    for name, tree in _modules():
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {bound: line for bound, line in imported.items() if bound not in read}
+        assert not unused, f"{name} imports names it never uses: {unused}"

@@ -94,8 +94,7 @@ def test_solver_invariants(horizon):
     solution = cs.backward_induct(horizon, SOLVER_GRID)
     # more capital never hurts: V1 nondecreasing in y at every node
     assert np.all(np.diff(solution.value(1).values, axis=1) >= 0.0)
-    report = cs.compare_bounds(horizon, SOLVER_GRID, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)],
-                               solution=solution)
+    report = cs.compare_bounds(solution, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)])
     assert not report.any_violation, report.rows
 
 
@@ -159,7 +158,7 @@ def test_thresholds_bracket_and_follow_the_dp_argmax(horizon):
     for grid in (THRESHOLD_GRID, REFINED_GRID):
         solution = cs.backward_induct(horizon, grid)
         try:
-            table = cs.solve_thresholds(horizon, grid, solution=solution)
+            table = cs.solve_thresholds(solution)
             break
         except cs.BracketError:
             pass

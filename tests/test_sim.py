@@ -76,7 +76,7 @@ def test_common_random_numbers_across_policies():
 
 def test_gap_report_fields(small_grid):
     hz = make_horizon("u0_20", 3)
-    row = gap_report(hz, small_grid)
+    row = gap_report(cs.backward_induct(hz, small_grid), cs.State(0.0, 0.0))
     assert row.demand_label == "Uniform(lo=0 hi=20)"
     assert row.cv == pytest.approx(0.5773502691896257, rel=1e-12)
     assert row.optimal >= row.lower_value - 1.0
@@ -88,20 +88,22 @@ def test_gap_report_fields(small_grid):
 
 
 def test_gap_report_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
-    # the tables would be extrapolated there: the report stops before any solve
+    # the tables would be extrapolated there: the report stops before either
+    # myopic sweep runs
+    solution = cs.backward_induct(make_horizon("u0_20", 3), small_grid)
+
     def no_solve(*args):
         raise AssertionError("a solver ran")
 
     monkeypatch.setattr("cashstock.dp._induct", no_solve)
-    hz = make_horizon("u0_20", 3)
     with pytest.raises(ValueError, match=r"initial puts the state \(60, 200\) outside the "
                        r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
-        gap_report(hz, small_grid, cs.State(60.0, 200.0))
+        gap_report(solution, cs.State(60.0, 200.0))
 
 
 def test_gap_report_consistent_with_simulation(small_grid):
     hz = make_horizon("u0_20", 3)
-    row = gap_report(hz, small_grid)
+    row = gap_report(cs.backward_induct(hz, small_grid), cs.State(0.0, 0.0))
     sim = run_policies(hz, [MyopicPolicy(hz, "lower")], cs.State(0.0, 0.0), 400_000, seed=9)[0]
     assert abs(sim.mean - row.lower_value) <= sim.half_width + 0.01 * abs(row.lower_value)
 
@@ -109,7 +111,7 @@ def test_gap_report_consistent_with_simulation(small_grid):
 def test_threshold_policy_simulation_matches_dp(small_grid):
     hz = make_horizon("u0_20", 3)
     sol = cs.backward_induct(hz, small_grid)
-    table = cs.solve_thresholds(hz, small_grid, solution=sol)
+    table = cs.solve_thresholds(sol)
     res = run_policies(hz, [ThresholdPolicy(table)], cs.State(0.0, 0.0), 400_000, seed=13)[0]
     v = float(sol.value(1)(0.0, 0.0))
     assert abs(res.mean - v) <= res.half_width + 0.01 * abs(v)
@@ -118,7 +120,7 @@ def test_threshold_policy_simulation_matches_dp(small_grid):
 @pytest.fixture(scope="module")
 def three_policies(small_grid):
     hz = make_horizon("u0_20", 3)
-    table = cs.solve_thresholds(hz, small_grid)
+    table = cs.solve_thresholds(cs.backward_induct(hz, small_grid))
     return hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), MyopicPolicy(hz, "upper")]
 
 
@@ -158,7 +160,7 @@ def test_zip_simulation_matches_grid_values(small_grid):
     # atom demand: ZIP(0.18, 10), all three policies on one set of paths
     hz = make_horizon("zip18", 3)
     sol = cs.backward_induct(hz, small_grid)
-    table = cs.solve_thresholds(hz, small_grid, solution=sol)
+    table = cs.solve_thresholds(sol)
     upper = MyopicPolicy(hz, "upper")
     thr, _, up = run_policies(hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), upper],
                               cs.State(0.0, 0.0), 400_000, seed=17)

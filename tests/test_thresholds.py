@@ -147,7 +147,7 @@ def test_right_slope_equals_left_slope_without_atoms(small_solution):
 
 def test_solve_thresholds_structure(small_solution):
     hz, grid, sol = small_solution
-    table = solve_thresholds(hz, grid, solution=sol)
+    table = solve_thresholds(sol)
     for row in table.periods:
         assert np.all(row.borrow <= row.deposit + 1e-3)
         n = row.n
@@ -229,14 +229,13 @@ def test_nearly_equal_rates_collapse_roots():
     params = cs.PeriodParams(2000, 1000, 500, 0.0999999, 0.1)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
     grid = Grid.regular(40, -60, 120, 81, 101)
-    table = solve_thresholds(hz, grid)
+    table = solve_thresholds(cs.backward_induct(hz, grid))
     row = table.period(1)
     assert np.all(np.abs(row.borrow - row.deposit) < 1e-2)
 
 
 def test_policy_from_thresholds_cases(small_solution):
-    hz, grid, sol = small_solution
-    table = solve_thresholds(hz, grid, solution=sol)
+    table = solve_thresholds(small_solution[2])
     row = table.period(2)
     borrow, deposit = row.bands_at(100.0)
     # worth far above the deposit level: order up to it
@@ -251,8 +250,7 @@ def test_policy_from_thresholds_cases(small_solution):
 
 
 def _rows_for_bands_at(small_solution):
-    hz, grid, sol = small_solution
-    row = solve_thresholds(hz, grid, solution=sol).period(1)  # searched worth axis
+    row = solve_thresholds(small_solution[2]).period(1)  # searched worth axis
     rng = np.random.default_rng(4)
     worth = np.linspace(-60.0, 160.0, 221)  # evenly spaced: indexed worth axis
     even = PeriodThresholds(1, worth, rng.uniform(0, 20, 221), rng.uniform(0, 20, 221),
