@@ -22,6 +22,7 @@ from .dp import (
     _expected_next,
     _induct,
     _last_step,
+    _require_base_model,
     _require_on_grid,
     golden_max,
     interp1,
@@ -120,6 +121,7 @@ def compare_bounds(solution: DPSolution, states, *, lengths=None) -> BoundReport
     last n periods of the solution's horizon, so its rows read the one set
     of tables at offset N - n (see DPSolution.tail).
     """
+    _require_base_model(solution, "compare_bounds")
     horizon, grid = solution.horizon, solution.grid
     n_last = horizon.n_periods
     lengths = [n_last] if lengths is None else list(lengths)

@@ -27,8 +27,11 @@ import numpy as np
 #: discrete tails are truncated once the retained mass reaches 1 - TAIL_MASS
 TAIL_MASS = 1e-12
 
-#: Gauss-Legendre points per smooth segment; integrands are piecewise
-#: low-degree polynomials in D, so a fixed low order is effectively exact
+#: Gauss-Legendre points per smooth segment. The integrands are low-degree
+#: polynomials in D only between the next table's grid cells, so the rule is
+#: not exact: on the desk grid (161x201, U(0,20), N = 6) V1(0, 0) at order 8
+#: differs from order 32 by 0.44, about 1.2e-5 of V1, against a grid error
+#: of about 2e-4 of V1
 QUAD_ORDER = 8
 
 

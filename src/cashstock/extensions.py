@@ -239,13 +239,18 @@ class BackorderParams:
 
 
 def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
-    """Extend the inventory axis to the deepest plausible backlog."""
+    """Extend the inventory axis to the deepest plausible backlog.
+
+    The new nodes continue the base axis at its smallest step, x0 - k step
+    for k = 1, 2, ..., so an evenly spaced base axis stays evenly spaced and
+    its cells are found by arithmetic (see dp._locate)."""
     d_hi = max(float(horizon.demand_in(n).quantile(0.999))
                for n in range(1, horizon.n_periods + 1))
     depth = d_hi * horizon.n_periods
+    x0 = float(base.x_nodes[0])
     step = float(np.min(np.diff(base.x_nodes)))
-    neg = np.arange(-depth, 0.0, step)
-    return Grid(np.concatenate([neg, base.x_nodes]), base.y_nodes)
+    below = x0 - step * np.arange(np.ceil((x0 + depth) / step), 0.0, -1.0)
+    return Grid(np.concatenate([below, base.x_nodes]), base.y_nodes)
 
 
 def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> DPSolution:

@@ -83,14 +83,18 @@ def expected_value_G(q, x, y, params: PeriodParams, salvage: float, demand: Dema
 
 
 def optimal_order(x, y, bands: OrderBands):
-    """Two-threshold rule on net worth x + y; ties go to the deposit branch."""
+    """Two-threshold rule on net worth x + y; ties go to the deposit branch.
+
+    With borrow <= deposit the rule is max(min(max(y, borrow - x),
+    deposit - x), 0): up to the deposit level when x + y >= deposit, the
+    cash y in between, up to the borrow level below borrow; never negative.
+    It compares y with level - x rather than x + y with the level, so where
+    x + y rounds onto a band the order may differ from the branch form by
+    an ulp. The bands may be scalars or one pair per element; a pair with
+    borrow > deposit orders up to the deposit level.
+    """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    worth = x + y
-    return np.where(
-        worth >= bands.deposit,
-        np.maximum(bands.deposit - x, 0.0),
-        np.where(worth >= bands.borrow, np.maximum(y, 0.0), np.maximum(bands.borrow - x, 0.0)),
-    )
+    return np.maximum(np.minimum(np.maximum(y, bands.borrow - x), bands.deposit - x), 0.0)
 
 
 def value_closed_form(x, y, params: PeriodParams, salvage: float, demand: Demand):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import single_period
 from .demand import _BucketSearch
-from .dp import DPSolution, ValueTable, _lerp, _next_state, partials, worth_grid
+from .dp import DPSolution, ValueTable, _next_state, _require_base_model, partials, worth_grid
 from .model import HorizonSpec, normalized_params
 
 #: a bracket end's slope may have the wrong sign by this share of the slope's
@@ -130,6 +130,11 @@ class PeriodThresholds:
     def _worth_search(self) -> _BucketSearch:
         return _BucketSearch(self.worth)
 
+    @cached_property
+    def _cell_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # per cell: worth width, borrow step, deposit step
+        return np.diff(self.worth), np.diff(self.borrow), np.diff(self.deposit)
+
     def bands_at(self, worth):
         """(borrow, deposit) levels at `worth`: linear between the worth
         nodes, held at the end values beyond them. One lookup serves both.
@@ -138,12 +143,15 @@ class PeriodThresholds:
         fraction within a cell is then taken from the cell's own ends, as
         np.interp takes it, rather than from the offset to the first node,
         whose rounding grows with the distance from it. The search is
-        `_locate`'s, by table lookup."""
+        `_locate`'s, by table lookup. The cells' widths and steps are
+        differenced once per row, so a call gathers them at its cells: the
+        same numbers as `_lerp` on the levels, bit for bit."""
         q = np.asarray(worth, dtype=float)
-        w = self.worth
-        idx = np.clip(self._worth_search(q, "right") - 1, 0, len(w) - 2)
-        t = np.clip((q - w[idx]) / (w[idx + 1] - w[idx]), 0.0, 1.0)
-        return _lerp(self.borrow, idx, t), _lerp(self.deposit, idx, t)
+        width, borrow_step, deposit_step = self._cell_steps
+        idx = np.clip(self._worth_search(q, "right") - 1, 0, len(width) - 1)
+        t = np.clip((q - self.worth[idx]) / width[idx], 0.0, 1.0)
+        return (self.borrow[idx] + t * borrow_step[idx],
+                self.deposit[idx] + t * deposit_step[idx])
 
 
 @dataclass(eq=False)
@@ -165,9 +173,7 @@ class ThresholdTable:
         there, lower.borrow or upper.deposit, so borrow <= deposit. The
         final period's levels are the closed form's, as in solve_thresholds.
         """
-        if solution.worth_argmax is None:
-            raise ValueError("the solution's levels are not a rule of net worth alone: "
-                             "it has tiered rates, a loan limit or backorders")
+        _require_base_model(solution, "ThresholdTable.from_solution")
         horizon = solution.horizon
         n_last = horizon.n_periods
         worth = worth_grid(solution.grid)
@@ -202,6 +208,7 @@ def solve_thresholds(solution: DPSolution) -> ThresholdTable:
     tables between the myopic brackets, per net-worth node, to within
     EPSILON.
     """
+    _require_base_model(solution, "solve_thresholds")
     horizon, grid = solution.horizon, solution.grid
     worth = worth_grid(grid)
     m = len(worth)

@@ -105,15 +105,16 @@ def _kernel_queries(x_nodes, y_nodes):
 
 def _kernel_grids():
     regular = Grid.regular(40, -60, 120, 41, 51)
-    return {"regular": regular,
-            "backorder": backorder_grid(make_horizon("u0_20", 3), regular)}
+    # a backlog axis whose negative nodes count up from its deepest one, so
+    # that the cell at zero is 0.94 wide: an uneven axis, which is searched
+    uneven = np.concatenate([np.arange(-59.94, 0.0, 1.0), regular.x_nodes])
+    return {"regular": regular, "backorder": Grid(uneven, regular.y_nodes)}
 
 
 @pytest.mark.parametrize("name", ["regular", "backorder"])
 def test_bilinear_kernel_matches_search_reference(name):
     grid = _kernel_grids()[name]
-    # arithmetic cell index on evenly spaced axes only; the backorder
-    # grid's inventory axis has a short step at zero and is searched
+    # arithmetic cell index on evenly spaced axes only
     assert grid._steps[1] > 0
     assert (grid._steps[0] > 0) == (name == "regular")
     X, Y = grid.mesh()
@@ -194,6 +195,42 @@ def test_transition_hold_and_deposit():
     params = cs.PeriodParams(2000, 1000, 0.0, 0.0, 0.15)
     hz = cs.HorizonSpec.stationary(3, params, U20, SALVAGE)
     assert _next_state(5.0, 12.0, 0.0, 1, hz) == pytest.approx((5.0, 7.0))
+
+
+def masked_transition(z, xi, d, n, hz):
+    """The lost-sales transition with its bank rate chosen by the mask
+    z <= xi, written out: the form the min of the two rates must equal."""
+    params = hz.period(n)
+    if n < hz.n_periods:
+        pp, hp, cp = cs.normalized_params(hz, n)
+    else:
+        pp, hp, cp = params.price, -hz.salvage, params.cost
+    leftover = np.maximum(z - d, 0.0)
+    dep, loan = 1.0 + params.deposit_rate, 1.0 + params.loan_rate
+    bank = cp * (xi - z) * np.where(z <= xi, dep, loan)
+    return leftover, pp * z - (pp + hp) * leftover + bank
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_transition_equals_the_masked_bank_term(n):
+    # bit for bit, on both sides of the kink z = xi and at it, before the
+    # last period (normalized units) and in it (currency), for the Monte
+    # Carlo's flat arrays, the DP's (points, nodes) batches and scalars
+    hz = cs.HorizonSpec([cs.PeriodParams(2000, 1000, 500, 0.01, 0.15),
+                         cs.PeriodParams(2100, 1050, 400, 0.02, 0.2),
+                         cs.PeriodParams(2000, 1000, 500, 0.01, 0.15)], [U20] * 3, SALVAGE)
+    rng = np.random.default_rng(23)
+    z = rng.uniform(0.0, 40.0, 50_000)
+    xi = z + rng.choice([-1.0, 0.0, 1.0], len(z)) * rng.uniform(0.0, 30.0, len(z))
+    d = rng.uniform(0.0, 20.0, len(z))
+    assert np.any(z == xi) and np.any(z < xi) and np.any(z > xi)
+    for args in ((z, xi, d), (z[:500, None], xi[:500, None], rng.uniform(0.0, 20.0, (500, 9)))):
+        for got, want in zip(_next_state(*args, n, hz), masked_transition(*args, n, hz)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+    for args in ((12.0, 10.0, 4.0), (10.0, 12.0, 15.0), (10.0, 10.0, 3.0)):
+        got = _next_state(*args, n, hz)
+        assert all(np.ndim(v) == 0 for v in got)
+        assert got == masked_transition(*args, n, hz)
 
 
 def period_n_tables(solver, key, grid):

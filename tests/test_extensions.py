@@ -304,6 +304,25 @@ def test_backorder_matches_lost_sales_when_demand_stays_below_targets():
         assert np.max(np.abs(got - want) / (np.abs(want) + 1.0)) < 5e-3
 
 
+@pytest.mark.parametrize("base", [Grid.regular(40, -60, 120, 41, 51),
+                                  Grid.regular(40, -60, 120, 161, 201),
+                                  Grid.regular(30, -40, 80, 71, 41)],
+                         ids=["41x51", "desk", "step_3_7ths"])
+def test_backorder_grid_extends_a_regular_axis_evenly(base):
+    # the backlog nodes continue the base step below zero: the whole axis is
+    # evenly spaced, so its cells are found by arithmetic, and every base
+    # node is kept as it was
+    hz = make_horizon("u0_20", 3)
+    depth = 3 * float(U20.quantile(0.999))
+    grid = backorder_grid(hz, base)
+    x, step = grid.x_nodes, float(np.min(np.diff(base.x_nodes)))
+    assert np.array_equal(x[-len(base.x_nodes):], base.x_nodes)
+    assert np.array_equal(grid.y_nodes, base.y_nodes)
+    assert grid._steps[0] > 0
+    assert np.max(np.abs(np.diff(x) - step)) <= 1e-12 * depth
+    assert x[0] <= -depth < x[1]
+
+
 def test_backorder_large_penalty_raises_deposit_band():
     hz = make_horizon("u0_20", 2)
     grid = backorder_grid(hz, Grid.regular(40, -60, 120, 41, 51))
@@ -355,3 +374,21 @@ def test_limit_and_penalty_validation():
     with pytest.raises(ValueError):
         BackorderParams(-1.0)
     assert LoanLimit(5000.0).units(1000.0) == 5.0
+
+
+@pytest.mark.parametrize("solver", [
+    lambda hz, g: piecewise_dp(hz, PiecewiseRateSchedule((0.15, 0.30), (5000.0,), (0.01,)), g),
+    lambda hz, g: loan_limited_dp(hz, LoanLimit(2000.0), g),
+    lambda hz, g: backorder_dp(hz, BackorderParams(50.0), backorder_grid(hz, g)),
+], ids=["piecewise", "loan_limited", "backorder"])
+def test_reports_refuse_an_extensions_solve(small_grid, solver):
+    # the reports' myopic policies, brackets and relaxation are the base
+    # model's; an extension's solve would be measured against them unsaid
+    solution = solver(make_horizon("u0_20", 3), small_grid)
+    for report in (lambda: cs.compare_bounds(solution, [(0.0, 0.0)]),
+                   lambda: cs.gap_report(solution, cs.State(0.0, 0.0)),
+                   lambda: cs.solve_thresholds(solution),
+                   lambda: cs.ThresholdTable.from_solution(solution)):
+        with pytest.raises(ValueError, match="needs a solve of the base model.*tiered "
+                                             "rates, a loan limit or backorders"):
+            report()

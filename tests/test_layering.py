@@ -100,3 +100,19 @@ def test_every_module_top_import_is_used():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = {bound: line for bound, line in imported.items() if bound not in read}
         assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def test_monte_carlo_step_selects_without_masks():
+    # the Monte Carlo's per-period kernels pick branches by min and max:
+    # np.where and np.select cost over ten times an add per element there
+    kernels = {("single_period", "optimal_order"), ("dp", "_next_state"),
+               ("sim", "run_policies"), ("thresholds", "bands_at")}
+    seen = set()
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and (name, fn.name) in kernels:
+                seen.add((name, fn.name))
+                calls = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+                         and getattr(node.func, "attr", None) in ("where", "select")]
+                assert not calls, f"{name}.{fn.name} masks at lines {calls}"
+    assert seen == kernels

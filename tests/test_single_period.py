@@ -174,3 +174,40 @@ def test_scaling_invariance():
     assert np.allclose(optimal_order(x, y, b), optimal_order(x, y, BANDS), rtol=1e-12)
     assert np.allclose(value_closed_form(x, y, scaled, SALVAGE * k, U20),
                        k * value_closed_form(x, y, PARAMS, SALVAGE, U20), rtol=1e-12)
+
+
+def branch_order(x, y, borrow, deposit):
+    """The rule as three branches on the rounded net worth x + y."""
+    worth = x + y
+    return np.where(worth >= deposit, np.maximum(deposit - x, 0.0),
+                    np.where(worth >= borrow, np.maximum(y, 0.0), np.maximum(borrow - x, 0.0)))
+
+
+def test_optimal_order_equals_the_branch_form():
+    # min/max form against the branch form, on scalar and per-element bands:
+    # equal, except where x + y rounds onto a band, and there within 2 ulps
+    rng = np.random.default_rng(21)
+    m = 200_000
+    x = np.concatenate([rng.uniform(-5.0, 30.0, m), np.linspace(0.0, 25.0, 2001)])
+    per_element = (rng.uniform(0.0, 15.0, len(x)),)
+    per_element += (per_element[0] + rng.uniform(0.0, 10.0, len(x)),)
+    for borrow, deposit in ((BANDS.borrow, BANDS.deposit), per_element, (7.0, 7.0)):
+        # random cash, y < 0 among it, and stock above the deposit level;
+        # net worth at either band, to the rounding of level - x and one ulp
+        # either side of it
+        y = np.concatenate([rng.uniform(-30.0, 30.0, m), np.zeros(2001)])
+        for level in (borrow, deposit):
+            tie = rng.random(len(x)) < 0.2
+            at = (np.broadcast_to(level, x.shape) - x)[tie]
+            y[tie] = at + rng.integers(-1, 2, len(at)) * np.spacing(at)
+        got = optimal_order(x, y, cs.OrderBands(borrow, deposit))
+        want = branch_order(x, y, borrow, deposit)
+        assert np.any(y < 0) and np.any(x > deposit) and np.any(got == y)
+        at_band = ((np.abs(x + y - borrow) <= np.spacing(np.abs(borrow)))
+                   | (np.abs(x + y - deposit) <= np.spacing(np.abs(deposit))))
+        assert np.all((got == want) | at_band)
+        scale = np.maximum.reduce([np.abs(x), np.abs(y), np.broadcast_to(deposit, x.shape)])
+        assert np.all(np.abs(got - want) <= 4.4e-16 * scale)
+    for x, y in ((0.0, BANDS.borrow), (3.0, BANDS.deposit - 3.0), (40.0, -10.0), (1.0, -5.0)):
+        q = optimal_order(x, y, BANDS)
+        assert np.ndim(q) == 0 and q == branch_order(x, y, BANDS.borrow, BANDS.deposit)

@@ -285,6 +285,21 @@ def test_bands_at_matches_np_interp(small_solution):
             assert abs(d - np.interp(q, w, row.deposit)) <= 4 * np.spacing(abs(d))
 
 
+def test_bands_at_equals_the_parents_lerp(small_solution):
+    # the cached cell widths and level steps give the numbers of a lerp
+    # between the cell's two ends, bit for bit
+    rng = np.random.default_rng(12)
+    for row in _rows_for_bands_at(small_solution):
+        w = row.worth
+        q = np.concatenate([rng.uniform(w[0] - 5.0, w[-1] + 5.0, 50_000), w,
+                            np.nextafter(w, -np.inf), np.nextafter(w, np.inf)])
+        idx = np.clip(np.searchsorted(w, q, side="right") - 1, 0, len(w) - 2)
+        t = np.clip((q - w[idx]) / (w[idx + 1] - w[idx]), 0.0, 1.0)
+        for got, level in zip(row.bands_at(q), (row.borrow, row.deposit)):
+            a = level[idx]
+            assert np.array_equal(got, a + t * (level[idx + 1] - a))
+
+
 def test_worth_grid_deduplicates():
     g = Grid(np.array([0.0, 1.0, 2.0]), np.array([-1.0, 0.0, 1.0]))
     w = worth_grid(g)
