@@ -11,6 +11,7 @@ both around the optimum for selected states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,9 +20,13 @@ from .dp import (
     Z_TOL,
     DPSolution,
     Grid,
+    _axis_step,
     _expected_next,
     _induct,
     _last_step,
+    _lerp,
+    _locate,
+    _out,
     _require_base_model,
     _require_on_grid,
     golden_max,
@@ -48,6 +53,15 @@ class WorthValueTable:
     def __call__(self, x, y):
         """The value at the state (x, y): the table read at x + y."""
         return interp1(self.worth, self.values, np.add(x, y))
+
+    def _read(self, x, y, spare):
+        """The value at (x, y), in `spare` (see `dp._out`)."""
+        idx, t = _locate(self.worth, self._step, np.add(x, y, out=_out(spare)), spare)
+        return _lerp(self.values, idx, t, spare)
+
+    @cached_property
+    def _step(self) -> float:
+        return _axis_step(self.worth)
 
 
 def _require_no_sellback_profit(horizon: HorizonSpec) -> None:

@@ -62,20 +62,24 @@ class Demand(ABC):
     def _mean_sd(self) -> tuple[float, float]: ...
 
     @abstractmethod
-    def expectation_nodes(self, kink):
+    def expectation_nodes(self, kink, out=None):
         """Per-element nodes/weights for E[g(D)] with g kinked at `kink`.
 
-        `kink` is an array of shape (M,); the result broadcasts as (M, K).
+        `kink` is an array of shape (M,); the result broadcasts as (M, K):
+        a row per element, or one row shared by all (atom demand). `out`,
+        a pair of (M, K) arrays, receives per-element rows; a shared row
+        ignores it.
         """
 
     @abstractmethod
-    def sales_nodes(self, z):
+    def sales_nodes(self, z, out=None):
         """Per-element nodes/weights for E[g(D)] with g constant for D >= z.
 
         Under lost sales a period sees demand only through sales min(D, z),
         so the demand above z may be one node: it sits at the support
         maximum, above z wherever it holds weight, so that both 1{D < z}
-        and 1{D <= z} read it as demand above z.
+        and 1{D <= z} read it as demand above z. Shapes and `out` as in
+        `expectation_nodes`.
         """
 
     def moments(self) -> Moments:
@@ -103,14 +107,21 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return gx, gw
 
 
-def _gauss_segments(edges_lo, edges_hi, density):
-    """GL nodes/weights on per-element segments [lo, hi] with constant density."""
+def _node_arrays(shape, k: int, out):
+    """`out`, or a fresh pair of (*shape, k) arrays for nodes and weights."""
+    return out if out is not None else (np.empty((*shape, k)), np.empty((*shape, k)))
+
+
+def _gauss_segments(edges_lo, edges_hi, density, nodes, weights):
+    """GL nodes/weights on per-element segments [lo, hi] with constant
+    density, written into the (..., QUAD_ORDER) arrays `nodes`, `weights`."""
     gx, gw = _gauss_legendre()
     half = 0.5 * (edges_hi - edges_lo)
     mid = 0.5 * (edges_hi + edges_lo)
-    nodes = mid[..., None] + half[..., None] * gx
-    weights = half[..., None] * gw * density
-    return nodes, weights
+    np.multiply(half[..., None], gx, out=nodes)
+    np.add(mid[..., None], nodes, out=nodes)
+    np.multiply(half[..., None], gw, out=weights)
+    weights *= density
 
 
 def _levels(u) -> np.ndarray:
@@ -224,26 +235,30 @@ class Uniform(Demand):
     def _mean_sd(self):
         return 0.5 * (self.lo + self.hi), (self.hi - self.lo) / np.sqrt(12.0)
 
-    def expectation_nodes(self, kink):
+    def expectation_nodes(self, kink, out=None):
+        # the GL nodes of [lo, kink], then those of [kink, hi]
         kink = np.clip(np.asarray(kink, dtype=float), self.lo, self.hi)
         density = 1.0 / (self.hi - self.lo)
-        lo = np.full_like(kink, self.lo)
-        hi = np.full_like(kink, self.hi)
-        n1, w1 = _gauss_segments(lo, kink, density)
-        n2, w2 = _gauss_segments(kink, hi, density)
-        return np.concatenate([n1, n2], axis=-1), np.concatenate([w1, w2], axis=-1)
+        nodes, weights = _node_arrays(kink.shape, 2 * QUAD_ORDER, out)
+        below, above = slice(None, QUAD_ORDER), slice(QUAD_ORDER, None)
+        _gauss_segments(np.full_like(kink, self.lo), kink, density,
+                        nodes[..., below], weights[..., below])
+        _gauss_segments(kink, np.full_like(kink, self.hi), density,
+                        nodes[..., above], weights[..., above])
+        return nodes, weights
 
-    def sales_nodes(self, z):
+    def sales_nodes(self, z, out=None):
         # the GL nodes below z, and one node holding P(D >= z) at the support
         # maximum: its leftover (z - hi)^+ is 0 wherever its weight is not,
         # and it lies above z, outside both of the slope's 1{D < z}, 1{D <= z}
         z = np.clip(np.asarray(z, dtype=float), self.lo, self.hi)
         density = 1.0 / (self.hi - self.lo)
-        nodes, weights = _gauss_segments(np.full_like(z, self.lo), z, density)
-        tail_node = np.full(z.shape + (1,), self.hi)
-        tail_weight = ((self.hi - z) * density)[..., None]
-        return (np.concatenate([nodes, tail_node], axis=-1),
-                np.concatenate([weights, tail_weight], axis=-1))
+        nodes, weights = _node_arrays(z.shape, QUAD_ORDER + 1, out)
+        _gauss_segments(np.full_like(z, self.lo), z, density,
+                        nodes[..., :-1], weights[..., :-1])
+        nodes[..., -1] = self.hi
+        np.multiply(self.hi - z, density, out=weights[..., -1])
+        return nodes, weights
 
 
 class _Atoms(Demand):
@@ -278,10 +293,10 @@ class _Atoms(Demand):
         x = np.asarray(x, dtype=float)
         return np.maximum(x[..., None] - self.atoms, 0.0) @ self.probs
 
-    def expectation_nodes(self, kink):
+    def expectation_nodes(self, kink, out=None):
         return self.atoms[None, :], self.probs[None, :]
 
-    def sales_nodes(self, z):
+    def sales_nodes(self, z, out=None):
         # every atom up to the largest z is its own node (an atom equal to z
         # is read by the slope's 1{D <= z}); the atoms above it all sell z
         # and become one node at the support maximum

@@ -37,10 +37,27 @@ Grid.regular grid) a query's cell is found by arithmetic,
 i = floor((q - x0) / h) clipped to the edge cells, and on any other axis by
 binary search; the fraction is left unclipped, so queries outside the grid
 extend linearly along the edge cell.
+
+An expectation runs in blocks of BLOCK_ELEMENTS // k points, k demand nodes
+per point, split evenly over the batch. Every (points x nodes) array of a
+block (nodes, weights, x', y', cell indices, fractions, corner values) is
+written with out= into one scratch pool of SCRATCH_BUFFERS arrays of
+BLOCK_ELEMENTS floats (1.75 MiB, within a core's 2 MiB L2 cache). `_induct`
+opens the pool and drops it when the solve returns or raises, so every step
+of a solve reuses it and the Monte Carlo that follows never holds it; a
+call outside a solve gets a pool of its own. Built in one piece, a step
+made about 25 fresh arrays of 150-300 KiB, which glibc maps and unmaps
+afresh: the extensions-lib benchmark process (2-core Xeon, numpy 2.4) took
+227,716 minor page faults and about 0.5 s of system time, against 6,734 and
+0.05 s on the pool, with the same bits out (each element sees the same
+operations in the same order).
+Atom demand keeps its nodes cut at the whole batch's largest z.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +70,16 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 #: width to which the net-worth search's golden-section bracket is narrowed
 Z_TOL = 1e-4
+
+#: elements of one (points x demand nodes) block of an expectation; every
+#: buffer of the scratch pool holds one block. Swept over 2^13..2^16 on the
+#: benchmark's workloads: 2^15 ran table2-half fastest and extensions-lib as
+#: fast as any; smaller blocks cost more numpy calls, and 2^16 only added
+#: peak memory
+BLOCK_ELEMENTS = 1 << 15
+
+#: buffers in the scratch pool: a grid-table read holds seven at once
+SCRATCH_BUFFERS = 7
 
 
 @dataclass(frozen=True)
@@ -92,48 +119,124 @@ def _axis_step(nodes: np.ndarray) -> float:
     return float(h) if np.max(np.abs(nodes - even)) <= ulps else 0.0
 
 
-def _locate(nodes: np.ndarray, step: float, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cell index clipped to the edge cells; the fraction is left unclipped so
-    # points outside the grid extend linearly along the boundary cell
+def _out(spare):
+    """A buffer from `spare` to write into, or None, so that numpy allocates.
+
+    `spare` is None or a list of free float arrays of the queries' shape. A
+    lookup given a list pops the buffers it fills, puts back (`_release`)
+    those it is done with, and treats its queries as its own: once read,
+    they join the list. Without a list it allocates and leaves its queries
+    as they are."""
+    return spare.pop() if spare else None
+
+
+def _release(spare, *arrays) -> None:
+    if spare is not None:
+        spare.extend(a.view(np.float64) for a in arrays)
+
+
+def _as_index(w, spare):
+    # w cast to intp (truncation), into a spare buffer when there is one
+    out = _out(spare)
+    if out is None:
+        return w.astype(np.intp)
+    idx = out.view(np.intp)
+    np.copyto(idx, w, casting="unsafe")
+    return idx
+
+
+def _locate(nodes: np.ndarray, step: float, q: np.ndarray, spare=None):
+    """(cell index, fraction) of the queries on the axis `nodes`.
+
+    The index is clipped to the edge cells; the fraction is left unclipped so
+    points outside the grid extend linearly along the boundary cell. See
+    `_out` for `spare`."""
     if step:
-        u = (q - nodes[0]) / step
+        u = np.subtract(q, nodes[0], out=_out(spare))
+        u /= step
+        _release(spare, q)
         # fmax/fmin send NaN to cell 0 (its fraction stays NaN); for u >= 0
         # the cast truncates, which is floor
-        idx = np.fmin(np.fmax(u, 0.0), len(nodes) - 2).astype(np.intp)
-        return idx, u - idx
-    idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
-    return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+        w = np.fmax(u, 0.0, out=_out(spare))
+        np.fmin(w, len(nodes) - 2, out=w)
+        idx = _as_index(w, spare)
+        _release(spare, w)
+        u -= idx
+        return idx, u
+    idx = np.searchsorted(nodes, q, side="right")
+    idx -= 1
+    np.clip(idx, 0, len(nodes) - 2, out=idx)
+    lo = _take(nodes, idx, spare)
+    t = np.subtract(q, lo, out=_out(spare))
+    _release(spare, q)
+    width = _take(nodes[1:], idx, spare)
+    width -= lo
+    t /= width
+    _release(spare, lo, width)
+    return idx, t
 
 
-def _lerp(flat_values: np.ndarray, at, t):
-    a = flat_values[at]
-    return a + t * (flat_values[at + 1] - a)
+def _take(values, at, spare):
+    # values[at] for indices known to be in range; mode="clip" writes into
+    # `out` directly, where the default mode would copy through a temporary.
+    # np.take wants both arrays in C order, which a pool view (see
+    # _Scratch.views) is when transposed
+    out = _out(spare)
+    if out is None:
+        return np.take(values, at, mode="clip")
+    np.take(values, at.T, out=out.T, mode="clip")
+    return out
 
 
-def _bilinear(fields, grid: Grid, xq, yq) -> list:
-    """Each (nx, ny) field in `fields` interpolated at the queries, one lookup."""
-    ix, tx = _locate(grid.x_nodes, grid._steps[0], np.asarray(xq, dtype=float))
-    iy, ty = _locate(grid.y_nodes, grid._steps[1], np.asarray(yq, dtype=float))
+def _lerp(flat_values: np.ndarray, at, t, spare=None):
+    """values[at] + t (values[at + 1] - values[at])."""
+    a = _take(flat_values, at, spare)
+    b = _take(flat_values[1:], at, spare)
+    b -= a
+    np.multiply(t, b, out=b)
+    b += a
+    _release(spare, a)
+    return b
+
+
+def _bilinear(fields, grid: Grid, xq, yq, spare=None) -> list:
+    """Each (nx, ny) field in `fields` interpolated at the queries, one
+    lookup. See `_out` for `spare`."""
+    xq, yq = np.broadcast_arrays(np.asarray(xq, dtype=float), np.asarray(yq, dtype=float))
+    if xq.ndim == 0:  # the kernel works in place, which a scalar cannot be
+        return [v[0] for v in _bilinear(fields, grid, xq.reshape(1), yq.reshape(1))]
+    ix, tx = _locate(grid.x_nodes, grid._steps[0], xq, spare)
+    iy, ty = _locate(grid.y_nodes, grid._steps[1], yq, spare)
     ny = len(grid.y_nodes)
-    flat = ix * ny + iy
+    flat = np.multiply(ix, ny, out=ix)
+    flat += iy
+    _release(spare, iy)
     out = []
     for table in fields:
         v = np.ravel(table)
-        lo = _lerp(v, flat, ty)
-        out.append(lo + tx * (_lerp(v, flat + ny, ty) - lo))
+        lo = _lerp(v, flat, ty, spare)
+        hi = _lerp(v[ny:], flat, ty, spare)  # row ix + 1
+        hi -= lo
+        np.multiply(tx, hi, out=hi)
+        hi += lo
+        _release(spare, lo)
+        out.append(hi)
     return out
 
 
 def interp1(nodes: np.ndarray, values: np.ndarray, q):
     """Piecewise-linear interpolation, one-sided linear outside the nodes."""
-    nodes = np.asarray(nodes, dtype=float)
-    idx, t = _locate(nodes, _axis_step(nodes), np.asarray(q, dtype=float))
+    nodes, q = np.asarray(nodes, dtype=float), np.asarray(q, dtype=float)
+    if q.ndim == 0:  # the kernel works in place, which a scalar cannot be
+        return interp1(nodes, values, q.reshape(1))[0]
+    idx, t = _locate(nodes, _axis_step(nodes), q)
     return _lerp(np.asarray(values), idx, t)
 
 
-def interp2(values: np.ndarray, grid: Grid, xq, yq):
-    """Bilinear interpolation of a (nx, ny) table, linear one-sided outside."""
-    return _bilinear((values,), grid, xq, yq)[0]
+def interp2(values: np.ndarray, grid: Grid, xq, yq, spare=None):
+    """Bilinear interpolation of a (nx, ny) table, linear one-sided outside.
+    See `_out` for `spare`."""
+    return _bilinear((values,), grid, xq, yq, spare)[0]
 
 
 @dataclass(eq=False)
@@ -152,6 +255,10 @@ class ValueTable:
 
     def __call__(self, x, y):
         return interp2(self.values, self.grid, x, y)
+
+    def _read(self, x, y, spare):
+        """The table at (x, y), in `spare` (see `_out`)."""
+        return interp2(self.values, self.grid, x, y, spare)
 
 
 @dataclass(eq=False)
@@ -176,21 +283,25 @@ def partials(table: ValueTable, x, y):
     return gx, gy
 
 
-def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=None):
+def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=None,
+                out=(None, None)):
     """(x', y') after ordering up to z from net worth xi and meeting demand d.
 
     Before the last period y' is in next period's units; in period N it is
     terminal wealth in currency, with h' = -s. `bank` maps a currency bank
     position to its end-of-period value (default: the two rates). `backlog`
     is a backorder penalty b: unmet demand stays as negative stock and
-    b E[D] is charged (the horizon's prices then include b).
+    b E[D] is charged (the horizon's prices then include b). `out` is a
+    pair of arrays of the result's shape that receive x' and y' (None
+    allocates). Scalar inputs give scalar results.
 
     The two-rate bank term is min(s(1+i), s(1+l)) with s = c'(xi - z): as
     i < l and c' > 0, that is s(1+i) where z <= xi and s(1+l) elsewhere,
     bit for bit, without a mask. The bank term and y' are built in place on
-    the function's own temporaries; `leftover` is not, as building it in
-    z - d raised the minor page faults of `tables --which table2` at half
-    grid from 219k to 274k. Scalar inputs give scalar results.
+    the function's own temporaries. Without `out` (the Monte Carlo's step),
+    z - d and its positive part are separate arrays: building one in the
+    other raised the minor page faults of `tables --which table2` at half
+    grid from 219k to 274k.
     """
     params = horizon.period(n)
     if n < horizon.n_periods:
@@ -200,7 +311,8 @@ def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=No
         pp, hp, cp, c_next = params.price, -horizon.salvage, params.cost, 1.0
     scalar = np.ndim(z) == np.ndim(xi) == np.ndim(d) == 0
     z, xi, d = np.atleast_1d(z, xi, d)
-    leftover = np.maximum(z - d, 0.0)
+    x_out, y_out = out
+    leftover = np.maximum(np.subtract(z, d, out=x_out), 0.0, out=x_out)
     if bank is None:
         spend = np.subtract(xi, z, dtype=float)
         spend *= cp
@@ -209,30 +321,102 @@ def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=No
                    out=bank_units)
     else:
         bank_units = bank(params.cost * (xi - z)) / c_next
-    y_next = (pp + hp) * leftover
+    y_next = np.multiply(pp + hp, leftover, out=y_out)
     np.subtract(pp * z, y_next, out=y_next)
     y_next += bank_units
     if backlog is None:
         x_next = leftover
     else:
-        x_next = z - d
+        x_next = np.subtract(z, d, out=x_out)  # with `out`, over the spent leftover
         y_next -= backlog / c_next * horizon.demand_in(n).mean()
     return (x_next[0], y_next[0]) if scalar else (x_next, y_next)
+
+
+def _blocks(m: int, rows: int) -> list[tuple[int, int]]:
+    """[start, stop) of ceil(m / rows) blocks of near-equal size covering m."""
+    count = -(-m // rows)
+    return [(j * m // count, (j + 1) * m // count) for j in range(count)]
+
+
+class _Scratch:
+    """SCRATCH_BUFFERS float buffers of `size` elements, handed out per block."""
+
+    def __init__(self, size: int):
+        self._buffers = [np.empty(size) for _ in range(SCRATCH_BUFFERS)]
+
+    def views(self, rows: int, k: int) -> list:
+        """Every buffer as a (rows, k) array; none if a block does not fit.
+
+        The views are laid out node by node (column-major), so that an
+        operation between a per-point (rows, 1) column and a block runs
+        along the rows, not in loops of k elements."""
+        if rows * k > len(self._buffers[0]):
+            return []
+        return [b[:rows * k].reshape(k, rows).T for b in self._buffers]
+
+
+#: the pool of the solve that runs in this thread (see _scratch_scope)
+_SOLVE = threading.local()
+
+
+@contextmanager
+def _scratch_scope():
+    """Give the expectations in the block one scratch pool, dropped on
+    exit whether the block returns or raises; inside an open scope the
+    outer pool serves."""
+    outer = getattr(_SOLVE, "scratch", None)
+    _SOLVE.scratch = outer or _Scratch(BLOCK_ELEMENTS)
+    try:
+        yield
+    finally:
+        _SOLVE.scratch = outer
 
 
 def _expected_next(z, xi, horizon, n, next_value, bank=None, backlog=None):
     """E_D[ next_value(x', y') ] for per-element (z, xi) under period n.
 
     Lost sales take the sales nodes; a backlog carries z - D, which reads
-    the demand above z, and takes every node.
+    the demand above z, and takes every node. The points run in blocks of
+    BLOCK_ELEMENTS // k rows, k nodes per point, on the open solve's
+    scratch pool or, outside a solve, on one of the call's own. A next
+    value with a `_read(x, y, spare)` method (the grid and worth tables)
+    is read there with its intermediates in the pool (see `_out`); any
+    other is called.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    z, xi = np.broadcast_arrays(np.atleast_1d(np.asarray(z, dtype=float)),
+                                np.atleast_1d(np.asarray(xi, dtype=float)))
     demand = horizon.demand_in(n)
-    nodes, weights = demand.sales_nodes(z) if backlog is None else demand.expectation_nodes(z)
-    x_next, y_next = _next_state(z[:, None], xi[:, None], nodes, n, horizon,
-                                 bank=bank, backlog=backlog)
-    return np.sum(next_value(x_next, y_next) * weights, axis=1)
+    build = demand.sales_nodes if backlog is None else demand.expectation_nodes
+    # an empty batch gives a continuous demand's (0, k) nodes, a row per
+    # point, built block by block; atom demand gives its one row shared by
+    # every point, built here once, cut at the whole batch's largest z
+    nodes, weights = build(z[:0])
+    per_point = not len(nodes)
+    if not per_point:
+        nodes, weights = build(z)
+    k = nodes.shape[-1]
+    rows = max(BLOCK_ELEMENTS // k, 1)
+    pool = getattr(_SOLVE, "scratch", None) or _Scratch(min(len(z), rows) * k)
+    read = getattr(next_value, "_read", None)
+    result = np.empty(len(z))
+    for start, stop in _blocks(len(z), rows):
+        spare = pool.views(stop - start, k)
+        if per_point:
+            out = (spare.pop(), spare.pop()) if spare else None
+            nodes, weights = build(z[start:stop], out=out)
+        x_next, y_next = _next_state(z[start:stop, None], xi[start:stop, None], nodes, n,
+                                     horizon, bank=bank, backlog=backlog,
+                                     out=(_out(spare), _out(spare)))
+        if per_point:
+            _release(spare, nodes)
+        value = read(x_next, y_next, spare) if read else next_value(x_next, y_next)
+        # the product point by point (row-major), so that each row's sum
+        # adds its k terms in the order a one-piece batch's rows do
+        prod = _out(spare)
+        prod = np.multiply(value, weights, order="C",
+                           out=None if prod is None else prod.T.reshape(prod.shape))
+        np.sum(prod, axis=1, out=result[start:stop])
+    return result
 
 
 def golden_max(f, lo, hi, tol: float, candidates=()):
@@ -403,11 +587,13 @@ def _induct(horizon: HorizonSpec, step, table) -> list:
     period n+1's value, a callable (x', y') -> value: the table of period
     n+1, or terminal wealth when n = N. `table(n, z, v)` wraps the pair as
     period n's table, which is period n-1's next value. Returns the tables,
-    period 1 first.
+    period 1 first. The steps' expectations share one scratch pool, which
+    goes when the recursion returns or raises.
     """
     tables = [_terminal_wealth]
-    for n in range(horizon.n_periods, 0, -1):
-        tables.append(table(n, *step(n, tables[-1])))
+    with _scratch_scope():
+        for n in range(horizon.n_periods, 0, -1):
+            tables.append(table(n, *step(n, tables[-1])))
     return tables[:0:-1]
 
 
