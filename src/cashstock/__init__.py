@@ -47,7 +47,6 @@ from .thresholds import (
     stage_slope_deposit,
 )
 from .bounds import (
-    BoundReport,
     WorthValueTable,
     compare_bounds,
     selling_back_dp,
@@ -66,11 +65,9 @@ from .extensions import (
     piecewise_thresholds,
 )
 from .sim import (
-    GapRow,
     MyopicPolicy,
     SimResult,
     ThresholdPolicy,
-    gap_report,
     run_policies,
 )
 

@@ -1,11 +1,12 @@
-"""Value-function bounds: selling-back upper bound and comparison reports.
+"""Value-function bounds around the optimum, and the one report of them.
 
 Allowing the firm to sell stock back at the current unit cost collapses the
 state to net worth w = x + y and yields a one-dimensional relaxation whose
 value dominates the true value function; it is a run of the one backward
-recursion (`dp._induct`) on a net-worth axis, at zero stock. Myopic policies
-evaluated under the true dynamics provide lower bounds; the report places
-both around the optimum for selected states.
+recursion (`dp._induct`) on a net-worth axis, at zero stock. The two myopic
+policies evaluated under the true dynamics provide lower bounds. The report,
+`compare_bounds`, places the bounds a caller asks for around the optimum at
+selected states and horizon lengths; both of the CLI's tables print it.
 """
 
 from __future__ import annotations
@@ -97,38 +98,56 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     return _induct(horizon, step, lambda n, z, v: WorthValueTable(n, worth_nodes, v, z))
 
 
+#: the bounds a report can place around the optimum: the values of the two
+#: myopic policies under the true dynamics, both lower bounds, under the
+#: labels `sim.MyopicPolicy` gives them, and the selling-back relaxation, the
+#: upper bound
+BOUNDS = ("myopic-lower", "myopic-upper", "selling-back")
+UPPER_BOUND = "selling-back"
+
+
 @dataclass
 class BoundRow:
+    """The optimum and each requested bound at one state and horizon length."""
+
     n_periods: int              # horizon length the row reports
     x: float
     y: float
     optimal: float
-    lower: float
-    lower_gap: float
-    lower_gap_pct: float
-    upper: float
-    upper_gap: float
-    upper_gap_pct: float
-    violated: bool
+    values: dict[str, float]    # bound name -> its value, in the order asked
 
+    def gap(self, name: str) -> float:
+        return self.optimal - self.values[name]
 
-@dataclass
-class BoundReport:
-    rows: list[BoundRow]
+    def gap_pct(self, name: str) -> float:
+        return 100.0 * (self.optimal - self.values[name]) / self.optimal
 
     @property
-    def any_violation(self) -> bool:
-        return any(r.violated for r in self.rows)
+    def violated(self) -> bool:
+        """A bound on the wrong side of the optimum by more than CHAIN_TOL relative."""
+        tol = CHAIN_TOL * max(abs(self.optimal), 1.0)
+        return any(self.optimal > v + tol if name == UPPER_BOUND else v > self.optimal + tol
+                   for name, v in self.values.items())
 
 
-def compare_bounds(solution: DPSolution, states, *, lengths=None) -> BoundReport:
-    """Bound chain lower <= optimal <= upper at the given states.
+def _bound_tables(name: str, horizon: HorizonSpec, grid: Grid) -> list:
+    """The tables of bound `name` on `horizon`, period 1 first."""
+    if name == UPPER_BOUND:
+        return selling_back_dp(horizon, default_worth_grid(grid))
+    bands = single_period.myopic_bands(horizon, name.removeprefix("myopic-"))
+    return policy_value_tables(
+        horizon, grid, lambda n, x, y: single_period.optimal_order(x, y, bands[n - 1]))
 
-    Optimal: the solution's, on its horizon and grid. Lower bound: the
-    liquidation-credit myopic policy evaluated under the true dynamics.
-    Upper bound: the selling-back relaxation at the state's net worth.
-    Violations beyond CHAIN_TOL relative are flagged. A state outside the
-    grid, where the tables would be extrapolated, raises before any bound.
+
+def compare_bounds(solution: DPSolution, states, bounds, *, lengths=None) -> list[BoundRow]:
+    """The optimum and the `bounds` asked for, one row per length and state.
+
+    Optimal: the solution's, on its horizon and grid. `bounds` names some of
+    BOUNDS, and only those are computed: a myopic policy evaluated under the
+    true dynamics, with the solution's quadrature, is a lower bound, and the
+    selling-back relaxation at the state's net worth is the upper bound. An
+    unknown name, or a state outside the grid, where the tables would be
+    extrapolated, raises before any bound is computed.
 
     `lengths` are the horizon lengths n <= N to report (default: N alone),
     each for every state, in the order given. The n-period horizon is the
@@ -136,6 +155,9 @@ def compare_bounds(solution: DPSolution, states, *, lengths=None) -> BoundReport
     of tables at offset N - n (see DPSolution.tail).
     """
     _require_base_model(solution, "compare_bounds")
+    unknown = [name for name in bounds if name not in BOUNDS]
+    if unknown:
+        raise ValueError(f"unknown bound(s) {unknown}; each must be one of {BOUNDS}")
     horizon, grid = solution.horizon, solution.grid
     n_last = horizon.n_periods
     lengths = [n_last] if lengths is None else list(lengths)
@@ -143,27 +165,15 @@ def compare_bounds(solution: DPSolution, states, *, lengths=None) -> BoundReport
         raise ValueError(f"horizon lengths {lengths} must lie in 1..{n_last}")
     for k, (x, y) in enumerate(states):
         _require_on_grid(grid, f"states[{k}]", x, y)
-    bands = single_period.myopic_bands(horizon, "upper")
-    lower_tables = policy_value_tables(
-        horizon, grid, lambda n, x, y: single_period.optimal_order(x, y, bands[n - 1]))
-    sell_back = selling_back_dp(horizon, default_worth_grid(grid))
-
+    tables = {name: _bound_tables(name, horizon, grid) for name in bounds}
     rows = []
     for n in lengths:
         k = n_last - n
         value = solution.tail(k).value(1)
         for x, y in states:
-            v = float(value(x, y))
-            lo = float(lower_tables[k](x, y))
-            up = float(sell_back[k](x, y))
-            tol = CHAIN_TOL * max(abs(v), 1.0)
-            rows.append(BoundRow(
-                n_periods=n, x=float(x), y=float(y), optimal=v,
-                lower=lo, lower_gap=v - lo, lower_gap_pct=100.0 * (v - lo) / v,
-                upper=up, upper_gap=v - up, upper_gap_pct=100.0 * (v - up) / v,
-                violated=(lo > v + tol) or (v > up + tol),
-            ))
-    return BoundReport(rows)
+            rows.append(BoundRow(n, float(x), float(y), float(value(x, y)),
+                                 {name: float(t[k](x, y)) for name, t in tables.items()}))
+    return rows
 
 
 def default_worth_grid(grid: Grid) -> np.ndarray:

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflate
                      integer_uniform)
 from .dp import Z_TOL, Grid, _require_on_grid, backward_induct
 from .model import HorizonSpec, PeriodParams, State, validate
-from .sim import MyopicPolicy, ThresholdPolicy, gap_report, run_policies
+from .sim import MyopicPolicy, ThresholdPolicy, run_policies
 from .thresholds import ThresholdTable
 
 EXIT_OK = 0
@@ -97,6 +97,15 @@ def _list(value, what: str, parse=_number, **bounds) -> list:
     return [parse(v, f"{what}[{k}]", **bounds) for k, v in enumerate(value)]
 
 
+def _distinct(value, what: str, **kwargs) -> list:
+    """A `_list` whose entries all differ."""
+    items = _list(value, what, **kwargs)
+    twice = sorted({v for v in items if items.count(v) > 1})
+    _require(not twice, f"{what} repeats {', '.join(map(_fmt, twice))}: "
+             "the table would write its rows twice")
+    return items
+
+
 def _fields(spec, where: str, table: dict) -> dict:
     """The object `spec` read by `table`, which maps each field to its default
     (or REQUIRED) and its parser; an unknown key's error names the closest field."""
@@ -159,9 +168,10 @@ ROOT_FIELDS = {"N": (REQUIRED, partial(_integer, most=MAX_PERIODS)),
                "solver": (_fields({}, "solver", SOLVER_FIELDS),
                           partial(_fields, table=SOLVER_FIELDS)),
                "initial": ([0.0, 0.0], _list),
-               "table_states": ([0.0, 7.0, 14.0], partial(_list, low=0.0)),
+               "table_states": ([0.0, 7.0, 14.0], partial(_distinct, low=0.0)),
                # [] stands for [N, 2N]; twice N's bound, as [N, 2N] reaches
-               "table_horizons": ([], partial(_list, parse=_integer, most=2 * MAX_PERIODS))}
+               "table_horizons": ([], partial(_distinct, parse=_integer,
+                                              most=2 * MAX_PERIODS))}
 
 
 @dataclass
@@ -201,9 +211,10 @@ class RunConfig:
 
     def longest_horizon(self, lengths, demand: Demand | None = None) -> HorizonSpec:
         """The horizon of the longest of `lengths`, once `horizon` has
-        accepted every length. Each shorter one is then its tail: periods and
-        demands are either one entry repeated or exactly the longest's."""
-        for n in lengths:
+        accepted every length, shortest first. Each shorter one is then its
+        tail: periods and demands are either one entry repeated or exactly
+        the longest's."""
+        for n in sorted(lengths):
             self.horizon(demand, n)
         return self.horizon(demand, max(lengths))
 
@@ -343,39 +354,45 @@ def cmd_solve(cfg: RunConfig, out: Emitter) -> int:
 
 
 def cmd_tables(cfg: RunConfig, out: Emitter, which: str) -> int:
+    # both tables print one bound report, per horizon length, demand and
+    # state; they differ in the bounds they ask for and in their columns
     if which == "table1":
         for k, dem in enumerate(cfg.demands):
             _require(dem.mean() > 0, f"demands[{k}] has mean 0: table1's cv column "
                      "(standard deviation / mean) is undefined")
-        _state_on_grid(cfg.grid, "initial", *cfg.initial)
-        rows = [astuple(gap_report(backward_induct(cfg.horizon(demand=dem), cfg.grid),
-                                   State(*cfg.initial))) for dem in cfg.demands]
-        out.write_csv("table1.csv",
-                      ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
-                       "v_myopic_upper", "gap_upper_pct"], rows)
-        return EXIT_OK
-    # table2: bound chain per horizon length, demand, and inventory state.
-    # Each demand is solved once, at the longest horizon, and its tables are
-    # released before the next; the shorter horizons are read as its tails
-    lengths = sorted(set(cfg.table_horizons))
-    states = [(x, 0.0) for x in cfg.table_states]
-    for k, (x, y) in enumerate(states):
-        _state_on_grid(cfg.grid, f"table_states[{k}]", x, y)
+        bounds = ("myopic-lower", "myopic-upper")
+        lengths, states = [cfg.n_periods], {"initial": cfg.initial}
+        header = ["demand", "cv", "v_opt", "v_myopic_lower", "gap_lower_pct",
+                  "v_myopic_upper", "gap_upper_pct"]
+
+        def cells(dem, r):
+            return (dem.label, dem.moments().cv, r.optimal,
+                    *(c for b in bounds for c in (r.values[b], r.gap_pct(b))))
+    else:
+        bounds = ("myopic-upper", "selling-back")
+        lengths = cfg.table_horizons
+        states = {f"table_states[{k}]": (x, 0.0) for k, x in enumerate(cfg.table_states)}
+        header = ["N", "demand", "x", "v_opt", "v_lower", "gap_lower", "gap_lower_pct",
+                  "v_upper", "gap_upper", "gap_upper_pct"]
+
+        def cells(dem, r):
+            return (r.n_periods, dem.label, r.x, r.optimal,
+                    *(c for b in bounds for c in (r.values[b], r.gap(b), r.gap_pct(b))))
+    for what, (x, y) in states.items():
+        _state_on_grid(cfg.grid, what, x, y)
     horizons = [cfg.longest_horizon(lengths, demand=dem) for dem in cfg.demands]
-    try:  # the relaxation's condition reads the periods, which every demand shares
-        _require_no_sellback_profit(horizons[0])
-    except ValueError as exc:
-        raise ConfigError(f"invalid horizon for the selling-back bound: {exc}") from None
-    reports = [compare_bounds(backward_induct(hz, cfg.grid), states, lengths=lengths)
-               for hz in horizons]
-    rows = [(n, dem.label, r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
-             r.upper, r.upper_gap, r.upper_gap_pct)
-            for n in cfg.table_horizons
-            for dem, report in zip(cfg.demands, reports)
-            for r in report.rows if r.n_periods == n]
-    out.write_csv("table2.csv",
-                  ["N", "demand", "x", "v_opt", "v_lower", "gap_lower", "gap_lower_pct",
-                   "v_upper", "gap_upper", "gap_upper_pct"], rows)
+    if "selling-back" in bounds:
+        try:  # the relaxation's condition reads the periods, which every demand shares
+            _require_no_sellback_profit(horizons[0])
+        except ValueError as exc:
+            raise ConfigError(f"invalid horizon for the selling-back bound: {exc}") from None
+    # each demand is solved once, at the longest horizon, and its tables are
+    # released before the next; the shorter horizons are read as its tails
+    reports = [compare_bounds(backward_induct(hz, cfg.grid), list(states.values()), bounds,
+                              lengths=lengths) for hz in horizons]
+    out.write_csv(f"{which}.csv", header,
+                  [cells(dem, r) for n in lengths for dem, report in zip(cfg.demands, reports)
+                   for r in report if r.n_periods == n])
     return EXIT_OK
 
 

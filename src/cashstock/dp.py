@@ -471,8 +471,8 @@ def _require_on_grid(grid: Grid, what: str, x: float, y: float) -> None:
 
 
 def _require_base_model(solution: DPSolution, what: str) -> None:
-    """The threshold tables and the bound and gap reports read a solve of the
-    base model: their myopic policies, brackets and relaxation ignore tiered
+    """The threshold tables and the bound report read a solve of the base
+    model: their myopic policies, brackets and relaxation ignore tiered
     rates, a loan limit and backorders. An extension's solve keeps no
     per-worth maximizer, which tells it apart."""
     if solution.worth_argmax is None:

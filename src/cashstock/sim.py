@@ -1,4 +1,8 @@
-"""Monte Carlo policy evaluation and optimality-gap reporting.
+"""Monte Carlo policy evaluation.
+
+This module only simulates. The same policies' values on the grid, and
+their gaps to the optimum, are `bounds.compare_bounds`' myopic bounds,
+which the tests check these simulations against.
 
 Paths share one stream of uniforms per (seed, path, period), so competing
 policies are evaluated under common random numbers and gap estimates stay
@@ -25,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import single_period
-from .dp import (
-    DPSolution,
-    _next_state,
-    _require_base_model,
-    _require_on_grid,
-    policy_value_tables,
-)
+from .dp import _next_state
 from .model import HorizonSpec, State, require_valid
 from .thresholds import ThresholdTable, policy_from_thresholds
 
@@ -132,44 +130,3 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
 def _label(policy) -> str:
     return getattr(policy, "label", "policy")
 
-
-@dataclass(frozen=True)
-class GapRow:
-    """Optimum against both myopic policies at one initial state."""
-
-    demand_label: str
-    cv: float
-    optimal: float
-    lower_value: float
-    lower_gap_pct: float
-    upper_value: float
-    upper_gap_pct: float
-
-
-def gap_report(solution: DPSolution, initial: State) -> GapRow:
-    """Exact (grid) evaluation of both myopic policies against the optimum.
-
-    Values come from policy-evaluation sweeps on the solution's horizon and
-    grid, with the same quadrature as the solution, so discretization bias
-    largely cancels in the gaps. Monte Carlo is used as a cross-check in
-    tests, not here. An initial state outside the grid, where the tables
-    would be extrapolated, raises before either sweep runs.
-    """
-    _require_base_model(solution, "gap_report")
-    horizon, grid = solution.horizon, solution.grid
-    _require_on_grid(grid, "initial", initial.x, initial.y)
-    v_opt = float(solution.value(1)(initial.x, initial.y))
-    values = {}
-    for which in ("lower", "upper"):
-        tables = policy_value_tables(horizon, grid, MyopicPolicy(horizon, which))
-        values[which] = float(tables[0](initial.x, initial.y))
-    moments = horizon.demand_in(1).moments()
-    return GapRow(
-        demand_label=horizon.demand_in(1).label,
-        cv=moments.cv,
-        optimal=v_opt,
-        lower_value=values["lower"],
-        lower_gap_pct=100.0 * (v_opt - values["lower"]) / v_opt,
-        upper_value=values["upper"],
-        upper_gap_pct=100.0 * (v_opt - values["upper"]) / v_opt,
-    )

@@ -3,16 +3,22 @@ import pytest
 
 import cashstock as cs
 from cashstock.bounds import (
+    BOUNDS,
+    BoundRow,
     compare_bounds,
     default_worth_grid,
     selling_back_dp,
 )
 from cashstock.dp import Grid, _expected_next, _next_state
+from cashstock.sim import MyopicPolicy, run_policies
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
 U20 = cs.Uniform(0, 20)
+#: the bounds each CLI table reports
+TABLE1 = ("myopic-lower", "myopic-upper")
+TABLE2 = ("myopic-upper", "selling-back")
 
 
 def test_xi_transition_examples():
@@ -93,15 +99,79 @@ def test_value_chain(small_bounds):
 
 def test_compare_bounds_report(small_bounds):
     _, _, sol, _ = small_bounds
-    report = compare_bounds(sol, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)])
-    assert len(report.rows) == 3
-    assert not report.any_violation
-    for row in report.rows:
-        assert row.lower <= row.optimal + 5e-3 * abs(row.optimal)
-        assert row.optimal <= row.upper + 5e-3 * abs(row.optimal)
-        assert row.lower_gap == pytest.approx(row.optimal - row.lower)
-        assert row.upper_gap_pct == pytest.approx(
-            100 * (row.optimal - row.upper) / row.optimal)
+    rows = compare_bounds(sol, [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0)], TABLE2)
+    assert len(rows) == 3
+    assert not any(row.violated for row in rows)
+    for row in rows:
+        assert tuple(row.values) == TABLE2  # the bounds asked for, and no other
+        lower, upper = row.values["myopic-upper"], row.values["selling-back"]
+        assert lower <= row.optimal + 5e-3 * abs(row.optimal)
+        assert row.optimal <= upper + 5e-3 * abs(row.optimal)
+        assert row.gap("myopic-upper") == pytest.approx(row.optimal - lower)
+        assert row.gap_pct("selling-back") == pytest.approx(
+            100 * (row.optimal - upper) / row.optimal)
+
+
+def test_bound_row_violation_sides():
+    # every myopic value bounds the optimum from below, the relaxation from
+    # above, each within CHAIN_TOL = 5e-3 relative (5 here)
+    def violated(values):
+        return BoundRow(3, 0.0, 0.0, 1000.0, values).violated
+
+    assert not violated({"myopic-lower": 1004.0, "myopic-upper": 1004.0, "selling-back": 996.0})
+    assert not violated({"myopic-lower": 900.0, "selling-back": 1100.0})
+    assert violated({"myopic-lower": 1006.0})
+    assert violated({"myopic-upper": 1006.0})
+    assert violated({"selling-back": 994.0})
+
+
+@pytest.mark.parametrize("key", ["u0_20", "zip18", "iu0_20"])
+def test_full_bound_chain_holds(small_grid, key):
+    # both myopic values below the optimum, the relaxation above it, at every
+    # state and horizon length
+    solution = cs.backward_induct(make_horizon(key, 3), small_grid)
+    states = [(0.0, 0.0), (7.0, 0.0), (14.0, 0.0), (0.0, 20.0)]
+    rows = compare_bounds(solution, states, BOUNDS, lengths=[1, 2, 3])
+    assert len(rows) == 12
+    assert all(tuple(r.values) == BOUNDS for r in rows)
+    assert not any(r.violated for r in rows), rows
+
+
+def test_compare_bounds_myopic_gaps(small_grid):
+    hz = make_horizon("u0_20", 3)
+    [row] = compare_bounds(cs.backward_induct(hz, small_grid), [(0.0, 0.0)], TABLE1)
+    assert (row.n_periods, row.x, row.y) == (3, 0.0, 0.0)
+    lower, upper = row.values["myopic-lower"], row.values["myopic-upper"]
+    assert row.optimal >= lower - 1.0
+    assert row.optimal >= upper - 1.0
+    assert row.gap_pct("myopic-lower") == pytest.approx(100 * (row.optimal - lower) / row.optimal)
+    # the liquidation-credit myopic rule dominates the holding-only one here
+    assert row.gap_pct("myopic-upper") < row.gap_pct("myopic-lower")
+
+
+def test_compare_bounds_checks_before_the_myopic_sweeps(small_grid, monkeypatch):
+    # a state off the grid, where the tables would be extrapolated, or a bound
+    # of unknown name: the report stops before either myopic sweep runs
+    solution = cs.backward_induct(make_horizon("u0_20", 3), small_grid)
+
+    def no_solve(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr("cashstock.dp._induct", no_solve)
+    with pytest.raises(ValueError, match=r"states\[0\] puts the state \(60, 200\) outside the "
+                       r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
+        compare_bounds(solution, [(60.0, 200.0)], TABLE1)
+    with pytest.raises(ValueError, match=r"unknown bound\(s\) \['myopic'\]"):
+        compare_bounds(solution, [(0.0, 0.0)], ("myopic-lower", "myopic"))
+
+
+def test_myopic_bounds_consistent_with_simulation(small_grid):
+    hz = make_horizon("u0_20", 3)
+    [row] = compare_bounds(cs.backward_induct(hz, small_grid), [(0.0, 0.0)], TABLE1)
+    policies = [MyopicPolicy(hz, "lower"), MyopicPolicy(hz, "upper")]
+    for sim in run_policies(hz, policies, cs.State(0.0, 0.0), 400_000, seed=9):
+        value = row.values[sim.label]  # a policy's label is its bound's name
+        assert abs(sim.mean - value) <= sim.half_width + 0.01 * abs(value)
 
 
 def test_upper_bound_tight_at_zero_stock(small_bounds):
@@ -133,13 +203,13 @@ def test_selling_back_tail_is_the_shorter_relaxation(key):
 def test_compare_bounds_reads_shorter_horizons_as_tails(small_bounds):
     _, _, sol, _ = small_bounds
     states = [(0.0, 0.0), (7.0, 0.0)]
-    both = compare_bounds(sol, states, lengths=[2, 4])
-    assert [r.n_periods for r in both.rows] == [2, 2, 4, 4]
-    assert both.rows[2:] == compare_bounds(sol, states).rows
-    short = compare_bounds(sol.tail(2), states)
-    assert short.rows == both.rows[:2]
+    both = compare_bounds(sol, states, TABLE2, lengths=[2, 4])
+    assert [r.n_periods for r in both] == [2, 2, 4, 4]
+    assert both[2:] == compare_bounds(sol, states, TABLE2)
+    short = compare_bounds(sol.tail(2), states, TABLE2)
+    assert short == both[:2]
     with pytest.raises(ValueError, match="lengths"):
-        compare_bounds(sol, states, lengths=[5])
+        compare_bounds(sol, states, TABLE2, lengths=[5])
 
 
 def test_compare_bounds_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
@@ -154,7 +224,7 @@ def test_compare_bounds_rejects_a_state_outside_the_grid(small_grid, monkeypatch
     monkeypatch.setattr("cashstock.bounds._induct", no_solve)
     with pytest.raises(ValueError, match=r"states\[1\] puts the state \(80, 0\) outside the "
                        r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
-        compare_bounds(solution, [(0.0, 0.0), (80.0, 0.0)])
+        compare_bounds(solution, [(0.0, 0.0), (80.0, 0.0)], TABLE2)
 
 
 @pytest.mark.parametrize("key", ["zip18", "iu0_20"])

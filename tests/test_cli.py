@@ -276,6 +276,18 @@ def test_repeated_key_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"table_horizons": [2, 2, 3]}, "table_horizons repeats 2: the table would write"),
+    ({"table_states": [0, 7, 7.0]}, "table_states repeats 7: the table would write"),
+], ids=["table_horizons", "table_states"])
+def test_repeated_table_entry_is_config_error(tmp_path, capsys, changes, message):
+    path = write_config(tmp_path, **changes)
+    out = tmp_path / "o"
+    assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_scale_must_be_positive(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o"),
@@ -470,6 +482,7 @@ def test_tables_policy_gaps(tmp_path):
     header, rows = read_csv(out / "table1.csv")
     assert header[:3] == ["demand", "cv", "v_opt"]
     assert len(rows) == 2  # one row per demand scenario
+    assert rows[0][:2] == ["Uniform(lo=0.0 hi=20.0)", "0.57735"]
     for row in rows:
         assert float(row[2]) > 0
 
@@ -480,9 +493,9 @@ def test_tables_policy_gaps(tmp_path):
 def test_table1_zero_mean_demand_is_config_error(tmp_path, capsys, monkeypatch, demand):
     # the cv column divides by the mean: the command stops before any solve
     def no_solve(*args):
-        raise AssertionError("gap_report ran")
+        raise AssertionError("a solver ran")
 
-    monkeypatch.setattr("cashstock.cli.gap_report", no_solve)
+    monkeypatch.setattr("cashstock.cli.backward_induct", no_solve)
     path = write_config(tmp_path, demands=[BASE_CONFIG["demands"][0], demand])
     out = tmp_path / "o"
     assert main(["tables", "--which", "table1", "--config", str(path), "--out", str(out)]) == 2
@@ -512,15 +525,16 @@ def test_table2_rows_match_per_horizon_bounds(tmp_path):
     assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 0
     _, rows = read_csv(out / "table2.csv")
     cfg = load_config(str(path))
+    lo, up = "myopic-upper", "selling-back"
     want = []
     for n in (3, 1, 2):
         for dem in cfg.demands:
             hz = HorizonSpec.stationary(n, cfg.periods[0], dem, cfg.salvage)
             solution = backward_induct(hz, cfg.grid)
-            for r in compare_bounds(solution, [(0.0, 0.0), (7.0, 0.0)]).rows:
+            for r in compare_bounds(solution, [(0.0, 0.0), (7.0, 0.0)], (lo, up)):
                 want.append([f"{n:.6g}", dem.label] + [f"{v:.6g}" for v in (
-                    r.x, r.optimal, r.lower, r.lower_gap, r.lower_gap_pct,
-                    r.upper, r.upper_gap, r.upper_gap_pct)])
+                    r.x, r.optimal, r.values[lo], r.gap(lo), r.gap_pct(lo),
+                    r.values[up], r.gap(up), r.gap_pct(up))])
     assert rows == want
 
 

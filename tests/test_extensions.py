@@ -385,8 +385,10 @@ def test_reports_refuse_an_extensions_solve(small_grid, solver):
     # the reports' myopic policies, brackets and relaxation are the base
     # model's; an extension's solve would be measured against them unsaid
     solution = solver(make_horizon("u0_20", 3), small_grid)
-    for report in (lambda: cs.compare_bounds(solution, [(0.0, 0.0)]),
-                   lambda: cs.gap_report(solution, cs.State(0.0, 0.0)),
+    for report in (lambda: cs.compare_bounds(solution, [(0.0, 0.0)],
+                                             ("myopic-lower", "myopic-upper")),
+                   lambda: cs.compare_bounds(solution, [(0.0, 0.0)],
+                                             ("myopic-upper", "selling-back")),
                    lambda: cs.solve_thresholds(solution),
                    lambda: cs.ThresholdTable.from_solution(solution)):
         with pytest.raises(ValueError, match="needs a solve of the base model.*tiered "

@@ -44,13 +44,13 @@ def test_exported_names():
     exported = {name for name, obj in vars(cs).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == {
-        "BackorderParams", "BoundReport", "BracketError", "CriticalRatios", "DPSolution",
-        "Demand", "DiscreteEmpirical", "GapRow", "Grid", "HorizonSpec", "InvalidHorizonError",
+        "BackorderParams", "BracketError", "CriticalRatios", "DPSolution",
+        "Demand", "DiscreteEmpirical", "Grid", "HorizonSpec", "InvalidHorizonError",
         "LoanLimit", "MyopicPolicy", "OrderBands", "PeriodParams", "PiecewiseRateSchedule",
         "PolicyTable", "SimResult", "State", "ThresholdLadder", "ThresholdPolicy",
         "ThresholdTable", "Uniform", "ValidationReport", "ValueTable", "WorthValueTable",
         "ZeroInflatedPoisson", "backorder_dp", "backorder_grid", "backward_induct",
-        "compare_bounds", "expected_value_G", "fractiles", "gap_report", "integer_uniform",
+        "compare_bounds", "expected_value_G", "fractiles", "integer_uniform",
         "loan_limited_dp", "loan_limited_policy", "myopic_lower", "myopic_upper",
         "normalized_params", "optimal_order", "order_bands", "partials", "piecewise_dp",
         "piecewise_optimal_order", "piecewise_thresholds", "policy_from_thresholds",

@@ -8,7 +8,6 @@ from cashstock.sim import (
     MyopicPolicy,
     Policy,
     ThresholdPolicy,
-    gap_report,
     run_policies,
 )
 
@@ -74,44 +73,14 @@ def test_common_random_numbers_across_policies():
     assert up.mean > lo.mean  # better policy wins on CRN paths
 
 
-def test_gap_report_fields(small_grid):
-    hz = make_horizon("u0_20", 3)
-    row = gap_report(cs.backward_induct(hz, small_grid), cs.State(0.0, 0.0))
-    assert row.demand_label == "Uniform(lo=0 hi=20)"
-    assert row.cv == pytest.approx(0.5773502691896257, rel=1e-12)
-    assert row.optimal >= row.lower_value - 1.0
-    assert row.optimal >= row.upper_value - 1.0
-    assert row.lower_gap_pct == pytest.approx(
-        100 * (row.optimal - row.lower_value) / row.optimal)
-    # the liquidation-credit myopic rule dominates the holding-only one here
-    assert row.upper_gap_pct < row.lower_gap_pct
-
-
-def test_gap_report_rejects_a_state_outside_the_grid(small_grid, monkeypatch):
-    # the tables would be extrapolated there: the report stops before either
-    # myopic sweep runs
-    solution = cs.backward_induct(make_horizon("u0_20", 3), small_grid)
-
-    def no_solve(*args):
-        raise AssertionError("a solver ran")
-
-    monkeypatch.setattr("cashstock.dp._induct", no_solve)
-    with pytest.raises(ValueError, match=r"initial puts the state \(60, 200\) outside the "
-                       r"grid, x in \[0, 40\] and y in \[-60, 120\]"):
-        gap_report(solution, cs.State(60.0, 200.0))
-
-
-def test_gap_report_consistent_with_simulation(small_grid):
-    hz = make_horizon("u0_20", 3)
-    row = gap_report(cs.backward_induct(hz, small_grid), cs.State(0.0, 0.0))
-    sim = run_policies(hz, [MyopicPolicy(hz, "lower")], cs.State(0.0, 0.0), 400_000, seed=9)[0]
-    assert abs(sim.mean - row.lower_value) <= sim.half_width + 0.01 * abs(row.lower_value)
-
-
-def test_threshold_policy_simulation_matches_dp(small_grid):
-    hz = make_horizon("u0_20", 3)
+@pytest.mark.parametrize("key", ["u0_20", "zip18", "iu0_20"])
+@pytest.mark.parametrize("levels", [cs.solve_thresholds, cs.ThresholdTable.from_solution],
+                         ids=["bisection", "from_solution"])
+def test_threshold_policy_simulation_matches_dp(small_grid, levels, key):
+    # the bisection's levels, and those `simulate` ships, read off the DP
+    hz = make_horizon(key, 3)
     sol = cs.backward_induct(hz, small_grid)
-    table = cs.solve_thresholds(sol)
+    table = levels(sol)
     res = run_policies(hz, [ThresholdPolicy(table)], cs.State(0.0, 0.0), 400_000, seed=13)[0]
     v = float(sol.value(1)(0.0, 0.0))
     assert abs(res.mean - v) <= res.half_width + 0.01 * abs(v)
