@@ -517,13 +517,17 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
                               np.maximum(worth + a, grid.x_nodes[0]),
                               np.minimum(worth + b, hi.max()), tol,
                               candidates=[worth, *ends, *candidates])
-        lo_k, hi_k = np.maximum(x_flat, xi_flat + a), np.minimum(hi, xi_flat + b)
-        z = np.clip(z_w[at], lo_k, hi_k)
+        # an infinite end leaves the node's own bound, which needs no copy
+        lo_k = x_flat if a == -np.inf else np.maximum(x_flat, xi_flat + a)
+        hi_k = hi if b == np.inf else np.minimum(hi, xi_flat + b)
+        z_at = z_w[at]
+        z = np.clip(z_at, lo_k, hi_k)
         v = v_w[at]
-        bind = z != z_w[at]
+        bind = z != z_at
         if np.any(bind):
             v[bind] = f(z[bind], xi_flat[bind], k)
-        v[lo_k > hi_k] = -np.inf
+        if lo_k is not x_flat or hi_k is not hi:  # hi >= x_flat empties no node
+            v[lo_k > hi_k] = -np.inf
         z_parts.append(z)
         v_parts.append(v)
         z_worth.append(z_w)

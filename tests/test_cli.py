@@ -1,6 +1,8 @@
 import argparse
 import json
 import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cashstock.bounds import compare_bounds
-from cashstock.cli import (DEMAND_KINDS, GRID_FIELDS, PERIOD_FIELDS, ROOT_FIELDS, SOLVER_FIELDS,
-                           ConfigError, Emitter, build_parser, load_config, main)
+from cashstock.cli import (CSV_BLOCK_ROWS, DEMAND_KINDS, GRID_FIELDS, PERIOD_FIELDS,
+                           ROOT_FIELDS, SOLVER_FIELDS, ConfigError, Emitter, _fmt_column,
+                           build_parser, load_config, main)
 from cashstock.demand import DiscreteEmpirical
 from cashstock.dp import backward_induct
 from cashstock.model import HorizonSpec
@@ -286,6 +289,37 @@ def test_repeated_table_entry_is_config_error(tmp_path, capsys, changes, message
     assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"demands": [{"kind": "empirical", "values": list(range(1234)), "probs": [1 / 1234] * 1234}]},
+     "demands[0].values has 1234 entries; at most 1233 are allowed"),
+    ({"table_states": list(range(100_001))},
+     "table_states has 100001 entries; at most 100000 are allowed"),
+    ({"demands": [BASE_CONFIG["demands"][0]] * 1001},
+     "demands has 1001 entries; at most 1000 are allowed"),
+], ids=["empirical_atoms", "table_states", "demand_roster"])
+def test_list_beyond_its_bound_is_config_error(tmp_path, capsys, changes, message):
+    path = write_config(tmp_path, **changes)
+    out = tmp_path / "o"
+    assert main(["tables", "--which", "table2", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_long_lists_load_in_linear_time(tmp_path):
+    # repeats are counted once per entry; counting each entry over the
+    # whole list took about 6 s for these 20,000 states
+    path = write_config(tmp_path, table_states=list(range(20_000)))
+    start = time.perf_counter()
+    assert len(load_config(str(path)).table_states) == 20_000
+    assert time.perf_counter() - start < 1.0
+    keys = tmp_path / "keys.json"
+    keys.write_text(json.dumps({**BASE_CONFIG, **{f"k{k}": 0 for k in range(20_000)}}))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="unknown field"):
+        load_config(str(keys))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grid_scale_must_be_positive(tmp_path, capsys):
@@ -627,3 +661,49 @@ def test_grid_scale_override(tmp_path):
                  "--grid-scale", "0.5"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["solver"]["grid_shape"] == [21, 26]
+
+
+def one_piece_csv(header, rows) -> bytes:
+    """Reference: the writer that joined the whole table in one piece."""
+    columns = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
+    cells = [col if isinstance(col[0], str) else _fmt_column(col)
+             for col in columns if len(col)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+def test_streamed_csv_matches_one_piece_writer(tmp_path, n_rows):
+    # the same numbers recur in every block, so each block formats its own
+    specials = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 7, 1e-7]
+    k = np.arange(n_rows)
+    numbers = np.column_stack([np.take(specials, k % len(specials)),
+                               k * 0.1 + 1e4, k // 3, np.sin(k) * 1e-300])
+    labels = [f"d{j % 5}" for j in range(n_rows)]
+    ints = [int(j) for j in k % 11]
+    rows = [(label, *row, i) for label, row, i in zip(labels, numbers.tolist(), ints)]
+    out = Emitter(tmp_path)
+    out.write_csv("array.csv", ["a", "b", "c", "d"], numbers)
+    out.write_csv("list.csv", ["s", "a", "b", "c", "d", "i"], rows)
+    assert (tmp_path / "array.csv").read_bytes() == one_piece_csv(["a", "b", "c", "d"], numbers)
+    assert (tmp_path / "list.csv").read_bytes() == one_piece_csv(["s", "a", "b", "c", "d", "i"],
+                                                                  rows)
+
+
+def test_write_csv_holds_one_block_of_text(tmp_path):
+    # period 1's table of a desk-grid solve, 32,361 x 5: written in one
+    # piece its text peaked at 7.2 MB traced
+    cfg = load_config(str(CONFIGS / "base.json"))
+    solution = backward_induct(cfg.horizon(n_periods=2), cfg.grid)
+    policy = solution.policy(1)
+    table = np.column_stack([c.ravel() for c in (*cfg.grid.mesh(), solution.value(1).values,
+                                                 policy.order_up_to, policy.order_quantity())])
+    out = Emitter(tmp_path)
+    tracemalloc.start()
+    try:
+        out.write_csv("value.csv", ["x", "y", "value", "order_up_to", "q"], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

@@ -11,10 +11,12 @@ from cashstock.dp import (
     _grid_solution,
     _myopic_targets,
     _next_state,
+    _smallest_argmax,
     _terminal_wealth,
     golden_max,
     interp1,
     interp2,
+    worth_grid,
     worth_search,
 )
 from cashstock.bounds import default_worth_grid, selling_back_dp
@@ -528,3 +530,54 @@ def test_tail_offsets(small_grid):
     for k in (-1, 3):
         with pytest.raises(ValueError, match="tail offset"):
             sol.tail(k)
+
+
+def clipped_worth_search(f, grid, hi, tol, branches, candidates=()):
+    """Reference: worth_search with each branch's node bounds built as
+    max(x, xi + a) and min(hi, xi + b) whatever its ends, and every branch's
+    empty ranges masked."""
+    X, Y = grid.mesh()
+    x_flat = X.ravel()
+    xi_flat = x_flat + Y.ravel()
+    hi = np.maximum(np.broadcast_to(np.asarray(hi, dtype=float), x_flat.shape), x_flat)
+    worth = worth_grid(grid)
+    at = np.searchsorted(worth, np.round(xi_flat, 9))
+    z_parts, v_parts, z_worth = [], [], []
+    for k, (a, b) in enumerate(branches):
+        ends = [worth + b] if np.isfinite(b) else []
+        z_w, v_w = golden_max(lambda z, _k=k: f(z, worth, _k),
+                              np.maximum(worth + a, grid.x_nodes[0]),
+                              np.minimum(worth + b, hi.max()), tol,
+                              candidates=[worth, *ends, *candidates])
+        lo_k, hi_k = np.maximum(x_flat, xi_flat + a), np.minimum(hi, xi_flat + b)
+        z = np.clip(z_w[at], lo_k, hi_k)
+        v = v_w[at]
+        bind = z != z_w[at]
+        if np.any(bind):
+            v[bind] = f(z[bind], xi_flat[bind], k)
+        v[lo_k > hi_k] = -np.inf
+        z_parts.append(z)
+        v_parts.append(v)
+        z_worth.append(z_w)
+    if len(z_parts) == 1:
+        return z_parts[0], v_parts[0], z_worth
+    return (*_smallest_argmax(np.stack(z_parts), np.stack(v_parts)), z_worth)
+
+
+@pytest.mark.parametrize("branches", [[(-np.inf, np.inf)],
+                                      [(-np.inf, -3.0), (-3.0, 4.0), (4.0, np.inf)]],
+                         ids=["infinite", "finite_tiers"])
+def test_worth_search_node_bounds_bit_identical(small_grid, branches):
+    # an infinite end takes the node's own bound x or hi, uncopied, and
+    # masks no range; every result must match the clipped bounds bit for bit
+    X, Y = small_grid.mesh()
+
+    def f(z, xi, k):
+        return -(z - 0.4 * xi - 6.0 + 2.0 * k) ** 2 + 0.3 * k * z
+
+    for hi in (35.0, (X + np.maximum(Y, 0.0) + 3.0).ravel()):
+        got = worth_search(f, small_grid, hi, Z_TOL, branches, [12.5])
+        want = clipped_worth_search(f, small_grid, hi, Z_TOL, branches, [12.5])
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()
+        assert [z.tobytes() for z in got[2]] == [z.tobytes() for z in want[2]]
