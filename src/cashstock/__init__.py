@@ -35,16 +35,11 @@ from .dp import (
     PolicyTable,
     ValueTable,
     backward_induct,
-    partials,
     policy_value_tables,
 )
 from .thresholds import (
-    BracketError,
     ThresholdTable,
     policy_from_thresholds,
-    solve_thresholds,
-    stage_slope_borrowing,
-    stage_slope_deposit,
 )
 from .bounds import (
     WorthValueTable,

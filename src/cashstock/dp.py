@@ -31,12 +31,11 @@ the maximization runs once per branch and distinct net worth (golden-section
 search plus kink candidates), and each node takes the best branch's
 maximizer clipped to its own range.
 
-Before period N every expectation looks the next table up bilinearly. One
-kernel serves values and gradient fields: on an evenly spaced axis (every
-Grid.regular grid) a query's cell is found by arithmetic,
-i = floor((q - x0) / h) clipped to the edge cells, and on any other axis by
-binary search; the fraction is left unclipped, so queries outside the grid
-extend linearly along the edge cell.
+Before period N every expectation looks the next table up bilinearly
+(`interp2`): on an evenly spaced axis (every Grid.regular grid) a query's
+cell is found by arithmetic, i = floor((q - x0) / h) clipped to the edge
+cells, and on any other axis by binary search; the fraction is left
+unclipped, so queries outside the grid extend linearly along the edge cell.
 
 An expectation runs in blocks of BLOCK_ELEMENTS // k points, k demand nodes
 per point, split evenly over the batch. Every (points x nodes) array of a
@@ -59,7 +58,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -199,31 +197,6 @@ def _lerp(flat_values: np.ndarray, at, t, spare=None):
     return b
 
 
-def _bilinear(fields, grid: Grid, xq, yq, spare=None) -> list:
-    """Each (nx, ny) field in `fields` interpolated at the queries, one
-    lookup. See `_out` for `spare`."""
-    xq, yq = np.broadcast_arrays(np.asarray(xq, dtype=float), np.asarray(yq, dtype=float))
-    if xq.ndim == 0:  # the kernel works in place, which a scalar cannot be
-        return [v[0] for v in _bilinear(fields, grid, xq.reshape(1), yq.reshape(1))]
-    ix, tx = _locate(grid.x_nodes, grid._steps[0], xq, spare)
-    iy, ty = _locate(grid.y_nodes, grid._steps[1], yq, spare)
-    ny = len(grid.y_nodes)
-    flat = np.multiply(ix, ny, out=ix)
-    flat += iy
-    _release(spare, iy)
-    out = []
-    for table in fields:
-        v = np.ravel(table)
-        lo = _lerp(v, flat, ty, spare)
-        hi = _lerp(v[ny:], flat, ty, spare)  # row ix + 1
-        hi -= lo
-        np.multiply(tx, hi, out=hi)
-        hi += lo
-        _release(spare, lo)
-        out.append(hi)
-    return out
-
-
 def interp1(nodes: np.ndarray, values: np.ndarray, q):
     """Piecewise-linear interpolation, one-sided linear outside the nodes."""
     nodes, q = np.asarray(nodes, dtype=float), np.asarray(q, dtype=float)
@@ -236,7 +209,24 @@ def interp1(nodes: np.ndarray, values: np.ndarray, q):
 def interp2(values: np.ndarray, grid: Grid, xq, yq, spare=None):
     """Bilinear interpolation of a (nx, ny) table, linear one-sided outside.
     See `_out` for `spare`."""
-    return _bilinear((values,), grid, xq, yq, spare)[0]
+    xq, yq = np.broadcast_arrays(np.asarray(xq, dtype=float), np.asarray(yq, dtype=float))
+    scalar = xq.ndim == 0
+    if scalar:  # the kernel works in place, which a scalar cannot be
+        xq, yq, spare = xq.reshape(1), yq.reshape(1), None
+    ix, tx = _locate(grid.x_nodes, grid._steps[0], xq, spare)
+    iy, ty = _locate(grid.y_nodes, grid._steps[1], yq, spare)
+    ny = len(grid.y_nodes)
+    flat = np.multiply(ix, ny, out=ix)
+    flat += iy
+    _release(spare, iy)
+    v = np.ravel(values)
+    lo = _lerp(v, flat, ty, spare)
+    hi = _lerp(v[ny:], flat, ty, spare)  # row ix + 1
+    hi -= lo
+    np.multiply(tx, hi, out=hi)
+    hi += lo
+    _release(spare, lo)
+    return hi[0] if scalar else hi
 
 
 @dataclass(eq=False)
@@ -246,12 +236,6 @@ class ValueTable:
     period: int
     grid: Grid
     values: np.ndarray
-
-    @cached_property
-    def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        dx = np.gradient(self.values, self.grid.x_nodes, axis=0)
-        dy = np.gradient(self.values, self.grid.y_nodes, axis=1)
-        return dx, dy
 
     def __call__(self, x, y):
         return interp2(self.values, self.grid, x, y)
@@ -271,16 +255,6 @@ class PolicyTable:
 
     def order_quantity(self) -> np.ndarray:
         return self.order_up_to - self.grid.x_nodes[:, None]
-
-
-def partials(table: ValueTable, x, y):
-    """(dV/dx, dV/dy) from central differences on the grid, interpolated.
-
-    Differences are one-sided at the boundary rows/columns; the difference
-    fields themselves are interpolated bilinearly, both from one lookup.
-    """
-    gx, gy = _bilinear(table._gradients, table.grid, x, y)
-    return gx, gy
 
 
 def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=None,

@@ -44,8 +44,8 @@ from cashstock.extensions import (
     loan_limited_dp,
     piecewise_optimal_order,
 )
-from cashstock.thresholds import EPSILON, bisection_iterations, solve_thresholds
 
+from bisection import EPSILON, bisection_iterations, solve_thresholds
 from conftest import DEMANDS, BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -221,8 +221,8 @@ def test_criterion_4_threshold_sandwich(solve_cache, desk_grid):
     failures = []
     epsilon = EPSILON
     hz = make_horizon("u0_20", 6)
-    table = solve_thresholds(solve_cache.solution("u0_20", 6))
-    for row in table.periods:
+    table, iterations = solve_thresholds(solve_cache.solution("u0_20", 6))
+    for row, (it_borrow, it_deposit) in zip(table.periods, iterations, strict=True):
         if row.n < 6:
             if not (np.all(row.borrow >= 6.8 - epsilon)
                     and np.all(row.borrow <= 11.333333333333334 + epsilon)):
@@ -231,11 +231,11 @@ def test_criterion_4_threshold_sandwich(solve_cache, desk_grid):
                     and np.all(row.deposit <= 13.2 + epsilon)):
                 failures.append(f"period {row.n}: deposit level leaves [7.92, 13.2]")
             cap = bisection_iterations(row.upper.borrow - row.lower.borrow, epsilon)
-            if row.borrow_iterations > cap:
-                failures.append(f"period {row.n}: {row.borrow_iterations} iterations > {cap}")
+            if it_borrow > cap:
+                failures.append(f"period {row.n}: {it_borrow} iterations > {cap}")
             cap = bisection_iterations(row.upper.deposit - row.lower.deposit, epsilon)
-            if row.deposit_iterations > cap:
-                failures.append(f"period {row.n}: {row.deposit_iterations} iterations > {cap}")
+            if it_deposit > cap:
+                failures.append(f"period {row.n}: {it_deposit} iterations > {cap}")
         else:
             if abs(row.borrow[0] - 12.142857) > epsilon or abs(row.deposit[0] - 14.142857) > epsilon:
                 failures.append(
@@ -289,7 +289,7 @@ def test_criterion_5_structural_properties(solve_cache, desk_grid):
             break
 
     # policy trichotomy: grid argmax agrees with the threshold rule within a cell
-    table = solve_thresholds(sol)
+    table, _ = solve_thresholds(sol)
     X, Y = desk_grid.mesh()
     cell = max(float(np.diff(desk_grid.x_nodes).max()),
                float(np.diff(desk_grid.y_nodes).max()))
@@ -340,7 +340,7 @@ def test_criterion_6_extension_sanity(small_grid):
 def test_criterion_7_simulation_self_consistency(solve_cache, desk_grid):
     hz = make_horizon("u0_20", 6)
     sol = solve_cache.solution("u0_20", 6)
-    table = solve_thresholds(sol)
+    table, _ = solve_thresholds(sol)
     res = cs.run_policies(hz, [cs.ThresholdPolicy(table)], cs.State(0.0, 0.0),
                           1_000_000, seed=2026)[0]
     v = float(sol.value(1)(0.0, 0.0))

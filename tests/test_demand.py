@@ -170,10 +170,15 @@ ATOM_DEMANDS = (ZIP18, DiscreteEmpirical((0.0, 3.0, 7.0, 7.5), (0.2, 0.4, 0.3, 0
        st.lists(st.tuples(st.integers(0, 100), st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
                 min_size=1, max_size=5),
        st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), st.floats(1.0, 10.0))
+@example(demand=ZIP18, picks=[(0, 0.0)], cubic=[0.0, 0.0, 0.0, 5e-324], step=1.0)
 def test_sales_nodes_match_expectation_nodes_over_sales_for_atoms(demand, picks, cubic, step):
     # z below the first atom, on atoms, between them and above the last: the
     # atoms above the largest z are one node, and the step term reads an atom
-    # equal to z as demand at or below it (the threshold slope's right limit)
+    # equal to z as demand at or below it (the threshold slope's right limit).
+    # The bound is floored at the smallest normal float, as in the Uniform
+    # case: where g is a subnormal constant, z below the first atom puts
+    # weight 1 on one sales node, which keeps it, while the reference's
+    # weights below 1 round every term to 0, and its scale with them
     stops = np.concatenate([[demand.atoms[0] - 5.0], demand.atoms, [demand.atoms[-1] + 5.0]])
     at = [i % (len(stops) - 1) for i, _ in picks]
     z = np.array([stops[i] + f * (stops[i + 1] - stops[i]) for i, (_, f) in zip(at, picks)])
@@ -186,7 +191,7 @@ def test_sales_nodes_match_expectation_nodes_over_sales_for_atoms(demand, picks,
     nodes, weights = demand.sales_nodes(z)
     got, _ = expect((nodes, weights))
     want, scale = expect(demand.expectation_nodes(z))
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * scale, np.finfo(float).tiny))
     assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
     assert nodes.shape[1] <= np.sum(demand.atoms <= z.max()) + 1
 

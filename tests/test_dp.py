@@ -22,6 +22,7 @@ from cashstock.dp import (
 from cashstock.bounds import default_worth_grid, selling_back_dp
 from cashstock.extensions import backorder_dp, backorder_grid
 
+from bisection import partials, solve_thresholds
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -130,7 +131,7 @@ def test_bilinear_kernel_matches_search_reference(name):
         want = search_interp2(table.values, grid, xq, yq)
         assert np.shape(got) == np.shape(want)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(table.values))
-        dx, dy = cs.partials(table, xq, yq)
+        dx, dy = partials(table, xq, yq)
         for field, d in ((gx, dx), (gy, dy)):
             ref = search_interp2(field, grid, xq, yq)
             assert np.shape(d) == np.shape(ref)
@@ -155,7 +156,7 @@ def test_partials_linear_field():
     g = Grid.regular(10, -5, 5, 11, 11)
     X, Y = g.mesh()
     table = ValueTable(1, g, 2000.0 * X + 17.0 * Y)
-    dx, dy = cs.partials(table, np.array([2.3, 7.9]), np.array([-1.2, 4.4]))
+    dx, dy = partials(table, np.array([2.3, 7.9]), np.array([-1.2, 4.4]))
     assert dx == pytest.approx([2000.0, 2000.0])
     assert dy == pytest.approx([17.0, 17.0])
 
@@ -170,7 +171,7 @@ def closed_form_table(grid, n):
 def test_partials_terminal_table_deposit_slope(desk_grid):
     vt = closed_form_table(desk_grid, 1)
     # interior point with x above the deposit band: dV/dy = c (1+i) = 1010
-    _, dy = cs.partials(vt, 20.0, 30.0)
+    _, dy = partials(vt, 20.0, 30.0)
     assert float(dy) == pytest.approx(1010.0, rel=1e-9)
 
 
@@ -179,7 +180,7 @@ def test_partials_concave_table_nonincreasing():
     X, Y = g.mesh()
     table = ValueTable(1, g, -((X - 4.0) ** 2) - 0.3 * (Y - 2.0) ** 2)
     xs = np.linspace(0.5, 9.5, 40)
-    dx, _ = cs.partials(table, xs, np.full_like(xs, 3.0))
+    dx, _ = partials(table, xs, np.full_like(xs, 3.0))
     assert np.all(np.diff(dx) <= 1e-9)
 
 
@@ -491,10 +492,10 @@ def test_atom_sales_nodes_match_every_atom(small_grid, monkeypatch, key):
     # match a run that looks every atom up, and the thresholds are equal
     hz = make_horizon(key, 3)
     sol = cs.backward_induct(hz, small_grid)
-    levels = cs.solve_thresholds(sol)
+    levels, _ = solve_thresholds(sol)
     monkeypatch.setattr(_Atoms, "sales_nodes", _Atoms.expectation_nodes)
     want = cs.backward_induct(hz, small_grid)
-    want_levels = cs.solve_thresholds(want)
+    want_levels, _ = solve_thresholds(want)
     for got, w in zip(sol.values, want.values, strict=True):
         assert np.abs(got.values - w.values).max() <= 1e-12 * np.abs(w.values).max()
     for got, w in zip(levels.periods, want_levels.periods, strict=True):

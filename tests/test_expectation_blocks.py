@@ -136,14 +136,15 @@ def test_kernels_in_place_equal_the_allocating_ones(name):
     xq = rng.uniform(-10.0, 50.0, (37, 11))
     yq = rng.uniform(-80.0, 140.0, (37, 11))
     xq[3, 4], yq[5, 6] = np.nan, np.nan
-    fields = (table.values, *table._gradients)
+    # the values and their central differences along x and y
+    fields = (table.values, *np.gradient(table.values, grid.x_nodes, grid.y_nodes))
     want = allocating_bilinear(fields, grid, xq, yq)
-    assert all(np.array_equal(g, w, equal_nan=True)
-               for g, w in zip(dp._bilinear(fields, grid, xq, yq), want))
+    want_scalar = allocating_bilinear(fields, grid, 7.3, -12.1)
+    for field, w, w_scalar in zip(fields, want, want_scalar, strict=True):
+        assert np.array_equal(dp.interp2(field, grid, xq, yq), w, equal_nan=True)
+        assert dp.interp2(field, grid, 7.3, -12.1) == w_scalar
     assert np.array_equal(dp.interp2(table.values, grid, xq[0], yq[0]), want[0][0],
                           equal_nan=True)
-    assert dp.interp2(table.values, grid, 7.3, -12.1) == allocating_bilinear(
-        fields, grid, 7.3, -12.1)[0]
     spare = dp._Scratch(xq.size).views(*xq.shape)
     xv, yv = spare.pop(), spare.pop()
     xv[...], yv[...] = xq, yq

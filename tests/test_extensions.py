@@ -19,6 +19,7 @@ from cashstock.extensions import (
     piecewise_thresholds,
 )
 
+from bisection import solve_thresholds
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -389,7 +390,7 @@ def test_reports_refuse_an_extensions_solve(small_grid, solver):
                                              ("myopic-lower", "myopic-upper")),
                    lambda: cs.compare_bounds(solution, [(0.0, 0.0)],
                                              ("myopic-upper", "selling-back")),
-                   lambda: cs.solve_thresholds(solution),
+                   lambda: solve_thresholds(solution),
                    lambda: cs.ThresholdTable.from_solution(solution)):
         with pytest.raises(ValueError, match="needs a solve of the base model.*tiered "
                                              "rates, a loan limit or backorders"):

@@ -44,7 +44,7 @@ def test_exported_names():
     exported = {name for name, obj in vars(cs).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == {
-        "BackorderParams", "BracketError", "CriticalRatios", "DPSolution",
+        "BackorderParams", "CriticalRatios", "DPSolution",
         "Demand", "DiscreteEmpirical", "Grid", "HorizonSpec", "InvalidHorizonError",
         "LoanLimit", "MyopicPolicy", "OrderBands", "PeriodParams", "PiecewiseRateSchedule",
         "PolicyTable", "SimResult", "State", "ThresholdLadder", "ThresholdPolicy",
@@ -52,10 +52,10 @@ def test_exported_names():
         "ZeroInflatedPoisson", "backorder_dp", "backorder_grid", "backward_induct",
         "compare_bounds", "expected_value_G", "fractiles", "integer_uniform",
         "loan_limited_dp", "loan_limited_policy", "myopic_lower", "myopic_upper",
-        "normalized_params", "optimal_order", "order_bands", "partials", "piecewise_dp",
+        "normalized_params", "optimal_order", "order_bands", "piecewise_dp",
         "piecewise_optimal_order", "piecewise_thresholds", "policy_from_thresholds",
-        "policy_value_tables", "run_policies", "selling_back_dp", "solve_thresholds",
-        "stage_slope_borrowing", "stage_slope_deposit", "validate", "value_closed_form",
+        "policy_value_tables", "run_policies", "selling_back_dp", "validate",
+        "value_closed_form",
     }
 
 

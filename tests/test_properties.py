@@ -11,6 +11,7 @@ from cashstock.dp import worth_grid
 from cashstock.extensions import loan_limited_policy
 from cashstock.thresholds import PeriodThresholds
 
+from bisection import BracketError, solve_thresholds
 from conftest import DEMANDS, make_horizon
 
 STATE = st.floats(-100.0, 100.0, allow_nan=False)
@@ -47,7 +48,7 @@ def test_optimal_order_trichotomy(bands, x, y):
 def test_policy_from_thresholds_applies_the_rule(bands, x, y):
     worth = np.array([-300.0, 300.0])
     row = PeriodThresholds(1, worth, np.full(2, bands.borrow), np.full(2, bands.deposit),
-                           None, None, 0, 0)
+                           None, None)
     table = cs.ThresholdTable(None, [row])
     assert cs.policy_from_thresholds(table, x, y, 1) == float(cs.optimal_order(x, y, bands))
 
@@ -159,9 +160,9 @@ def test_thresholds_bracket_and_follow_the_dp_argmax(horizon):
     for grid in (THRESHOLD_GRID, REFINED_GRID):
         solution = cs.backward_induct(horizon, grid)
         try:
-            table = cs.solve_thresholds(solution)
+            table, _ = solve_thresholds(solution)
             break
-        except cs.BracketError:
+        except BracketError:
             pass
     cell = max(float(np.diff(grid.x_nodes).max()), float(np.diff(grid.y_nodes).max()))
     if table is None:

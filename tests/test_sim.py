@@ -11,6 +11,7 @@ from cashstock.sim import (
     run_policies,
 )
 
+from bisection import solve_thresholds
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -74,7 +75,8 @@ def test_common_random_numbers_across_policies():
 
 
 @pytest.mark.parametrize("key", ["u0_20", "zip18", "iu0_20"])
-@pytest.mark.parametrize("levels", [cs.solve_thresholds, cs.ThresholdTable.from_solution],
+@pytest.mark.parametrize("levels", [lambda sol: solve_thresholds(sol)[0],
+                                    cs.ThresholdTable.from_solution],
                          ids=["bisection", "from_solution"])
 def test_threshold_policy_simulation_matches_dp(small_grid, levels, key):
     # the bisection's levels, and those `simulate` ships, read off the DP
@@ -89,7 +91,7 @@ def test_threshold_policy_simulation_matches_dp(small_grid, levels, key):
 @pytest.fixture(scope="module")
 def three_policies(small_grid):
     hz = make_horizon("u0_20", 3)
-    table = cs.solve_thresholds(cs.backward_induct(hz, small_grid))
+    table, _ = solve_thresholds(cs.backward_induct(hz, small_grid))
     return hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), MyopicPolicy(hz, "upper")]
 
 
@@ -129,7 +131,7 @@ def test_zip_simulation_matches_grid_values(small_grid):
     # atom demand: ZIP(0.18, 10), all three policies on one set of paths
     hz = make_horizon("zip18", 3)
     sol = cs.backward_induct(hz, small_grid)
-    table = cs.solve_thresholds(sol)
+    table, _ = solve_thresholds(sol)
     upper = MyopicPolicy(hz, "upper")
     thr, _, up = run_policies(hz, [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), upper],
                               cs.State(0.0, 0.0), 400_000, seed=17)

@@ -3,19 +3,18 @@ import pytest
 
 import cashstock as cs
 from cashstock.dp import Grid, _lerp, _locate
+from cashstock.model import normalized_params
 from cashstock.single_period import myopic_lower, myopic_upper
-from cashstock.thresholds import (
+from cashstock.thresholds import PeriodThresholds, worth_grid
+
+from bisection import (
+    BracketError,
     _check_bracket,
     _stage_slope,
-    BracketError,
-    PeriodThresholds,
     bisection_iterations,
+    partials,
     solve_thresholds,
-    stage_slope_borrowing,
-    stage_slope_deposit,
-    worth_grid,
 )
-
 from conftest import SALVAGE, make_horizon
 
 
@@ -100,13 +99,14 @@ def test_slope_bracket_signs(small_solution):
     worth = np.linspace(-20, 60, 30)
     lower, upper = myopic_lower(hz, 3), myopic_upper(hz, 3)
     nxt = sol.value(4)
-    phi_lo = stage_slope_borrowing(np.full(30, lower.borrow), worth, 3, hz, nxt)
-    phi_hi = stage_slope_borrowing(np.full(30, upper.borrow), worth, 3, hz, nxt)
+    loan, deposit = 1.0 + hz.period(3).loan_rate, 1.0 + hz.period(3).deposit_rate
+    phi_lo = _stage_slope(np.full(30, lower.borrow), worth, 3, hz, nxt, loan)
+    phi_hi = _stage_slope(np.full(30, upper.borrow), worth, 3, hz, nxt, loan)
     swing = np.abs(phi_lo - phi_hi)
     assert np.all(phi_lo >= -0.05 * swing)
     assert np.all(phi_hi <= 0.05 * swing)
-    psi_lo = stage_slope_deposit(np.full(30, lower.deposit), worth, 3, hz, nxt)
-    psi_hi = stage_slope_deposit(np.full(30, upper.deposit), worth, 3, hz, nxt)
+    psi_lo = _stage_slope(np.full(30, lower.deposit), worth, 3, hz, nxt, deposit)
+    psi_hi = _stage_slope(np.full(30, upper.deposit), worth, 3, hz, nxt, deposit)
     swing = np.abs(psi_lo - psi_hi)
     assert np.all(psi_lo >= -0.05 * swing)
     assert np.all(psi_hi <= 0.05 * swing)
@@ -118,10 +118,8 @@ def test_deposit_slope_exceeds_borrowing_slope_at_kink(small_solution):
     hz, grid, sol = small_solution
     worth = np.array([5.0, 10.0, 25.0])
     nxt = sol.value(4)
-    phi = stage_slope_borrowing(worth.copy(), worth, 3, hz, nxt)
-    psi = stage_slope_deposit(worth.copy(), worth, 3, hz, nxt)
-    from cashstock.dp import partials
-    from cashstock.model import normalized_params
+    phi = _stage_slope(worth.copy(), worth, 3, hz, nxt, 1.0 + hz.period(3).loan_rate)
+    psi = _stage_slope(worth.copy(), worth, 3, hz, nxt, 1.0 + hz.period(3).deposit_rate)
     pp, hp, cp = normalized_params(hz, 3)
     nodes, w = hz.demand_in(3).expectation_nodes(worth)
     leftover = np.maximum(worth[:, None] - nodes, 0.0)
@@ -147,8 +145,8 @@ def test_right_slope_equals_left_slope_without_atoms(small_solution):
 
 def test_solve_thresholds_structure(small_solution):
     hz, grid, sol = small_solution
-    table = solve_thresholds(sol)
-    for row in table.periods:
+    table, iterations = solve_thresholds(sol)
+    for row, (it_borrow, it_deposit) in zip(table.periods, iterations, strict=True):
         assert np.all(row.borrow <= row.deposit + 1e-3)
         n = row.n
         if n < hz.n_periods:
@@ -156,13 +154,14 @@ def test_solve_thresholds_structure(small_solution):
             assert np.all(row.borrow <= row.upper.borrow + 1e-9)
             assert np.all(row.deposit >= row.lower.deposit - 1e-9)
             assert np.all(row.deposit <= row.upper.deposit + 1e-9)
-            assert row.borrow_iterations == bisection_iterations(
-                row.upper.borrow - row.lower.borrow, 1e-3)
+            assert it_borrow == bisection_iterations(row.upper.borrow - row.lower.borrow, 1e-3)
+            assert it_deposit == bisection_iterations(row.upper.deposit - row.lower.deposit,
+                                                      1e-3)
         else:
             assert np.all(row.borrow == row.borrow[0])  # worth-independent
             assert row.borrow[0] == pytest.approx(12.142857142857142)
             assert row.deposit[0] == pytest.approx(14.142857142857144)
-            assert row.borrow_iterations == 0
+            assert (it_borrow, it_deposit) == (0, 0)
 
 
 @pytest.mark.parametrize("key", ["u0_20", "iu0_20", "zip18"])
@@ -229,13 +228,13 @@ def test_nearly_equal_rates_collapse_roots():
     params = cs.PeriodParams(2000, 1000, 500, 0.0999999, 0.1)
     hz = cs.HorizonSpec.stationary(2, params, cs.Uniform(0, 20), SALVAGE)
     grid = Grid.regular(40, -60, 120, 81, 101)
-    table = solve_thresholds(cs.backward_induct(hz, grid))
+    table, _ = solve_thresholds(cs.backward_induct(hz, grid))
     row = table.period(1)
     assert np.all(np.abs(row.borrow - row.deposit) < 1e-2)
 
 
 def test_policy_from_thresholds_cases(small_solution):
-    table = solve_thresholds(small_solution[2])
+    table, _ = solve_thresholds(small_solution[2])
     row = table.period(2)
     borrow, deposit = row.bands_at(100.0)
     # worth far above the deposit level: order up to it
@@ -250,11 +249,11 @@ def test_policy_from_thresholds_cases(small_solution):
 
 
 def _rows_for_bands_at(small_solution):
-    row = solve_thresholds(small_solution[2]).period(1)  # searched worth axis
+    row = solve_thresholds(small_solution[2])[0].period(1)  # searched worth axis
     rng = np.random.default_rng(4)
     worth = np.linspace(-60.0, 160.0, 221)  # evenly spaced: indexed worth axis
     even = PeriodThresholds(1, worth, rng.uniform(0, 20, 221), rng.uniform(0, 20, 221),
-                            row.lower, row.upper, 0, 0)
+                            row.lower, row.upper)
     return [row, even]
 
 
