@@ -22,6 +22,7 @@ from .dp import (
     DPSolution,
     Grid,
     _axis_step,
+    _demand_cap,
     _expected_next,
     _induct,
     _last_step,
@@ -31,7 +32,6 @@ from .dp import (
     _require_base_model,
     _require_on_grid,
     golden_max,
-    interp1,
     policy_value_tables,
 )
 from .model import HorizonSpec, require_valid
@@ -53,7 +53,8 @@ class WorthValueTable:
 
     def __call__(self, x, y):
         """The value at the state (x, y): the table read at x + y."""
-        return interp1(self.worth, self.values, np.add(x, y))
+        value = self._read(np.atleast_1d(np.asarray(x, dtype=float)), y, None)
+        return value if np.ndim(x) or np.ndim(y) else value[0]  # a scalar for a scalar
 
     def _read(self, x, y, spare):
         """The value at (x, y), in `spare` (see `dp._out`)."""
@@ -62,7 +63,7 @@ class WorthValueTable:
 
     @cached_property
     def _step(self) -> float:
-        return _axis_step(self.worth)
+        return _axis_step(self.worth, "worth")
 
 
 def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
@@ -86,12 +87,13 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     require_valid(horizon)
     _require_no_sellback_profit(horizon)
     worth_nodes = np.asarray(worth_nodes, dtype=float)
+    _axis_step(worth_nodes, "worth")
     zeros = np.zeros_like(worth_nodes)
 
     def step(n, next_value):
         if n == horizon.n_periods:
             return _last_step(horizon, 0.0, worth_nodes, next_value)
-        z_max = float(max(worth_nodes[-1], 0.0) + horizon.demand_in(n).quantile(0.999))
+        z_max = max(float(worth_nodes[-1]), 0.0) + _demand_cap(horizon, n)
         return golden_max(lambda z: _expected_next(z, worth_nodes, horizon, n, next_value),
                           zeros, z_max, Z_TOL, candidates=[np.clip(worth_nodes, 0.0, z_max)])
 

@@ -32,10 +32,10 @@ search plus kink candidates), and each node takes the best branch's
 maximizer clipped to its own range.
 
 Before period N every expectation looks the next table up bilinearly
-(`interp2`): on an evenly spaced axis (every Grid.regular grid) a query's
-cell is found by arithmetic, i = floor((q - x0) / h) clipped to the edge
-cells, and on any other axis by binary search; the fraction is left
-unclipped, so queries outside the grid extend linearly along the edge cell.
+(`interp2`). Every axis is evenly spaced (a Grid refuses any other), so a
+query's cell is found by arithmetic, i = floor((q - x0) / h) clipped to the
+edge cells; the fraction is left unclipped, so queries outside the grid
+extend linearly along the edge cell.
 
 An expectation runs in blocks of BLOCK_ELEMENTS // k points, k demand nodes
 per point, split evenly over the batch. Every (points x nodes) array of a
@@ -82,7 +82,7 @@ SCRATCH_BUFFERS = 7
 
 @dataclass(frozen=True)
 class Grid:
-    """Rectangular state grid with strictly increasing node vectors."""
+    """Rectangular state grid with strictly increasing, evenly spaced axes."""
 
     x_nodes: np.ndarray
     y_nodes: np.ndarray
@@ -93,7 +93,8 @@ class Grid:
             if arr.ndim != 1 or len(arr) < 2 or np.any(np.diff(arr) <= 0):
                 raise ValueError(f"{name} nodes must be strictly increasing, length >= 2")
             object.__setattr__(self, f"{name}_nodes", arr)
-        object.__setattr__(self, "_steps", (_axis_step(self.x_nodes), _axis_step(self.y_nodes)))
+        object.__setattr__(self, "_steps", (_axis_step(self.x_nodes, "x"),
+                                            _axis_step(self.y_nodes, "y")))
 
     @classmethod
     def regular(cls, x_max: float, y_min: float, y_max: float, nx: int, ny: int) -> "Grid":
@@ -107,14 +108,16 @@ class Grid:
         return np.meshgrid(self.x_nodes, self.y_nodes, indexing="ij")
 
 
-def _axis_step(nodes: np.ndarray) -> float:
-    # the spacing h when nodes[k] is nodes[0] + k h to rounding (as linspace
-    # and arange build them), else 0: the axis is searched, not indexed
+def _axis_step(nodes: np.ndarray, name: str) -> float:
+    # the spacing h when nodes[k] = nodes[0] + k h to 8 ulps (as linspace and
+    # arange build them); any other axis raises, as `_locate` only indexes
     n = len(nodes)
     h = (nodes[-1] - nodes[0]) / (n - 1)
     even = nodes[0] + h * np.arange(n)
     ulps = 8.0 * np.finfo(float).eps * max(abs(nodes[0]), abs(nodes[-1]))
-    return float(h) if np.max(np.abs(nodes - even)) <= ulps else 0.0
+    if not np.max(np.abs(nodes - even)) <= ulps:
+        raise ValueError(f"{name} nodes must be evenly spaced")
+    return float(h)
 
 
 def _out(spare):
@@ -128,50 +131,33 @@ def _out(spare):
     return spare.pop() if spare else None
 
 
-def _release(spare, *arrays) -> None:
+def _release(spare, array) -> None:
     if spare is not None:
-        spare.extend(a.view(np.float64) for a in arrays)
+        spare.append(array.view(np.float64))
 
 
-def _as_index(w, spare):
-    # w cast to intp (truncation), into a spare buffer when there is one
-    out = _out(spare)
-    if out is None:
-        return w.astype(np.intp)
-    idx = out.view(np.intp)
-    np.copyto(idx, w, casting="unsafe")
-    return idx
-
-
-def _locate(nodes: np.ndarray, step: float, q: np.ndarray, spare=None):
-    """(cell index, fraction) of the queries on the axis `nodes`.
+def _locate(nodes: np.ndarray, step: float, q: np.ndarray, spare):
+    """(cell index, fraction) of the queries on the axis `nodes`, `step` apart.
 
     The index is clipped to the edge cells; the fraction is left unclipped so
     points outside the grid extend linearly along the boundary cell. See
     `_out` for `spare`."""
-    if step:
-        u = np.subtract(q, nodes[0], out=_out(spare))
-        u /= step
-        _release(spare, q)
-        # fmax/fmin send NaN to cell 0 (its fraction stays NaN); for u >= 0
-        # the cast truncates, which is floor
-        w = np.fmax(u, 0.0, out=_out(spare))
-        np.fmin(w, len(nodes) - 2, out=w)
-        idx = _as_index(w, spare)
-        _release(spare, w)
-        u -= idx
-        return idx, u
-    idx = np.searchsorted(nodes, q, side="right")
-    idx -= 1
-    np.clip(idx, 0, len(nodes) - 2, out=idx)
-    lo = _take(nodes, idx, spare)
-    t = np.subtract(q, lo, out=_out(spare))
+    u = np.subtract(q, nodes[0], out=_out(spare))
+    u /= step
     _release(spare, q)
-    width = _take(nodes[1:], idx, spare)
-    width -= lo
-    t /= width
-    _release(spare, lo, width)
-    return idx, t
+    # fmax/fmin send NaN to cell 0 (its fraction stays NaN); for u >= 0 the
+    # cast to intp truncates, which is floor
+    w = np.fmax(u, 0.0, out=_out(spare))
+    np.fmin(w, len(nodes) - 2, out=w)
+    buffer = _out(spare)
+    if buffer is None:
+        idx = w.astype(np.intp)
+    else:
+        idx = buffer.view(np.intp)
+        np.copyto(idx, w, casting="unsafe")
+    _release(spare, w)
+    u -= idx
+    return idx, u
 
 
 def _take(values, at, spare):
@@ -195,15 +181,6 @@ def _lerp(flat_values: np.ndarray, at, t, spare=None):
     b += a
     _release(spare, a)
     return b
-
-
-def interp1(nodes: np.ndarray, values: np.ndarray, q):
-    """Piecewise-linear interpolation, one-sided linear outside the nodes."""
-    nodes, q = np.asarray(nodes, dtype=float), np.asarray(q, dtype=float)
-    if q.ndim == 0:  # the kernel works in place, which a scalar cannot be
-        return interp1(nodes, values, q.reshape(1))[0]
-    idx, t = _locate(nodes, _axis_step(nodes), q)
-    return _lerp(np.asarray(values), idx, t)
 
 
 def interp2(values: np.ndarray, grid: Grid, xq, yq, spare=None):
@@ -510,6 +487,11 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
     return (*_smallest_argmax(np.stack(z_parts), np.stack(v_parts)), z_worth)
 
 
+def _demand_cap(horizon: HorizonSpec, n: int) -> float:
+    """Period n's 0.999 demand quantile: how far a search looks past the grid."""
+    return float(horizon.demand_in(n).quantile(0.999))
+
+
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
     pairs = [myopic_lower(horizon, n)]
     if horizon.upper_myopic_valid:
@@ -627,7 +609,7 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
         if n == horizon.n_periods:
             hi = np.inf if z_cap is None else z_cap(n, x, y)
             return _last_step(horizon, x, y, next_value, hi, backlog)
-        z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
+        z_max = float(grid.x_nodes[-1]) + _demand_cap(horizon, n)
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
 
         def f(z, xi, _k):

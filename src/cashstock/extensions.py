@@ -17,8 +17,8 @@ import numpy as np
 
 from . import single_period
 from .demand import Demand
-from .dp import (Z_TOL, DPSolution, Grid, _expected_next, _grid_solution, _smallest_argmax,
-                 backward_induct, worth_search)
+from .dp import (Z_TOL, DPSolution, Grid, _demand_cap, _expected_next, _grid_solution,
+                 _smallest_argmax, backward_induct, worth_search)
 from .model import HorizonSpec, PeriodParams, require_valid
 
 
@@ -81,7 +81,6 @@ class ThresholdLadder:
 
     borrow_levels: tuple[float, ...]    # one per loan tier, nonincreasing
     deposit_levels: tuple[float, ...]   # one per deposit tier, nonincreasing
-    deposit_floor: float                # level at the top deposit rate
 
 
 def piecewise_thresholds(params: PeriodParams, salvage: float,
@@ -100,7 +99,7 @@ def piecewise_thresholds(params: PeriodParams, salvage: float,
 
     borrow = tuple(level(r) for r in schedule.loan_rates)
     deposit = tuple(level(r) for r in schedule.deposit_rates)
-    return ThresholdLadder(borrow, deposit, level(max(schedule.deposit_rates)))
+    return ThresholdLadder(borrow, deposit)
 
 
 def _piecewise_G(q, x, y, params: PeriodParams, salvage: float,
@@ -166,7 +165,7 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
 
     def step(n, next_value):
         cost = horizon.period(n).cost
-        z_max = float(grid.x_nodes[-1] + horizon.demand_in(n).quantile(0.999))
+        z_max = float(grid.x_nodes[-1]) + _demand_cap(horizon, n)
 
         def f(z, xi, k):
             rate = 1.0 + tiers[k][0]
@@ -241,16 +240,15 @@ class BackorderParams:
 def backorder_grid(horizon: HorizonSpec, base: Grid) -> Grid:
     """Extend the inventory axis to the deepest plausible backlog.
 
-    The new nodes continue the base axis at its smallest step, x0 - k step
-    for k = 1, 2, ..., so an evenly spaced base axis stays evenly spaced and
-    its cells are found by arithmetic (see dp._locate)."""
-    d_hi = max(float(horizon.demand_in(n).quantile(0.999))
-               for n in range(1, horizon.n_periods + 1))
-    depth = d_hi * horizon.n_periods
-    x0 = float(base.x_nodes[0])
-    step = float(np.min(np.diff(base.x_nodes)))
-    below = x0 - step * np.arange(np.ceil((x0 + depth) / step), 0.0, -1.0)
-    return Grid(np.concatenate([below, base.x_nodes]), base.y_nodes)
+    The axis keeps the base's step h and largest node and starts K steps
+    below its first node, the fewest that reach N demand caps below zero
+    (`dp._demand_cap`). Built as one linspace, it is evenly spaced on every
+    base; the base nodes move by a few ulps at most, none on a dyadic step."""
+    depth = horizon.n_periods * max(_demand_cap(horizon, n)
+                                    for n in range(1, horizon.n_periods + 1))
+    x0, h, nx = float(base.x_nodes[0]), base._steps[0], len(base.x_nodes)
+    below = int(np.ceil((x0 + depth) / h))
+    return Grid(np.linspace(x0 - below * h, base.x_nodes[-1], below + nx), base.y_nodes)
 
 
 def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> DPSolution:

@@ -56,7 +56,7 @@ class PeriodThresholds:
         fraction within a cell is then taken from the cell's own ends, as
         np.interp takes it, rather than from the offset to the first node,
         whose rounding grows with the distance from it. The search is
-        `_locate`'s, by table lookup. The cells' widths and steps are
+        np.searchsorted's, by table lookup. The cells' widths and steps are
         differenced once per row, so a call gathers them at its cells: the
         same numbers as `_lerp` on the levels, bit for bit."""
         q = np.asarray(worth, dtype=float)

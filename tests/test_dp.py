@@ -14,12 +14,11 @@ from cashstock.dp import (
     _smallest_argmax,
     _terminal_wealth,
     golden_max,
-    interp1,
     interp2,
     worth_grid,
     worth_search,
 )
-from cashstock.bounds import default_worth_grid, selling_back_dp
+from cashstock.bounds import WorthValueTable, default_worth_grid, selling_back_dp
 from cashstock.extensions import backorder_dp, backorder_grid
 
 from bisection import partials, solve_thresholds
@@ -34,6 +33,11 @@ def test_grid_validation():
         Grid(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         Grid(np.array([0.0]), np.array([0.0, 1.0]))
+    # a cell is found by arithmetic alone, so each axis must be evenly spaced
+    even, uneven = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
+    for x, y, name in ((uneven, even, "x"), (even, uneven, "y")):
+        with pytest.raises(ValueError, match=f"{name} nodes must be evenly spaced"):
+            Grid(x, y)
     g = Grid.regular(10, -5, 5, 11, 21)
     assert g.shape == (11, 21)
 
@@ -59,10 +63,15 @@ def test_interp2_preserves_monotonicity_along_lines():
 
 
 def test_interp1_linear_extension():
-    nodes = np.array([0.0, 1.0, 3.0])
-    vals = np.array([0.0, 2.0, 4.0])
-    assert interp1(nodes, vals, np.array([-1.0, 0.5, 2.0, 5.0])) == pytest.approx(
-        [-2.0, 1.0, 3.0, 6.0])
+    nodes, values = np.array([0.0, 1.5, 3.0]), np.array([0.0, 2.0, 4.0])
+    table = WorthValueTable(1, nodes, values, nodes)
+    assert table(np.array([-1.0, 0.25, 2.0, 5.0]), np.array([-0.5, 0.5, 0.25, 1.0])) \
+        == pytest.approx([-2.0, 1.0, 3.0, 8.0])
+    uneven = np.array([0.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match="worth nodes must be evenly spaced"):
+        WorthValueTable(1, uneven, values, uneven)(0.5, 0.0)
+    with pytest.raises(ValueError, match="worth nodes must be evenly spaced"):
+        selling_back_dp(make_horizon("u0_20", 2), uneven)
 
 
 def _search_locate(nodes, q):
@@ -107,19 +116,16 @@ def _kernel_queries(x_nodes, y_nodes):
 
 
 def _kernel_grids():
-    regular = Grid.regular(40, -60, 120, 41, 51)
-    # a backlog axis whose negative nodes count up from its deepest one, so
-    # that the cell at zero is 0.94 wide: an uneven axis, which is searched
-    uneven = np.concatenate([np.arange(-59.94, 0.0, 1.0), regular.x_nodes])
-    return {"regular": regular, "backorder": Grid(uneven, regular.y_nodes)}
+    # the backlog axis of a base whose step, 3/7, is not dyadic
+    backorder = backorder_grid(make_horizon("u0_20", 3), Grid.regular(30, -40, 80, 71, 41))
+    return {"regular": Grid.regular(40, -60, 120, 41, 51), "backorder": backorder}
 
 
 @pytest.mark.parametrize("name", ["regular", "backorder"])
 def test_bilinear_kernel_matches_search_reference(name):
     grid = _kernel_grids()[name]
-    # arithmetic cell index on evenly spaced axes only
-    assert grid._steps[1] > 0
-    assert (grid._steps[0] > 0) == (name == "regular")
+    # the arithmetic cell index gives the cells of a binary search
+    assert grid._steps[0] > 0 and grid._steps[1] > 0
     X, Y = grid.mesh()
     rng = np.random.default_rng(5)
     table = ValueTable(1, grid, 900.0 * np.sqrt(X - X.min() + 1.0) + 35.0 * Y
@@ -138,16 +144,16 @@ def test_bilinear_kernel_matches_search_reference(name):
             assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(field))
 
 
-@pytest.mark.parametrize("nodes", [np.linspace(-3.0, 17.0, 41),
-                                   np.array([0.0, 0.5, 2.0, 2.25, 6.0, 10.0])])
+@pytest.mark.parametrize("nodes", [np.linspace(-3.0, 17.0, 41), np.arange(-2.5, 7.0, 0.3)])
 def test_interp1_matches_search_reference(nodes):
     values = np.sin(nodes) * 50.0 + nodes ** 2
+    table = WorthValueTable(1, nodes, values, nodes)
     lo, hi = nodes[0], nodes[-1]
     queries = [nodes, float(hi), float(lo), lo - np.array([0.1, 2.0, 5.0]),
                hi + np.array([0.1, 2.0, 5.0]),
                np.random.default_rng(2).uniform(lo - 3.0, hi + 3.0, (4, 6))]
     for q in queries:
-        got, want = interp1(nodes, values, q), search_interp1(nodes, values, q)
+        got, want = table(0.0, q), search_interp1(nodes, values, q)
         assert np.shape(got) == np.shape(want)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
 

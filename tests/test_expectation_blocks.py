@@ -37,16 +37,11 @@ def smooth_table(grid):
 
 
 def next_values():
-    """Period 1's next value, by name: grid tables on an even and on a
-    searched inventory axis, and a selling-back worth table."""
-    even = Grid.regular(40, -60, 120, 41, 51)
-    rng = np.random.default_rng(5)
-    x_uneven = np.sort(np.concatenate([[0.0, 40.0], rng.uniform(0.5, 39.5, 39)]))
-    uneven = Grid(x_uneven, even.y_nodes)
-    worth = default_worth_grid(even)
+    """Period 1's next value, by name: a grid table and a selling-back table."""
+    grid = Grid.regular(40, -60, 120, 41, 51)
+    worth = default_worth_grid(grid)
     return {
-        "table": ValueTable(2, even, smooth_table(even)),
-        "searched": ValueTable(2, uneven, smooth_table(uneven)),
+        "table": ValueTable(2, grid, smooth_table(grid)),
         "worth": WorthValueTable(2, worth, 1800.0 * worth - 0.5 * worth ** 2,
                                  np.zeros_like(worth)),
     }
@@ -57,7 +52,6 @@ NEXT = next_values()
 #: (period, next value, transition keywords)
 CASES = {
     "lost-sales": (1, "table", {}),
-    "searched-axis": (1, "searched", {}),
     "worth-table": (1, "worth", {}),
     "terminal-wealth": (N_PERIODS, "terminal", {}),
     "backlog": (1, "table", {"backlog": 300.0}),
@@ -99,12 +93,9 @@ def test_blocks_equal_the_one_piece_formula(key, case):
 
 def allocating_locate(nodes, step, q):
     # reference lookup: the same operations, each into a fresh array
-    if step:
-        u = (q - nodes[0]) / step
-        idx = np.fmin(np.fmax(u, 0.0), len(nodes) - 2).astype(np.intp)
-        return idx, u - idx
-    idx = np.clip(np.searchsorted(nodes, q, side="right") - 1, 0, len(nodes) - 2)
-    return idx, (q - nodes[idx]) / (nodes[idx + 1] - nodes[idx])
+    u = (q - nodes[0]) / step
+    idx = np.fmin(np.fmax(u, 0.0), len(nodes) - 2).astype(np.intp)
+    return idx, u - idx
 
 
 def allocating_lerp(values, at, t):
@@ -125,7 +116,7 @@ def allocating_bilinear(fields, grid, xq, yq):
     return out
 
 
-@pytest.mark.parametrize("name", ["table", "searched"])
+@pytest.mark.parametrize("name", ["table"])
 def test_kernels_in_place_equal_the_allocating_ones(name):
     # the in-place lookup, on its own arrays and on a pool's node-major
     # views, gives the bits of the same operations into fresh arrays: inside
@@ -151,7 +142,7 @@ def test_kernels_in_place_equal_the_allocating_ones(name):
     assert np.array_equal(table._read(xv, yv, spare), want[0], equal_nan=True)
     worth = NEXT["worth"]
     q = (xq + yq).ravel()
-    assert np.array_equal(dp.interp1(worth.worth, worth.values, q),
+    assert np.array_equal(worth(q, 0.0),
                           allocating_lerp(worth.values, *allocating_locate(worth.worth, worth._step, q)),
                           equal_nan=True)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cashstock as cs
-from cashstock.dp import Grid, _lerp, _locate
+from cashstock.dp import Grid, _lerp
 from cashstock.model import normalized_params
 from cashstock.single_period import myopic_lower, myopic_upper
 from cashstock.thresholds import PeriodThresholds, worth_grid
@@ -249,9 +249,9 @@ def test_policy_from_thresholds_cases(small_solution):
 
 
 def _rows_for_bands_at(small_solution):
-    row = solve_thresholds(small_solution[2])[0].period(1)  # searched worth axis
+    row = solve_thresholds(small_solution[2])[0].period(1)  # uneven worth axis
     rng = np.random.default_rng(4)
-    worth = np.linspace(-60.0, 160.0, 221)  # evenly spaced: indexed worth axis
+    worth = np.linspace(-60.0, 160.0, 221)  # evenly spaced worth axis
     even = PeriodThresholds(1, worth, rng.uniform(0, 20, 221), rng.uniform(0, 20, 221),
                             row.lower, row.upper)
     return [row, even]
@@ -260,7 +260,7 @@ def _rows_for_bands_at(small_solution):
 def test_bands_at_matches_np_interp(small_solution):
     # within 4 ulps of the level at nodes, midpoints and random points, and
     # held at the end levels (not extrapolated) beyond the worth range; equal
-    # to the searched `_locate` lookup, which the table lookup replaces
+    # to a binary-search lookup and lerp
     rng = np.random.default_rng(8)
     for row in _rows_for_bands_at(small_solution):
         w = row.worth
@@ -269,7 +269,8 @@ def test_bands_at_matches_np_interp(small_solution):
             w, 0.5 * (w[:-1] + w[1:]), w[cell] + rng.random(20_000) * (w[cell + 1] - w[cell]),
             np.nextafter(w, -np.inf), np.nextafter(w, np.inf), rng.uniform(-1.0, 1.0, 2_000),
             w[0] - np.array([1e-9, 1.0, 1e3]), w[-1] + np.array([1e-9, 1.0, 1e3])])
-        idx, t = _locate(w, 0.0, queries)
+        idx = np.clip(np.searchsorted(w, queries, side="right") - 1, 0, len(w) - 2)
+        t = (queries - w[idx]) / (w[idx + 1] - w[idx])
         t = np.clip(t, 0.0, 1.0)
         for got, level in zip(row.bands_at(queries), (row.borrow, row.deposit)):
             want = np.interp(queries, w, level)
