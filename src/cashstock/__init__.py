@@ -14,9 +14,7 @@ from .model import (
     InvalidHorizonError,
     PeriodParams,
     State,
-    ValidationReport,
     normalized_params,
-    validate,
 )
 from .single_period import (
     CriticalRatios,

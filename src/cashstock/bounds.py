@@ -34,7 +34,7 @@ from .dp import (
     golden_max,
     policy_value_tables,
 )
-from .model import HorizonSpec, require_valid
+from .model import HorizonSpec
 
 #: relative slack of the bound chain lower <= optimal <= upper
 CHAIN_TOL = 5e-3
@@ -84,7 +84,6 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     period trades to the stock that maximizes the stage value, searched to
     Z_TOL with the kink z = w evaluated exactly. Period 1 first.
     """
-    require_valid(horizon)
     _require_no_sellback_profit(horizon)
     worth_nodes = np.asarray(worth_nodes, dtype=float)
     _axis_step(worth_nodes, "worth")

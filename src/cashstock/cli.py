@@ -33,7 +33,7 @@ from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_
 from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson,
                      integer_uniform)
 from .dp import Z_TOL, Grid, _require_on_grid, backward_induct
-from .model import HorizonSpec, PeriodParams, State, validate
+from .model import HorizonSpec, InvalidHorizonError, PeriodParams, State
 from .sim import MyopicPolicy, ThresholdPolicy, run_policies
 from .thresholds import ThresholdTable
 
@@ -223,12 +223,12 @@ class RunConfig:
         _require(len(demands) in (1, n),
                  f"demands must have 1 or N={n} entries for this command; got {len(demands)} "
                  "(a longer list is only meaningful as the scenario roster of 'tables')")
-        # one entry stands for every period
-        horizon = HorizonSpec(*(list(items) if len(items) == n else [items[0]] * n
-                                for items in (self.periods, demands)), self.salvage)
-        report = validate(horizon)
-        if not report.ok:
-            raise ConfigError(f"invalid horizon:\n{report}")
+        try:
+            # one entry stands for every period
+            horizon = HorizonSpec(*(list(items) if len(items) == n else [items[0]] * n
+                                    for items in (self.periods, demands)), self.salvage)
+        except InvalidHorizonError as exc:
+            raise ConfigError(f"invalid horizon:\n{exc}") from None
         # the thresholds' brackets, the myopic policies and the bound chain
         # all need the liquidation-credit myopic policy
         shortfalls = [m for k in range(1, n) if (m := horizon.liquidation_shortfall(k))]

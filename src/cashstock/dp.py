@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HorizonSpec, normalized_params, require_valid
+from .model import HorizonSpec, normalized_params
 from .single_period import myopic_lower, myopic_upper, optimal_order
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -593,7 +593,6 @@ def backward_induct(horizon: HorizonSpec, grid: Grid, *, z_cap=None,
     penalty (see _next_state and backorder_dp); the grid may then hold
     negative stock.
     """
-    require_valid(horizon)
     if backlog is None and grid.x_nodes[0] < -1e-12:
         raise ValueError("inventory nodes must be nonnegative under lost sales")
     X, Y = grid.mesh()
@@ -629,7 +628,6 @@ def policy_value_tables(horizon: HorizonSpec, grid: Grid, policy) -> list[ValueT
 
     `policy(n, x, y)` returns the order quantity per node (vectorized).
     """
-    require_valid(horizon)
     X, Y = grid.mesh()
     x, y = X.ravel(), Y.ravel()
 

@@ -19,7 +19,7 @@ from . import single_period
 from .demand import Demand
 from .dp import (Z_TOL, DPSolution, Grid, _demand_cap, _expected_next, _grid_solution,
                  _smallest_argmax, backward_induct, worth_search)
-from .model import HorizonSpec, PeriodParams, require_valid
+from .model import HorizonSpec, PeriodParams
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,6 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
     the same step, searched like the others, with terminal wealth as the
     next value (`dp._induct`).
     """
-    require_valid(horizon)
     dep = [0.0, *schedule.deposit_breaks, np.inf]
     loan = [0.0, *schedule.loan_breaks, np.inf]
     # (rate, lowest, highest loan balance c(z - xi)) per tier
@@ -263,7 +262,6 @@ def backorder_dp(horizon: HorizonSpec, b: BackorderParams, grid: Grid) -> DPSolu
     below zero (see backorder_grid). The post-order level keeps the
     two-threshold trichotomy in net worth.
     """
-    require_valid(horizon)
     priced = HorizonSpec([replace(p, price=p.price + b.penalty) for p in horizon.periods],
                          horizon.demands, horizon.salvage)
     solution = backward_induct(priced, grid, backlog=b.penalty)

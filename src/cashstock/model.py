@@ -1,4 +1,4 @@
-"""Problem definition: per-period economics, horizon configuration, validation.
+"""Problem definition: per-period economics and a horizon that checks itself.
 
 Conventions shared by every solver in the package:
 
@@ -13,7 +13,7 @@ Conventions shared by every solver in the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .demand import Demand
@@ -38,9 +38,24 @@ class State:
     y: float
 
 
+class InvalidHorizonError(ValueError):
+    """Raised when a horizon that breaks the model's invariants is built;
+    `violations` lists each one, and the message has a line per violation."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = violations
+        super().__init__("\n".join(f"violation: {v}" for v in violations))
+
+
 @dataclass(frozen=True)
 class HorizonSpec:
-    """A finite planning horizon: one PeriodParams and one Demand per period."""
+    """A finite planning horizon: one PeriodParams and one Demand per period.
+
+    Construction enforces the model's invariants, so every horizon is valid:
+    in each period c > 0, h >= 0, p >= c, i >= 0, i < l and (1+l)c < p, and
+    s < p of the final period. A horizon that breaks any of them raises
+    InvalidHorizonError listing each one. Negative salvage is allowed.
+    """
 
     periods: tuple[PeriodParams, ...]
     demands: tuple[Demand, ...]
@@ -56,6 +71,32 @@ class HorizonSpec:
             raise ValueError(
                 f"{len(self.periods)} period parameter sets but {len(self.demands)} demands"
             )
+        violations = []
+        for n, params in enumerate(self.periods, 1):
+            tag = f"period {n}"
+            # capital is measured in product units, so a free product has no scale
+            if not params.cost > 0:
+                violations.append(f"{tag}: c > 0 violated (c={params.cost})")
+            if params.holding < 0:
+                violations.append(f"{tag}: h >= 0 violated (h={params.holding})")
+            if params.price < params.cost:
+                violations.append(f"{tag}: p >= c violated (p={params.price}, c={params.cost})")
+            if params.deposit_rate < 0:
+                violations.append(f"{tag}: i >= 0 violated (i={params.deposit_rate})")
+            if not params.deposit_rate < params.loan_rate:
+                violations.append(
+                    f"{tag}: i < l violated (i={params.deposit_rate}, l={params.loan_rate})"
+                )
+            if not (1.0 + params.loan_rate) * params.cost < params.price:
+                violations.append(
+                    f"{tag}: (1+l)c < p violated "
+                    f"((1+l)c={(1.0 + params.loan_rate) * params.cost}, p={params.price})"
+                )
+        last = self.periods[-1]
+        if not self.salvage < last.price:
+            violations.append(f"terminal: s < p violated (s={self.salvage}, p={last.price})")
+        if violations:
+            raise InvalidHorizonError(violations)
 
     @classmethod
     def stationary(cls, n_periods: int, params: PeriodParams, demand: Demand, salvage: float):
@@ -100,80 +141,6 @@ class HorizonSpec:
         return not any(self.liquidation_shortfall(n) for n in range(1, self.n_periods))
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        lines = [f"violation: {v}" for v in self.violations]
-        lines += [f"warning: {w}" for w in self.warnings]
-        return "\n".join(lines) if lines else "ok"
-
-
-class InvalidHorizonError(ValueError):
-    """Raised by solvers handed a horizon that fails validation."""
-
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        super().__init__(str(report))
-
-
-def validate(horizon: HorizonSpec) -> ValidationReport:
-    """Check every documented invariant; empty report iff all hold."""
-    report = ValidationReport()
-    for idx, params in enumerate(horizon.periods):
-        n = idx + 1
-        tag = f"period {n}"
-        # capital is measured in product units, so a free product has no scale
-        if not params.cost > 0:
-            report.violations.append(f"{tag}: c > 0 violated (c={params.cost})")
-        if params.holding < 0:
-            report.violations.append(f"{tag}: h >= 0 violated (h={params.holding})")
-        if params.price < params.cost:
-            report.violations.append(f"{tag}: p >= c violated (p={params.price}, c={params.cost})")
-        if params.deposit_rate < 0:
-            report.violations.append(f"{tag}: i >= 0 violated (i={params.deposit_rate})")
-        if not params.deposit_rate < params.loan_rate:
-            report.violations.append(
-                f"{tag}: i < l violated (i={params.deposit_rate}, l={params.loan_rate})"
-            )
-        if not (1.0 + params.loan_rate) * params.cost < params.price:
-            report.violations.append(
-                f"{tag}: (1+l)c < p violated "
-                f"((1+l)c={(1.0 + params.loan_rate) * params.cost}, p={params.price})"
-            )
-    last = horizon.periods[-1]
-    if not horizon.salvage < last.price:
-        report.violations.append(
-            f"terminal: s < p violated (s={horizon.salvage}, p={last.price})"
-        )
-    if horizon.salvage < 0:
-        report.warnings.append(f"salvage {horizon.salvage} is negative (disposal cost)")
-    if horizon.salvage >= last.cost * (1.0 + last.deposit_rate):
-        report.warnings.append(
-            "salvage at least c(1+i) in the final period: the upper critical "
-            "ratio reaches 1 and the order-up-to level degenerates to the "
-            "demand support maximum"
-        )
-    if not horizon.upper_myopic_valid:
-        report.warnings.append(
-            "c_n(1+i_n)+h_n >= c_{n+1} fails for some period: the "
-            "liquidation-credit myopic policy is unavailable"
-        )
-    return report
-
-
-def require_valid(horizon: HorizonSpec) -> None:
-    report = validate(horizon)
-    if not report.ok:
-        raise InvalidHorizonError(report)
-
-
 class NormalizedParams(NamedTuple):
     """Period economics divided by the next period's unit cost."""
 
@@ -191,6 +158,4 @@ def normalized_params(horizon: HorizonSpec, n: int) -> NormalizedParams:
         raise ValueError(f"normalized parameters defined for 1 <= n <= N-1, got n={n}")
     cur = horizon.period(n)
     c_next = horizon.period(n + 1).cost
-    if c_next <= 0:
-        raise ValueError(f"period {n + 1} unit cost must be positive to normalize")
     return NormalizedParams(cur.price / c_next, cur.holding / c_next, cur.cost / c_next)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import single_period
 from .dp import _next_state
-from .model import HorizonSpec, State, require_valid
+from .model import HorizonSpec, State
 from .thresholds import ThresholdTable, policy_from_thresholds
 
 
@@ -90,7 +90,6 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
     demand paths (common random numbers); one result per policy, in order.
     Deterministic for a fixed seed.
     """
-    require_valid(horizon)
     if paths < 1:
         raise ValueError("need at least one path")
     n_periods = horizon.n_periods

@@ -204,18 +204,28 @@ SOLVER = BASE_CONFIG["solver"]
     ({"demands": [{"kind": "integer_uniform", "lo": 0, "hi": 10 ** 6}]},
      "demands[0].hi must be at most 1000"),
     ({"periods": [{**BASE_CONFIG["periods"][0], "c": 0}]}, "period 1: c > 0 violated (c=0.0)"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "i": 0.15}]},
+     "invalid horizon:\nviolation: period 1: i < l violated (i=0.15, l=0.15)"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "h": -1}]},
+     "invalid horizon:\nviolation: period 1: h >= 0 violated (h=-1.0)"),
+    ({"periods": [{**BASE_CONFIG["periods"][0], "p": 1150}]},
+     "invalid horizon:\nviolation: period 1: (1+l)c < p violated ((1+l)c=1150.0, p=1150.0)"),
+    ({"salvage": 2000},
+     "invalid horizon:\nviolation: terminal: s < p violated (s=2000.0, p=2000.0)"),
 ], ids=["table_states", "grid_nx", "grid_ny", "grid", "grid_x_max_tiny", "salvage",
         "salvage_huge", "period_field", "demand_field", "seed", "mc_paths", "epsilon_negative",
         "epsilon_zero", "epsilon_finer", "check_reachability", "n_huge", "grid_nx_huge",
         "grid_ny_huge", "mc_paths_huge", "quadrature_nodes_huge", "table_horizon_huge",
         "solver_typo", "grid_typo", "root_typo", "period_typo", "demand_typo", "hi_bool", "lo_string",
         "values_string", "lambda_infinite", "lambda_huge", "integer_lo_above_hi",
-        "integer_hi_fraction", "integer_hi_huge", "cost_zero"])
+        "integer_hi_fraction", "integer_hi_huge", "cost_zero", "deposit_rate_at_loan_rate",
+        "holding_negative", "loan_unprofitable", "salvage_at_price"])
 def test_malformed_field_is_config_error(tmp_path, capsys, changes, message):
     path = write_config(tmp_path, **changes)
     assert main(["tables", "--which", "table2", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "table2.csv").exists()
 
 
 #: JSON values small enough that no field can ask for a large allocation

@@ -48,13 +48,13 @@ def test_exported_names():
         "Demand", "DiscreteEmpirical", "Grid", "HorizonSpec", "InvalidHorizonError",
         "LoanLimit", "MyopicPolicy", "OrderBands", "PeriodParams", "PiecewiseRateSchedule",
         "PolicyTable", "SimResult", "State", "ThresholdLadder", "ThresholdPolicy",
-        "ThresholdTable", "Uniform", "ValidationReport", "ValueTable", "WorthValueTable",
+        "ThresholdTable", "Uniform", "ValueTable", "WorthValueTable",
         "ZeroInflatedPoisson", "backorder_dp", "backorder_grid", "backward_induct",
         "compare_bounds", "expected_value_G", "fractiles", "integer_uniform",
         "loan_limited_dp", "loan_limited_policy", "myopic_lower", "myopic_upper",
         "normalized_params", "optimal_order", "order_bands", "piecewise_dp",
         "piecewise_optimal_order", "piecewise_thresholds", "policy_from_thresholds",
-        "policy_value_tables", "run_policies", "selling_back_dp", "validate",
+        "policy_value_tables", "run_policies", "selling_back_dp",
         "value_closed_form",
     }
 

