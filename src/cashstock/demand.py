@@ -286,8 +286,9 @@ class _Atoms(Demand):
 
     def quantile(self, u):
         u = _levels(u)
-        idx = self._cum_search(u, "left")
-        return self.atoms[np.minimum(idx, len(self.atoms) - 1)]
+        # a level above the last CDF value, which rounding can leave short of
+        # 1, takes the last atom: mode="clip" caps the count there
+        return self.atoms.take(self._cum_search(u, "left"), mode="clip")
 
     def loss(self, x):
         x = np.asarray(x, dtype=float)

@@ -249,10 +249,9 @@ def _next_state(z, xi, d, n: int, horizon: HorizonSpec, *, bank=None, backlog=No
     The two-rate bank term is min(s(1+i), s(1+l)) with s = c'(xi - z): as
     i < l and c' > 0, that is s(1+i) where z <= xi and s(1+l) elsewhere,
     bit for bit, without a mask. The bank term and y' are built in place on
-    the function's own temporaries. Without `out` (the Monte Carlo's step),
-    z - d and its positive part are separate arrays: building one in the
-    other raised the minor page faults of `tables --which table2` at half
-    grid from 219k to 274k.
+    the function's own temporaries. Without `out`, z - d and its positive
+    part are separate arrays: building one in the other raised the minor
+    page faults of `tables --which table2` at half grid from 219k to 274k.
     """
     params = horizon.period(n)
     if n < horizon.n_periods:
@@ -462,12 +461,11 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
     at = np.searchsorted(worth, np.round(xi_flat, 9))
     z_parts, v_parts, z_worth = [], [], []
     for k, (a, b) in enumerate(branches):
+        lo_w = np.maximum(worth + a, grid.x_nodes[0])
+        hi_w = np.minimum(worth + b, hi.max())
         # golden_max evaluates the bracket's lower end; add the upper, if finite
         ends = [worth + b] if np.isfinite(b) else []
-        z_w, v_w = golden_max(lambda z, _k=k: f(z, worth, _k),
-                              np.maximum(worth + a, grid.x_nodes[0]),
-                              np.minimum(worth + b, hi.max()), tol,
-                              candidates=[worth, *ends, *candidates])
+        z_w, v_w = _bracket_max(f, k, worth, lo_w, hi_w, tol, [worth, *ends, *candidates])
         # an infinite end leaves the node's own bound, which needs no copy
         lo_k = x_flat if a == -np.inf else np.maximum(x_flat, xi_flat + a)
         hi_k = hi if b == np.inf else np.minimum(hi, xi_flat + b)
@@ -485,6 +483,26 @@ def worth_search(f, grid: Grid, hi, tol: float, branches, candidates=()):
     if len(z_parts) == 1:  # its own best; stacked copies would grow the heap
         return z_parts[0], v_parts[0], z_worth
     return (*_smallest_argmax(np.stack(z_parts), np.stack(v_parts)), z_worth)
+
+
+def _bracket_max(f, k: int, worth, lo, hi, tol: float, candidates):
+    """golden_max of f(z, worth, k) over [lo, hi] per worth, the candidates
+    given per worth or as scalars. A closed bracket (hi <= lo), where every
+    point golden_max would evaluate is lo, is evaluated once there instead
+    of once per iteration and candidate: tiered rates close many (47% of
+    `piecewise_dp`'s on the extensions-lib benchmark instance)."""
+    closed = hi <= lo
+    if not closed.any():
+        return golden_max(lambda z: f(z, worth, k), lo, hi, tol, candidates)
+    z_w, v_w = lo.copy(), np.empty(len(lo))
+    v_w[closed] = f(lo[closed], worth[closed], k)
+    open_ = ~closed
+    if open_.any():
+        w_open = worth[open_]
+        z_w[open_], v_w[open_] = golden_max(
+            lambda z: f(z, w_open, k), lo[open_], hi[open_], tol,
+            [c[open_] if np.ndim(c) else c for c in candidates])
+    return z_w, v_w
 
 
 def _demand_cap(horizon: HorizonSpec, n: int) -> float:

@@ -11,15 +11,26 @@ low-variance. Demands are the uniforms inverted through each period's
 and the threshold policy's place on the worth axis (`bands_at`), are
 bucket-table lookups that return what np.searchsorted returns.
 
-`run_policies` walks the paths in blocks of `BLOCK_PATHS`, small enough
-that a block's states and demands stay in cache. Each block's uniforms are
-drawn once, in stream order, and turned into demand once per period; every
-policy then advances over that same block. The draws, and so every result,
-are those of one `random((paths, N))` call, whatever the block size, and
-memory holds one block plus one terminal wealth per path and policy. A
-period's step picks its branches by min and max (`optimal_order`, the bank
-term of `_next_state`), not by masks: np.where costs over ten times an
-add per element.
+`run_policies` does per path only what varies by path:
+
+- once per run: each policy's period-1 order, taken at the one state
+  `initial` that every path starts from (a `Policy` is an elementwise
+  rule), and the block buffers;
+- once per block of `BLOCK_PATHS` paths, small enough that a block's
+  states and demands stay in cache: the block's uniforms, drawn in stream
+  order into one reused buffer and laid out period by period, so that each
+  period's `quantile` reads them contiguously, and their demands;
+- per path: the period-1 step, which broadcasts each policy's order over
+  the block's demands, and from period 2 on each policy's order and step,
+  whose state is written into one pair of block buffers.
+
+The draws, and so every result, are those of one `random((paths, N))`
+call, whatever the block size, and memory holds one block plus one
+terminal wealth per path and policy. A period's step picks its branches by
+min and max (`optimal_order`, the bank term of `_next_state`), not by
+masks: np.where costs over ten times an add per element. The final
+period's threshold levels are constant in net worth and are read without
+a lookup (`bands_at`).
 """
 
 from __future__ import annotations
@@ -46,7 +57,9 @@ class SimResult:
 
 
 class Policy:
-    """Order-quantity rule q(n, x, y); vectorized over states."""
+    """Order-quantity rule q(n, x, y); vectorized over states, elementwise:
+    a state's order depends on that state alone, so `run_policies` asks for
+    period 1's order at the initial state once."""
 
     label = "policy"
 
@@ -94,25 +107,32 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
         raise ValueError("need at least one path")
     n_periods = horizon.n_periods
     demands = [horizon.demand_in(n) for n in range(1, n_periods + 1)]
+    # every path starts at `initial`, so each policy's period-1 order is one
+    # state's, and the period-1 step broadcasts it over the block's demands
+    x1, y1 = np.array([float(initial.x)]), np.array([float(initial.y)])
+    xi1 = x1 + y1
+    z1 = [_order_up_to(policy, 1, x1, y1) for policy in policies]
     rng = np.random.default_rng(seed)
+    width = min(BLOCK_PATHS, paths)
+    draws = np.empty((width, n_periods))
+    uniforms = np.empty(n_periods * width)
+    x_block, y_block = np.empty(width), np.empty(width)
     wealth = np.empty((len(policies), paths))
     for start in range(0, paths, BLOCK_PATHS):
         m = min(BLOCK_PATHS, paths - start)
-        u = rng.random((m, n_periods)).T
+        # drawn path by path, in stream order, then laid out period by period
+        rng.random(out=draws[:m])
+        u = uniforms[:n_periods * m].reshape(n_periods, m)
+        np.copyto(u, draws[:m].T)
         d = [dem.quantile(u_n) for dem, u_n in zip(demands, u)]
+        x, y = x_block[:m], y_block[:m]
         for k, policy in enumerate(policies):
-            x = np.full(m, float(initial.x))
-            y = np.full(m, float(initial.y))
-            for n in range(1, n_periods + 1):
-                q = np.asarray(policy(n, x, y), dtype=float)
-                if q.min() < -1e-9:
-                    raise ValueError(f"period {n}: policy {_label(policy)!r} emitted a "
-                                     "negative order quantity")
-                # q may be the policy's own array, so z is a new one
-                z = np.maximum(q, 0.0)
-                z += x
-                # after the last period y is terminal wealth in currency
-                x, y = _next_state(z, x + y, d[n - 1], n, horizon)
+            _next_state(z1[k], xi1, d[0], 1, horizon, out=(x, y))
+            for n in range(2, n_periods + 1):
+                # z and x + y are new arrays, so the step may overwrite x, y
+                z = _order_up_to(policy, n, x, y)
+                _next_state(z, x + y, d[n - 1], n, horizon, out=(x, y))
+            # after the last period y is terminal wealth in currency
             wealth[k, start:start + m] = y
     results = []
     for policy, w in zip(policies, wealth):
@@ -124,6 +144,19 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
         half = float(1.96 * sd / np.sqrt(paths))
         results.append(SimResult(mean, half, paths, _label(policy)))
     return results
+
+
+def _order_up_to(policy, n: int, x, y) -> np.ndarray:
+    """x + q, q the policy's order at (x, y), raised to 0 where it is a
+    rounding below 0; a clearly negative order raises ValueError."""
+    q = np.asarray(policy(n, x, y), dtype=float)
+    if q.min() < -1e-9:
+        raise ValueError(f"period {n}: policy {_label(policy)!r} emitted a "
+                         "negative order quantity")
+    # q may be the policy's own array, so z is a new one
+    z = np.maximum(q, 0.0)
+    z += x
+    return z
 
 
 def _label(policy) -> str:

@@ -17,7 +17,7 @@ test suite keeps that algorithm as an oracle for these tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,31 +40,64 @@ class PeriodThresholds:
     deposit_clipped: int = 0
 
     @cached_property
-    def _worth_search(self) -> _BucketSearch:
-        return _BucketSearch(self.worth)
-
-    @cached_property
     def _cell_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # per cell: worth width, borrow step, deposit step
         return np.diff(self.worth), np.diff(self.borrow), np.diff(self.deposit)
+
+    @cached_property
+    def _flat(self) -> bool:
+        _, borrow_step, deposit_step = self._cell_steps
+        return not (borrow_step.any() or deposit_step.any())
+
+    @cached_property
+    def _cell_search(self):
+        # np.searchsorted(interior, q, "right") counts the interior worth
+        # nodes at or below q: that is q's cell, clipped to the edge cells.
+        # A 2-node axis has no interior node, and its one cell is 0
+        interior = self.worth[1:-1]
+        return _BucketSearch(interior) if len(interior) else partial(np.searchsorted, interior)
 
     def bands_at(self, worth):
         """(borrow, deposit) levels at `worth`: linear between the worth
         nodes, held at the end values beyond them. One lookup serves both.
 
-        The worth axis is searched even where it is evenly spaced: the
-        fraction within a cell is then taken from the cell's own ends, as
-        np.interp takes it, rather than from the offset to the first node,
-        whose rounding grows with the distance from it. The search is
-        np.searchsorted's, by table lookup. The cells' widths and steps are
-        differenced once per row, so a call gathers them at its cells: the
-        same numbers as `_lerp` on the levels, bit for bit."""
+        A row whose levels are constant in worth (the final period's, as
+        `ThresholdTable.from_solution` builds it) returns them without a
+        search: the numbers of the lookup, NaN for NaN worth included, but
+        for the sign of a zero level at a worth of -0.0.
+
+        Otherwise the worth axis is searched even where it is evenly
+        spaced: the fraction within a cell is then taken from the cell's
+        own ends, as np.interp takes it, rather than from the offset to the
+        first node, whose rounding grows with the distance from it. The
+        search runs over the interior nodes, by table lookup, so that its
+        count is the cell, clipped to the edge cells. The cells' widths and
+        steps are differenced once per row, so a call gathers them at its
+        cells and builds both lerps in place: the same numbers as `_lerp`
+        on the levels, bit for bit."""
         q = np.asarray(worth, dtype=float)
+        scalar = q.ndim == 0
+        if self._flat:
+            # the lerp's t * step with every step 0.0: each level + 0.0 (a
+            # level of -0.0 reads 0.0), and NaN for NaN worth
+            t = np.clip(q, 0.0, 1.0)
+            t *= 0.0
+            return self.borrow[0] + t, self.deposit[0] + t
+        if scalar:  # the lerps work in place, which a scalar cannot be
+            q = q.reshape(1)
         width, borrow_step, deposit_step = self._cell_steps
-        idx = np.clip(self._worth_search(q, "right") - 1, 0, len(width) - 1)
-        t = np.clip((q - self.worth[idx]) / width[idx], 0.0, 1.0)
-        return (self.borrow[idx] + t * borrow_step[idx],
-                self.deposit[idx] + t * deposit_step[idx])
+        idx = self._cell_search(q, "right")
+        t = self.worth[idx]
+        np.subtract(q, t, out=t)
+        t /= width[idx]
+        np.clip(t, 0.0, 1.0, out=t)
+        borrow = borrow_step[idx]
+        borrow *= t
+        borrow += self.borrow[idx]
+        deposit = deposit_step[idx]
+        deposit *= t
+        deposit += self.deposit[idx]
+        return (borrow[0], deposit[0]) if scalar else (borrow, deposit)
 
 
 @dataclass(eq=False)

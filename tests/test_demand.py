@@ -238,6 +238,22 @@ def test_bucket_search_on_a_crowded_cdf():
     assert ZIP18.quantile(0.0) == 0.0 and ZIP18.quantile(1.0) == ZIP18.atoms[-1]
 
 
+@pytest.mark.parametrize("demand", [ZIP18, integer_uniform(0, 20),
+                                    DiscreteEmpirical((4.0,), (1.0,))],
+                         ids=["zip18", "iu0_20", "one_atom"])
+def test_atom_quantile_equals_the_clipped_search(demand):
+    # the quantile's capped gather is the binary search, clipped to the
+    # last atom, bit for bit: at 0, at 1, at each CDF value and beside it
+    cum, atoms = demand._cum, demand.atoms
+    u = np.clip(np.concatenate([[0.0, 1.0], cum, np.nextafter(cum, -np.inf),
+                                np.nextafter(cum, np.inf)]), 0.0, 1.0)
+    want = atoms[np.minimum(np.searchsorted(cum, u, "left"), len(atoms) - 1)]
+    assert demand.quantile(u).tobytes() == want.tobytes()
+    for level in (0.0, float(cum[0]), 1.0):
+        assert np.ndim(demand.quantile(level)) == 0
+        assert demand.quantile(level) == atoms[min(np.searchsorted(cum, level), len(atoms) - 1)]
+
+
 def sample(demand, rng, size):
     """Inverse-transform sampling, as the Monte Carlo draws demand."""
     return demand.quantile(rng.random(size))

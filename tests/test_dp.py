@@ -7,6 +7,7 @@ from cashstock.dp import (
     Z_TOL,
     Grid,
     ValueTable,
+    _bracket_max,
     _expected_next,
     _grid_solution,
     _myopic_targets,
@@ -588,3 +589,44 @@ def test_worth_search_node_bounds_bit_identical(small_grid, branches):
         for g, w in zip(got[:2], want[:2]):
             assert g.tobytes() == w.tobytes()
         assert [z.tobytes() for z in got[2]] == [z.tobytes() for z in want[2]]
+
+
+def test_closed_brackets_are_evaluated_once(small_grid):
+    # tiered branches close many brackets (hi <= lo), where every point of a
+    # golden-section search is the lower end: a closed worth is evaluated
+    # once, at that end, with the numbers of one search over every bracket,
+    # bit for bit, under U(0, 20)
+    hz = make_horizon("u0_20", 2)
+    branches = [(-np.inf, -3.0), (-3.0, 4.0), (4.0, np.inf)]
+    calls = []
+
+    def f(z, xi, k):
+        calls.append(xi.copy())
+        rate = 1.0 + 0.05 * k
+        return _expected_next(z, xi, hz, 2, _terminal_wealth,
+                              bank=lambda amount: rate * amount)
+
+    got = worth_search(f, small_grid, 35.0, Z_TOL, branches, [12.5])
+    want = clipped_worth_search(f, small_grid, 35.0, Z_TOL, branches, [12.5])
+    for g, w in zip(got[:2], want[:2]):
+        assert g.tobytes() == w.tobytes()
+    assert [z.tobytes() for z in got[2]] == [z.tobytes() for z in want[2]]
+    worth = worth_grid(small_grid)
+    for k, (a, b) in enumerate(branches):
+        lo = np.maximum(worth + a, small_grid.x_nodes[0])
+        hi = np.minimum(worth + b, 35.0)
+        closed = hi <= lo
+        assert 0 < np.count_nonzero(closed) < len(worth)
+        candidates = [worth, *([worth + b] if np.isfinite(b) else []), 12.5]
+        calls.clear()
+        z_w, v_w = _bracket_max(f, k, worth, lo, hi, Z_TOL, candidates)
+        seen = np.concatenate(calls)
+        evaluated = np.array([np.count_nonzero(seen == w) for w in worth])
+        assert np.all(evaluated[closed] == 1) and np.all(evaluated[~closed] > 20)
+        assert np.array_equal(z_w[closed], lo[closed])
+        z_ref, v_ref = golden_max(lambda z, _k=k: f(z, worth, _k), lo, hi, Z_TOL, candidates)
+        assert z_w.tobytes() == z_ref.tobytes() and v_w.tobytes() == v_ref.tobytes()
+    # with every bracket open the search is golden_max's own call
+    calls.clear()
+    _bracket_max(f, 0, worth, worth - 1.0, worth + 1.0, Z_TOL, [worth])
+    assert calls and all(len(xi) == len(worth) for xi in calls)

@@ -103,12 +103,11 @@ def whole_array_run(horizon, policy, initial, paths, seed):
     for n in range(1, horizon.n_periods + 1):
         q = np.maximum(policy(n, x, y), 0.0)
         x, y = _next_state(x + q, x + y, horizon.demand_in(n).quantile(u[:, n - 1]), n, horizon)
-    return float(np.mean(y)), float(1.96 * np.std(y, ddof=1) / np.sqrt(paths))
+    sd = np.std(y, ddof=1) if paths > 1 else np.inf  # one path: no spread estimate
+    return float(np.mean(y)), float(1.96 * sd / np.sqrt(paths))
 
 
-@pytest.mark.parametrize("paths", [1000, BLOCK_PATHS, 2 * BLOCK_PATHS + 3])
-def test_run_policies_equals_separate_runs(three_policies, paths):
-    hz, policies = three_policies
+def assert_equals_separate_runs(hz, policies, paths):
     start = cs.State(2.0, 5.0)
     together = run_policies(hz, policies, start, paths, seed=31)
     assert [r.label for r in together] == ["two-threshold", "myopic-lower", "myopic-upper"]
@@ -116,6 +115,49 @@ def test_run_policies_equals_separate_runs(three_policies, paths):
         alone = run_policies(hz, [policy], start, paths, seed=31)[0]
         assert res == alone  # mean, half_width, paths and label, bit for bit
         assert (res.mean, res.half_width) == whole_array_run(hz, policy, start, paths, 31)
+
+
+@pytest.mark.parametrize("paths", [1, 1000, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1,
+                                   2 * BLOCK_PATHS + 3])
+def test_run_policies_equals_separate_runs(three_policies, paths):
+    assert_equals_separate_runs(*three_policies, paths)
+
+
+@pytest.mark.parametrize("paths", [1, 1000, BLOCK_PATHS + 1])
+def test_run_policies_equals_separate_runs_in_one_period(small_grid, paths):
+    # N = 1: the period-1 step is the whole run, and the threshold policy
+    # reads the final period's constant levels
+    hz = make_horizon("u0_20", 1)
+    table = cs.ThresholdTable.from_solution(cs.backward_induct(hz, small_grid))
+    policies = [ThresholdPolicy(table), MyopicPolicy(hz, "lower"), MyopicPolicy(hz, "upper")]
+    assert_equals_separate_runs(hz, policies, paths)
+
+
+class RecordingPolicy(Policy):
+    """A policy that records the states it is asked to order at."""
+
+    def __init__(self, inner):
+        self.inner, self.label, self.seen = inner, inner.label, []
+
+    def order(self, n, x, y):
+        self.seen.append((n, np.array(x), np.array(y)))
+        return self.inner(n, x, y)
+
+
+def test_period_one_orders_once_per_policy(three_policies):
+    # every path starts at the initial state: period 1 asks each policy once,
+    # at that one state, and later periods at each block's states
+    hz, policies = three_policies
+    recording = [RecordingPolicy(p) for p in policies]
+    paths = BLOCK_PATHS + 5
+    results = run_policies(hz, recording, cs.State(2.0, 5.0), paths, seed=31)
+    for policy, rec, res in zip(policies, recording, results):
+        first, later = rec.seen[0], rec.seen[1:]
+        assert first[0] == 1 and first[1].tolist() == [2.0] and first[2].tolist() == [5.0]
+        assert [(n, len(x), len(y)) for n, x, y in later] == [
+            (n, m, m) for m in (BLOCK_PATHS, 5) for n in range(2, hz.n_periods + 1)]
+        assert (res.mean, res.half_width) == whole_array_run(hz, policy, cs.State(2.0, 5.0),
+                                                             paths, 31)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])

@@ -257,6 +257,16 @@ def _rows_for_bands_at(small_solution):
     return [row, even]
 
 
+def _binary_search_lookup(row, q):
+    # bands_at without constant rows or the interior search: a binary
+    # search on every worth node, clipped to the edge cells, and a lerp
+    w = row.worth
+    idx = np.clip(np.searchsorted(w, q, side="right") - 1, 0, len(w) - 2)
+    t = np.clip((q - w[idx]) / (w[idx + 1] - w[idx]), 0.0, 1.0)
+    return tuple(level[idx] + t * (level[idx + 1] - level[idx])
+                 for level in (row.borrow, row.deposit))
+
+
 def test_bands_at_matches_np_interp(small_solution):
     # within 4 ulps of the level at nodes, midpoints and random points, and
     # held at the end levels (not extrapolated) beyond the worth range; equal
@@ -293,11 +303,64 @@ def test_bands_at_equals_the_parents_lerp(small_solution):
         w = row.worth
         q = np.concatenate([rng.uniform(w[0] - 5.0, w[-1] + 5.0, 50_000), w,
                             np.nextafter(w, -np.inf), np.nextafter(w, np.inf)])
-        idx = np.clip(np.searchsorted(w, q, side="right") - 1, 0, len(w) - 2)
-        t = np.clip((q - w[idx]) / (w[idx + 1] - w[idx]), 0.0, 1.0)
-        for got, level in zip(row.bands_at(q), (row.borrow, row.deposit)):
-            a = level[idx]
-            assert np.array_equal(got, a + t * (level[idx + 1] - a))
+        for got, want in zip(row.bands_at(q), _binary_search_lookup(row, q)):
+            assert np.array_equal(got, want)
+
+
+def _axis_queries(w):
+    with np.errstate(over="ignore"):
+        beside = [np.nextafter(w, -np.inf), np.nextafter(w, np.inf)]
+    return np.concatenate([w, *beside, 0.5 * (w[:-1] + w[1:]),
+                           [w[0] - 1e3, w[0] - 1.0, w[-1] + 1.0, w[-1] + 1e3,
+                            -np.inf, np.inf, np.nan]])
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 1033])
+def test_interior_search_is_the_clipped_cell(nodes):
+    # np.searchsorted on the interior nodes counts the cell, already clipped
+    # to the edge cells; a 2-node axis has no interior node
+    rng = np.random.default_rng(nodes)
+    w = np.sort(rng.uniform(-60.0, 160.0, nodes))
+    lower = cs.myopic_lower(make_horizon("u0_20", 2), 1)
+    row = PeriodThresholds(1, w, rng.uniform(0, 10, nodes), rng.uniform(10, 20, nodes),
+                           lower, lower)
+    q = _axis_queries(w)
+    want = np.clip(np.searchsorted(w, q, "right") - 1, 0, len(w) - 2)
+    assert np.array_equal(row._cell_search(q, "right"), want)
+    for got, lookup in zip(row.bands_at(q), _binary_search_lookup(row, q)):
+        assert np.array_equal(got, lookup, equal_nan=True)
+        assert np.isnan(got[-1])  # NaN worth, NaN level
+    for x in (float(w[0]), float(w[-1]) + 1.0, -np.inf):
+        assert [np.ndim(v) for v in row.bands_at(x)] == [0, 0]
+        assert row.bands_at(x) == _binary_search_lookup(row, np.array([x]))
+
+
+def test_constant_row_skips_the_lookup(small_solution):
+    # the final period's levels are constant in worth: bands_at returns them
+    # without a search: the lookup bit for bit (a worth of -0.0 aside), and
+    # NaN for NaN worth
+    hz, _, sol = small_solution
+    last = cs.ThresholdTable.from_solution(sol).period(hz.n_periods)
+    lower = last.lower
+    zero = PeriodThresholds(1, last.worth, np.full(len(last.worth), -0.0),
+                            np.full(len(last.worth), 3.0), lower, lower)
+    for row in (last, zero):
+        assert row._flat
+        q = _axis_queries(row.worth)
+        finite = q[:-1]
+        for got, lookup in zip(row.bands_at(finite), _binary_search_lookup(row, finite)):
+            assert got.shape == finite.shape and got.tobytes() == lookup.tobytes()
+            assert got.flags.writeable
+        for got, lookup in zip(row.bands_at(q), _binary_search_lookup(row, q)):
+            assert np.array_equal(got, lookup, equal_nan=True) and np.isnan(got[-1])
+        for x in (float(row.worth[3]), 0.3, -np.inf, np.inf):
+            got = row.bands_at(x)
+            assert [np.ndim(v) for v in got] == [0, 0]
+            want = _binary_search_lookup(row, np.array([x]))
+            assert [np.float64(v).tobytes() for v in got] == [v.tobytes() for v in want]
+        assert all(np.ndim(v) == 0 and np.isnan(v) for v in row.bands_at(np.nan))
+    assert np.signbit(zero.borrow[0]) and not np.signbit(zero.bands_at(1.0)[0])
+    assert not any(row._flat for row in cs.ThresholdTable.from_solution(sol).periods[:-1])
 
 
 def test_worth_grid_deduplicates():
