@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import single_period
 from .dp import (
     Z_TOL,
     DPSolution,
@@ -35,6 +34,7 @@ from .dp import (
     policy_value_tables,
 )
 from .model import HorizonSpec
+from .sim import MyopicPolicy
 
 #: relative slack of the bound chain lower <= optimal <= upper
 CHAIN_TOL = 5e-3
@@ -76,8 +76,9 @@ def _require_no_sellback_profit(horizon: HorizonSpec) -> None:
             )
 
 
-def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[WorthValueTable]:
-    """Backward induction of the selling-back relaxation on `worth_nodes`.
+def selling_back_dp(horizon: HorizonSpec, grid: Grid) -> list[WorthValueTable]:
+    """Backward induction of the selling-back relaxation on the grid's
+    net-worth axis, `default_worth_grid(grid)`.
 
     A run of `dp._induct` whose states are net worths at zero stock:
     period N is backward_induct's last-period step there, and each earlier
@@ -85,8 +86,7 @@ def selling_back_dp(horizon: HorizonSpec, worth_nodes: np.ndarray) -> list[Worth
     Z_TOL with the kink z = w evaluated exactly. Period 1 first.
     """
     _require_no_sellback_profit(horizon)
-    worth_nodes = np.asarray(worth_nodes, dtype=float)
-    _axis_step(worth_nodes, "worth")
+    worth_nodes = default_worth_grid(grid)
     zeros = np.zeros_like(worth_nodes)
 
     def step(n, next_value):
@@ -134,10 +134,8 @@ class BoundRow:
 def _bound_tables(name: str, horizon: HorizonSpec, grid: Grid) -> list:
     """The tables of bound `name` on `horizon`, period 1 first."""
     if name == UPPER_BOUND:
-        return selling_back_dp(horizon, default_worth_grid(grid))
-    bands = single_period.myopic_bands(horizon, name.removeprefix("myopic-"))
-    return policy_value_tables(
-        horizon, grid, lambda n, x, y: single_period.optimal_order(x, y, bands[n - 1]))
+        return selling_back_dp(horizon, grid)
+    return policy_value_tables(horizon, grid, MyopicPolicy(horizon, name.removeprefix("myopic-")))
 
 
 def compare_bounds(solution: DPSolution, states, bounds, *, lengths=None) -> list[BoundRow]:

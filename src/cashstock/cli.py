@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import single_period
-from .bounds import (_require_no_sellback_profit, compare_bounds, default_worth_grid,
-                     selling_back_dp)
+from .bounds import _require_no_sellback_profit, compare_bounds, selling_back_dp
 from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflatedPoisson,
                      integer_uniform)
 from .dp import Z_TOL, Grid, _require_on_grid, backward_induct
@@ -114,10 +113,10 @@ def _list(value, what: str, parse=_number, *, entries: int, **bounds) -> list:
 
 
 def _state(value, what: str) -> list:
-    """A list of two numbers [x, y]."""
+    """A list of two numbers [x, y], the stock x >= 0 (lost sales)."""
     _require(isinstance(value, list) and len(value) == 2,
              f"{what} must be a list of two numbers [x, y], got {value!r}")
-    return _list(value, what, entries=2)
+    return [_number(value[0], f"{what}[0]", 0.0), _number(value[1], f"{what}[1]")]
 
 
 def _distinct(value, what: str, **kwargs) -> list:
@@ -448,9 +447,8 @@ def cmd_figures(cfg: RunConfig, out: Emitter) -> int:
     out.write_csv("fig_value_surface.csv", ["x", "y", "value"],
                   np.column_stack([xs.ravel(), ys.ravel(), vt.values[np.ix_(xi, yi)].ravel()]))
 
-    worth = default_worth_grid(cfg.grid)
-    tables = selling_back_dp(sell_horizon, worth)
-    rows = [(n, w, v) for n in lengths for w, v in zip(worth, tables[-n].values)]
+    tables = selling_back_dp(sell_horizon, cfg.grid)
+    rows = [(n, w, v) for n in lengths for w, v in zip(tables[-n].worth, tables[-n].values)]
     out.write_csv("fig_selling_back.csv", ["N", "net_worth", "value"], rows)
     return EXIT_OK
 

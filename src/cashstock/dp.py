@@ -512,7 +512,7 @@ def _demand_cap(horizon: HorizonSpec, n: int) -> float:
 
 def _myopic_targets(horizon: HorizonSpec, n: int) -> list[float]:
     pairs = [myopic_lower(horizon, n)]
-    if horizon.upper_myopic_valid:
+    if horizon.liquidation_shortfall(n) is None:
         pairs.append(myopic_upper(horizon, n))
     return [level for pair in pairs for level in (pair.borrow, pair.deposit)]
 
@@ -539,9 +539,9 @@ class DPSolution:
 
         The backward recursion never looks before the period it solves, so
         period k + n here is period n of HorizonSpec(periods[k:], demands[k:],
-        salvage). The tables share this solution's arrays. The myopic search
-        candidates depend on `upper_myopic_valid` over the whole horizon, so
-        a direct solve of a tail that changes it may differ within Z_TOL.
+        salvage), bit for bit: each period's search candidates, its myopic
+        levels among them, depend on that period and the next alone. The
+        tables share this solution's arrays.
         """
         if not 0 <= k < self.horizon.n_periods:
             raise ValueError(f"tail offset {k} outside 0..{self.horizon.n_periods - 1}")

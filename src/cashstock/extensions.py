@@ -2,11 +2,11 @@
 
 Each keeps the two-threshold structure of the base model and is a parameter
 of the one backward recursion in dp. Tiered rates turn the single pair of
-order-up-to levels into ladders (one level per rate tier); each tier is a
-branch of the net-worth search, at its own rate. A loan limit caps the
-order in every period, at that period's unit cost. Backorders are the
-transition's `backlog`: unmet demand is carried as negative stock at a
-per-unit penalty.
+order-up-to levels into ladders, each tier's level the base model's at the
+tier's rate; each tier (`PiecewiseRateSchedule.tiers`) is a branch of the
+net-worth search, at its own rate. A loan limit caps the order in every
+period, at that period's unit cost. Backorders are the transition's
+`backlog`: unmet demand is carried as negative stock at a per-unit penalty.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .model import HorizonSpec, PeriodParams
 class PiecewiseRateSchedule:
     """Tiered rates applied to the whole balance of the tier it falls in.
 
-    Loan tier m covers amounts in (loan_breaks[m-1], loan_breaks[m]] with
-    rate loan_rates[m]; the last tier is unbounded. Deposit tiers likewise.
-    Loan rates increase strictly; deposit rates are nondecreasing and all
-    sit below the cheapest loan rate.
+    Loan tier m holds loans between loan_breaks[m-1] and loan_breaks[m] at
+    rate loan_rates[m], deposit tiers likewise; the last tier of each is
+    unbounded (`tiers` lists them). Loan rates increase strictly; deposit
+    rates are nondecreasing and all sit below the cheapest loan rate.
     """
 
     loan_rates: tuple[float, ...]
@@ -56,22 +56,25 @@ class PiecewiseRateSchedule:
         if max(self.deposit_rates) >= self.loan_rates[0]:
             raise ValueError("every deposit rate must sit below the cheapest loan rate")
 
-    def loan_rate(self, amount):
-        # a balance exactly at a break takes the cheaper tier
-        idx = np.searchsorted(np.asarray(self.loan_breaks), np.asarray(amount), side="left")
-        return np.asarray(self.loan_rates)[np.minimum(idx, len(self.loan_rates) - 1)]
-
-    def deposit_rate(self, amount):
-        # a balance exactly at a break takes the richer tier; together with the
-        # loan convention this makes the bank term upper semicontinuous, so
-        # optimal orders are attained rather than approached
-        idx = np.searchsorted(np.asarray(self.deposit_breaks), np.asarray(amount), side="right")
-        return np.asarray(self.deposit_rates)[np.minimum(idx, len(self.deposit_rates) - 1)]
+    @property
+    def tiers(self) -> tuple[tuple[float, float, float], ...]:
+        """(rate, lowest, highest loan balance) per tier, in balance order; a
+        deposit is a negative balance. A tier holds the balances above its
+        lowest and up to its highest, so a balance on a break takes the tier
+        on its lower-balance side: the richer deposit tier, the cheaper loan
+        tier. The bank term is then upper semicontinuous, so optimal orders
+        are attained rather than approached."""
+        dep = (0.0, *self.deposit_breaks, np.inf)
+        loan = (0.0, *self.loan_breaks, np.inf)
+        deposits = [(r, -hi, -lo) for r, lo, hi in zip(self.deposit_rates, dep, dep[1:])]
+        return (*deposits[::-1], *zip(self.loan_rates, loan, loan[1:]))
 
     def bank_flow(self, amount):
         """End-of-period value of a signed bank position (currency)."""
         amount = np.asarray(amount, dtype=float)
-        rate = np.where(amount >= 0.0, self.deposit_rate(amount), self.loan_rate(-amount))
+        rates, _, highest = zip(*self.tiers)
+        # a balance above every finite edge is the last, unbounded tier's
+        rate = np.asarray(rates)[np.searchsorted(highest[:-1], -amount)]
         return amount * (1.0 + rate)
 
 
@@ -85,21 +88,18 @@ class ThresholdLadder:
 
 def piecewise_thresholds(params: PeriodParams, salvage: float,
                          schedule: PiecewiseRateSchedule, demand: Demand) -> ThresholdLadder:
-    """Demand quantiles of the per-tier critical ratios, clipped into [0, 1].
-
-    A loan tier whose rate makes ordering unprofitable gets level 0.
+    """Each tier's level is the base model's at the tier's rate: a loan
+    tier's borrow level, a deposit tier's deposit level
+    (`single_period.order_bands`). A loan tier whose rate makes ordering
+    unprofitable gets level 0.
     """
-    span = params.price - salvage
-    if span <= 0:
-        raise ValueError("salvage must be below price")
 
-    def level(rate):
-        ratio = (params.price - params.cost * (1.0 + rate)) / span
-        return float(demand.quantile(min(max(ratio, 0.0), 1.0)))
+    def bands(**rate):
+        ratios = single_period.fractiles(replace(params, **rate), salvage)
+        return single_period.order_bands(ratios, demand)
 
-    borrow = tuple(level(r) for r in schedule.loan_rates)
-    deposit = tuple(level(r) for r in schedule.deposit_rates)
-    return ThresholdLadder(borrow, deposit)
+    return ThresholdLadder(tuple(bands(loan_rate=r).borrow for r in schedule.loan_rates),
+                           tuple(bands(deposit_rate=r).deposit for r in schedule.deposit_rates))
 
 
 def _piecewise_G(q, x, y, params: PeriodParams, salvage: float,
@@ -118,26 +118,15 @@ def piecewise_optimal_order(x: float, y: float, params: PeriodParams, salvage: f
     tier-clamped levels, the tier boundaries, zero, and full cash use.
     """
     ladder = piecewise_thresholds(params, salvage, schedule, demand)
+    levels = (*ladder.deposit_levels[::-1], *ladder.borrow_levels)
     c = params.cost
     cands = [0.0, max(y, 0.0)]
-    # deposit tiers: amount c(y - q) in (brk[k-1], brk[k]]
-    dep_edges = [0.0, *schedule.deposit_breaks, np.inf]
-    for k, lvl in enumerate(ladder.deposit_levels):
-        q_lo = y - dep_edges[k + 1] / c if np.isfinite(dep_edges[k + 1]) else 0.0
-        q_hi = y - dep_edges[k] / c
-        if q_hi < 0:
-            continue
-        cands.append(float(np.clip(lvl - x, max(q_lo, 0.0), q_hi)))
-    # loan tiers: amount c(q - y) in (brk[m-1], brk[m]]; rolling existing
-    # debt (y < 0) counts toward the tier balance
-    loan_edges = [0.0, *schedule.loan_breaks, np.inf]
-    for m, lvl in enumerate(ladder.borrow_levels):
-        q_lo = max(y + loan_edges[m] / c, 0.0)
-        q_hi = y + loan_edges[m + 1] / c if np.isfinite(loan_edges[m + 1]) else np.inf
-        if q_hi < q_lo:
-            continue
-        hi = q_hi if np.isfinite(q_hi) else max(lvl - x, q_lo)
-        cands.append(float(np.clip(lvl - x, q_lo, hi)))
+    # the tier's orders q >= 0 whose loan balance c(q - y) it holds; rolling
+    # existing debt (y < 0) counts toward the balance
+    for (_, lowest, highest), level in zip(schedule.tiers, levels):
+        lo, hi = max(y + lowest / c, 0.0), y + highest / c
+        if lo <= hi:
+            cands.append(float(np.clip(level - x, lo, hi)))
     qs = np.unique(np.maximum(np.asarray(cands, dtype=float), 0.0))
     vals = _piecewise_G(qs, x, y, params, salvage, schedule, demand)
     return float(_smallest_argmax(qs, vals)[0])
@@ -147,20 +136,16 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
                  grid: Grid) -> DPSolution:
     """Backward induction with the bank term replaced by the tiered schedule.
 
-    Each rate tier is a branch of worth_search: the span of z - xi over
-    which the balance c(xi - z) stays in that tier, evaluated at the tier's
-    own fixed rate. Whole-balance tiers make the bank term jump at a break,
-    but on each branch the stage value is concave. At a break both
-    neighbouring tiers are evaluated, and the larger is the schedule's own
-    tie rule: the cheaper loan tier, the richer deposit tier. Period N is
-    the same step, searched like the others, with terminal wealth as the
-    next value (`dp._induct`).
+    Each of `schedule.tiers` is a branch of worth_search: the span of
+    z - xi over which the loan balance c(z - xi) stays in that tier,
+    evaluated at the tier's own fixed rate. Whole-balance tiers make the
+    bank term jump at a break, but on each branch the stage value is
+    concave. At a break both neighbouring tiers are evaluated, and the
+    larger is the schedule's own tie rule. Period N is the same step,
+    searched like the others, with terminal wealth as the next value
+    (`dp._induct`).
     """
-    dep = [0.0, *schedule.deposit_breaks, np.inf]
-    loan = [0.0, *schedule.loan_breaks, np.inf]
-    # (rate, lowest, highest loan balance c(z - xi)) per tier
-    tiers = ([(r, -hi, -lo) for r, lo, hi in zip(schedule.deposit_rates, dep, dep[1:])]
-             + [(r, lo, hi) for r, lo, hi in zip(schedule.loan_rates, loan, loan[1:])])
+    tiers = schedule.tiers
 
     def step(n, next_value):
         cost = horizon.period(n).cost

@@ -134,12 +134,6 @@ class HorizonSpec:
                         f"({credit} < {c_next})")
         return None
 
-    @property
-    def upper_myopic_valid(self) -> bool:
-        """True when c_n(1+l_n)+h_n >= c_{n+1} and c_n(1+i_n)+h_n >= c_{n+1}
-        for every n < N."""
-        return not any(self.liquidation_shortfall(n) for n in range(1, self.n_periods))
-
 
 class NormalizedParams(NamedTuple):
     """Period economics divided by the next period's unit cost."""

@@ -101,10 +101,12 @@ def run_policies(horizon: HorizonSpec, policies, initial: State, paths: int,
                  seed: int) -> list[SimResult]:
     """Simulate terminal wealth under each policy from `initial` on the same
     demand paths (common random numbers); one result per policy, in order.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed; a negative initial stock raises.
     """
     if paths < 1:
         raise ValueError("need at least one path")
+    if initial.x < 0:  # under lost sales stock is never negative
+        raise ValueError(f"initial stock {initial.x:g} is negative")
     n_periods = horizon.n_periods
     demands = [horizon.demand_in(n) for n in range(1, n_periods + 1)]
     # every path starts at `initial`, so each policy's period-1 order is one

@@ -1,7 +1,7 @@
 import pytest
 
 import cashstock as cs
-from cashstock.bounds import default_worth_grid, selling_back_dp
+from cashstock.bounds import selling_back_dp
 
 #: baseline economics shared by the numerical studies
 BASE_ECON = dict(price=2000.0, cost=1000.0, holding=500.0, deposit_rate=0.01, loan_rate=0.15)
@@ -86,7 +86,7 @@ class SolveCache:
     def selling_back(self, demand_key: str, n_periods: int) -> list[cs.WorthValueTable]:
         tables, k = self._solved(
             "selling_back", demand_key, n_periods,
-            lambda hz: selling_back_dp(hz, default_worth_grid(self.grid)))
+            lambda hz: selling_back_dp(hz, self.grid))
         return tables[k:]
 
 

@@ -40,8 +40,9 @@ def test_xi_transition_examples():
 
 def test_selling_back_single_period_equals_closed_form():
     hz = make_horizon("u0_20", 1)
-    worth = np.linspace(-40, 80, 121)
-    tables = selling_back_dp(hz, worth)
+    tables = selling_back_dp(hz, Grid.regular(40, -40, 40, 41, 81))
+    worth = tables[0].worth
+    assert np.array_equal(worth, np.arange(-40.0, 81.0))
     closed = cs.value_closed_form(0.0, worth, PARAMS, SALVAGE, U20)
     assert np.allclose(tables[0].values, closed, rtol=1e-12)
 
@@ -53,7 +54,7 @@ def test_selling_back_precondition():
     )
     hz = cs.HorizonSpec(periods, (U20,) * 2, SALVAGE)
     with pytest.raises(ValueError):
-        selling_back_dp(hz, np.linspace(-10, 40, 51))
+        selling_back_dp(hz, Grid.regular(40, -10, 40, 41, 51))
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ def small_bounds():
     hz = make_horizon("u0_20", 4)
     grid = Grid.regular(40, -60, 120, 81, 101)
     sol = cs.backward_induct(hz, grid)
-    sell = selling_back_dp(hz, default_worth_grid(grid))
+    sell = selling_back_dp(hz, grid)
     return hz, grid, sol, sell
 
 
@@ -183,17 +184,18 @@ def test_upper_bound_tight_at_zero_stock(small_bounds):
 
 
 def test_default_worth_grid_covers_sums(small_bounds):
-    _, grid, _, _ = small_bounds
+    _, grid, _, sell = small_bounds
     w = default_worth_grid(grid)
+    assert all(np.array_equal(table.worth, w) for table in sell)  # the relaxation's axis
     assert w[0] <= grid.y_nodes[0]
     assert w[-1] >= grid.x_nodes[-1] + grid.y_nodes[-1] - 1e-9
 
 
 @pytest.mark.parametrize("key", ["u0_20", "zip18"])
 def test_selling_back_tail_is_the_shorter_relaxation(key):
-    worth = default_worth_grid(Grid.regular(40, -60, 120, 41, 51))
-    long = selling_back_dp(make_horizon(key, 12), worth)
-    short = selling_back_dp(make_horizon(key, 6), worth)
+    grid = Grid.regular(40, -60, 120, 41, 51)
+    long = selling_back_dp(make_horizon(key, 12), grid)
+    short = selling_back_dp(make_horizon(key, 6), grid)
     for got, want in zip(long[6:], short, strict=True):
         assert got.period == want.period + 6
         assert np.array_equal(got.values, want.values)
@@ -233,8 +235,8 @@ def test_relaxation_search_matches_a_local_dense_scan(key):
     # target at every net worth, each read through the transition against
     # period 2's table: no trade found by the scan may beat the search
     hz = make_horizon(key, 2)
-    worth = default_worth_grid(Grid.regular(40, -60, 120, 41, 51))
-    first, second = selling_back_dp(hz, worth)
+    first, second = selling_back_dp(hz, Grid.regular(40, -60, 120, 41, 51))
+    worth = first.worth
     offsets = np.linspace(-0.01, 0.01, 2001)
     z = np.maximum(first.target[:, None] + offsets, 0.0)
     scan = _expected_next(z.ravel(), np.repeat(worth, len(offsets)), hz, 1, second)

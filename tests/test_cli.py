@@ -491,7 +491,10 @@ ON_GRID = ("outside the grid, x in [0, 40] and y in [-60, 120], where its value 
      "initial puts the state (0, -61) " + ON_GRID),
     (["tables", "--which", "table2"], {"table_states": [0, 80]},
      "table_states[1] puts the state (80, 0) " + ON_GRID),
-], ids=["solve_initial", "table1_initial", "table2_table_states"])
+    # simulate reads no table at `initial`, but under lost sales stock is
+    # never negative: the config is refused as it loads
+    (["simulate"], {"initial": [-5, 0]}, "initial[0] must be a number >= 0, got -5"),
+], ids=["solve_initial", "table1_initial", "table2_table_states", "simulate_negative_stock"])
 def test_state_outside_the_grid_is_config_error(tmp_path, capsys, monkeypatch, command, changes,
                                                 message):
     # a table read off the grid would be a silent extrapolation: the command
@@ -585,14 +588,24 @@ def test_table2_rows_match_per_horizon_bounds(tmp_path):
 #: a two-period horizon whose periods differ: no other horizon length fits it
 TWO_PERIODS = [{"p": 2000, "c": 1000, "h": 500, "i": 0.01, "l": 0.15},
                {"p": 2600, "c": 1000, "h": 500, "i": 0.01, "l": 0.15}]
+#: two per-period demands, which fit only a two-period horizon as well
+TWO_DEMANDS = [{"kind": "uniform", "lo": 0, "hi": 20}, {"kind": "uniform", "lo": 0, "hi": 10}]
 
 
-@pytest.mark.parametrize("command", [["tables", "--which", "table2"], ["figures"]])
-def test_periods_list_of_another_length_is_config_error(tmp_path, capsys, command):
-    path = write_config(tmp_path, N=2, periods=TWO_PERIODS, table_horizons=[2, 4, 1])
+@pytest.mark.parametrize("command, changes, message", [
+    (["tables", "--which", "table2"], {"periods": TWO_PERIODS},
+     "periods has 2 entries, but horizon N=1 needs one per period"),
+    (["figures"], {"periods": TWO_PERIODS},
+     "periods has 2 entries, but horizon N=1 needs one per period"),
+    # figures' selling-back curve at N = 1 needs a one-period horizon
+    (["figures"], {"demands": TWO_DEMANDS}, "demands must have 1 or N=1 entries"),
+], ids=["command0", "command1", "figures_demands"])
+def test_periods_list_of_another_length_is_config_error(tmp_path, capsys, command, changes,
+                                                         message):
+    path = write_config(tmp_path, N=2, table_horizons=[2, 4, 1], **changes)
     out = tmp_path / "o"
     assert main([*command, "--config", str(path), "--out", str(out)]) == 2
-    assert "periods has 2 entries, but horizon N=1 needs one per period" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.glob("*.csv"))
 
 

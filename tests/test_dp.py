@@ -19,7 +19,7 @@ from cashstock.dp import (
     worth_grid,
     worth_search,
 )
-from cashstock.bounds import WorthValueTable, default_worth_grid, selling_back_dp
+from cashstock.bounds import WorthValueTable, selling_back_dp
 from cashstock.extensions import backorder_dp, backorder_grid
 
 from bisection import partials, solve_thresholds
@@ -71,8 +71,6 @@ def test_interp1_linear_extension():
     uneven = np.array([0.0, 1.0, 3.0])
     with pytest.raises(ValueError, match="worth nodes must be evenly spaced"):
         WorthValueTable(1, uneven, values, uneven)(0.5, 0.0)
-    with pytest.raises(ValueError, match="worth nodes must be evenly spaced"):
-        selling_back_dp(make_horizon("u0_20", 2), uneven)
 
 
 def _search_locate(nodes, q):
@@ -269,9 +267,8 @@ def period_n_tables(solver, key, grid):
         got = cs.policy_value_tables(hz, grid, policy)[1].values
         q = policy(2, X.ravel(), Y.ravel()).reshape(X.shape)
         return got, cs.expected_value_G(q, X, Y, PARAMS, SALVAGE, demand)
-    worth = default_worth_grid(grid)
-    got = selling_back_dp(hz, worth)[1].values
-    return got, cs.value_closed_form(0.0, worth, PARAMS, SALVAGE, demand)
+    table = selling_back_dp(hz, grid)[1]
+    return table.values, cs.value_closed_form(0.0, table.worth, PARAMS, SALVAGE, demand)
 
 
 @pytest.mark.parametrize("solver, key", [
@@ -510,22 +507,40 @@ def test_atom_sales_nodes_match_every_atom(small_grid, monkeypatch, key):
         assert np.array_equal(got.deposit, w.deposit)
 
 
-@pytest.mark.parametrize("key", ["u0_20", "zip18"])
+#: periods 2 and 3 meet the liquidation condition, which period 1 breaks:
+#: c_2 = 1100 > c_1 (1 + i_1) + h_1 = 1010, so period 1 alone has no
+#: liquidation-credit levels among its search candidates. Under ZIP demand
+#: those candidates move period 2's values (by 5e-5 on the small grid) where
+#: they are left out
+COST_RISE = cs.HorizonSpec(
+    [cs.PeriodParams(2000, 1000, 0.0, 0.01, 0.15), cs.PeriodParams(2200, 1100, 0.0, 0.01, 0.15),
+     cs.PeriodParams(2000, 1000, 500, 0.01, 0.15)], [cs.ZeroInflatedPoisson(0.18, 10)] * 3,
+    SALVAGE)
+
+
+@pytest.mark.parametrize("key", ["u0_20", "zip18", "cost_rise"])
 def test_tail_is_the_shorter_solve(small_grid, key):
-    # a stationary 6-period problem is periods 7..12 of the 12-period one
-    h12, h6 = make_horizon(key, 12), make_horizon(key, 6)
-    tail = cs.backward_induct(h12, small_grid).tail(6)
-    direct = cs.backward_induct(h6, small_grid)
-    assert tail.horizon == h6
-    assert [t.period for t in tail.values] == [t.period for t in tail.policies] == [1, 2, 3, 4, 5, 6]
+    # a stationary 6-period problem is periods 7..12 of the 12-period one,
+    # and COST_RISE's periods 2..3 are a horizon whose every period meets
+    # the liquidation condition
+    long, k = (COST_RISE, 1) if key == "cost_rise" else (make_horizon(key, 12), 6)
+    short = cs.HorizonSpec(long.periods[k:], long.demands[k:], long.salvage)
+    tail = cs.backward_induct(long, small_grid).tail(k)
+    direct = cs.backward_induct(short, small_grid)
+    assert tail.horizon == short
+    periods = list(range(1, short.n_periods + 1))
+    assert [t.period for t in tail.values] == [t.period for t in tail.policies] == periods
     for got, want in zip(tail.values, direct.values, strict=True):
         assert np.array_equal(got.values, want.values)
     for got, want in zip(tail.policies, direct.policies, strict=True):
         assert np.array_equal(got.order_up_to, want.order_up_to)
+    assert np.array_equal(tail.worth_argmax, direct.worth_argmax)
 
-    sweep12 = cs.policy_value_tables(h12, small_grid, cs.MyopicPolicy(h12, "upper").order)
-    sweep6 = cs.policy_value_tables(h6, small_grid, cs.MyopicPolicy(h6, "upper").order)
-    for got, want in zip(sweep12[6:], sweep6, strict=True):
+    # the upper myopic policy needs the condition in every period
+    which = "lower" if key == "cost_rise" else "upper"
+    sweep_long = cs.policy_value_tables(long, small_grid, cs.MyopicPolicy(long, which).order)
+    sweep_short = cs.policy_value_tables(short, small_grid, cs.MyopicPolicy(short, which).order)
+    for got, want in zip(sweep_long[k:], sweep_short, strict=True):
         assert np.array_equal(got.values, want.values)
 
 

@@ -221,7 +221,7 @@ def test_the_pool_lives_for_a_solve(small_grid):
     assert open_pool() is None
     for solve in (lambda: cs.backward_induct(hz, small_grid),
                   lambda: piecewise_dp(hz, SCHEDULE, small_grid),
-                  lambda: selling_back_dp(hz, default_worth_grid(small_grid))):
+                  lambda: selling_back_dp(hz, small_grid)):
         solve()
         assert open_pool() is None
 

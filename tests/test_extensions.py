@@ -34,6 +34,9 @@ TWO_TIER = PiecewiseRateSchedule(
 DEPOSIT_BREAK = PiecewiseRateSchedule(
     loan_rates=(0.15, 0.30), loan_breaks=(5000.0,),
     deposit_rates=(0.01, 0.03), deposit_breaks=(8000.0,))
+THREE_TIER = PiecewiseRateSchedule(
+    loan_rates=(0.05, 0.15, 0.4), loan_breaks=(2000.0, 6000.0),
+    deposit_rates=(0.0, 0.01, 0.02), deposit_breaks=(3000.0, 8000.0))
 
 
 def test_schedule_validation():
@@ -59,6 +62,38 @@ def test_bank_flow_whole_balance_tiering():
     single = PiecewiseRateSchedule(loan_rates=(0.15,), deposit_rates=(0.01,))
     a = np.array([-2000.0, 0.0, 1500.0])
     assert single.bank_flow(a) == pytest.approx([-2300.0, 0.0, 1515.0])
+
+
+def test_tiers_run_in_balance_order():
+    # deposits are negative balances: the richest deposit tier comes first
+    assert DEPOSIT_BREAK.tiers == ((0.03, -np.inf, -8000.0), (0.01, -8000.0, -0.0),
+                                   (0.15, 0.0, 5000.0), (0.30, 5000.0, np.inf))
+    assert TWO_TIER.tiers == ((0.01, -np.inf, -0.0), (0.15, 0.0, 5000.0),
+                              (0.30, 5000.0, np.inf))
+
+
+def whole_balance_flow(schedule, amount):
+    """Reference: the deposit tier of a deposit, a break taking the richer
+    tier, and the loan tier of a loan, a break taking the cheaper tier."""
+    dep = np.searchsorted(schedule.deposit_breaks, amount, side="right")
+    loan = np.searchsorted(schedule.loan_breaks, -amount, side="left")
+    rate = np.where(amount >= 0.0, np.asarray(schedule.deposit_rates)[dep],
+                    np.asarray(schedule.loan_rates)[loan])
+    return amount * (1.0 + rate)
+
+
+@pytest.mark.parametrize("schedule", [TWO_TIER, DEPOSIT_BREAK, THREE_TIER],
+                         ids=["two_tier", "deposit_break", "three_tier"])
+def test_a_balance_on_a_break_takes_its_lower_balance_tier(schedule):
+    # at every break, zero of both signs included, and at its two float
+    # neighbours: the richer deposit tier, the cheaper loan tier
+    breaks = np.array([0.0, -0.0, *schedule.deposit_breaks,
+                       *(-b for b in schedule.loan_breaks)])
+    amounts = np.concatenate([breaks, np.nextafter(breaks, np.inf),
+                              np.nextafter(breaks, -np.inf)])
+    # bit for bit, so the sign of a zero flow counts too
+    want = whole_balance_flow(schedule, amounts)
+    assert schedule.bank_flow(amounts).tobytes() == want.tobytes()
 
 
 def test_piecewise_thresholds_examples():
@@ -104,12 +139,7 @@ def brute_force_piecewise(x, y, schedule):
 
 def test_piecewise_order_matches_brute_force():
     rng = np.random.default_rng(14)
-    schedules = [
-        TWO_TIER,
-        PiecewiseRateSchedule(loan_rates=(0.05, 0.15, 0.4), loan_breaks=(2000.0, 6000.0),
-                              deposit_rates=(0.0, 0.01, 0.02), deposit_breaks=(3000.0, 8000.0)),
-    ]
-    for schedule in schedules:
+    for schedule in (TWO_TIER, THREE_TIER):
         for _ in range(60):
             x = rng.uniform(0, 18)
             y = rng.uniform(-10, 20)

@@ -9,8 +9,8 @@ import cashstock as cs
 SRC = Path(__file__).resolve().parents[1] / "src" / "cashstock"
 
 #: the modules, lowest layer first
-LAYERS = ("demand", "model", "single_period", "dp", "thresholds", "bounds",
-          "extensions", "sim", "cli")
+LAYERS = ("demand", "model", "single_period", "dp", "thresholds", "sim",
+          "bounds", "extensions", "cli")
 
 
 def _modules():

@@ -125,13 +125,15 @@ def test_fractiles_interior_for_valid_horizons():
 
 
 def test_upper_myopic_validity_flag():
-    assert horizon_with().upper_myopic_valid
+    hz = horizon_with()
+    assert all(hz.liquidation_shortfall(n) is None for n in range(1, hz.n_periods))
     periods = (
         cs.PeriodParams(4000, 1000, 0.0, 0.01, 0.15),
         cs.PeriodParams(4000, 2000, 0.0, 0.01, 0.15),  # c jumps past 1150
     )
     hz = cs.HorizonSpec(periods, (cs.Uniform(0, 20),) * 2, SALVAGE)
-    assert not hz.upper_myopic_valid
+    assert hz.liquidation_shortfall(1) == (
+        "period 1: liquidation credit needs c(1+l)+h >= c_next (1150.0 < 2000)")
 
 
 def test_make_horizon_helper():

@@ -146,7 +146,7 @@ GRID_BOUND_BRACKET_3 = cs.HorizonSpec(
 @example(GRID_BOUND_BRACKET)
 @example(GRID_BOUND_BRACKET_3)
 def test_thresholds_bracket_and_follow_the_dp_argmax(horizon):
-    assert horizon.upper_myopic_valid
+    assert all(horizon.liquidation_shortfall(n) is None for n in range(1, horizon.n_periods))
     # a BracketError blames the grid: where a level sits near its upper
     # bracket, the slope there is within grid error of 0 (on
     # GRID_BOUND_BRACKET the wrong-sign share is 0.174, 0.053, 0.003 and

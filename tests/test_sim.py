@@ -66,6 +66,13 @@ def test_negative_order_rejected():
         run_policies(hz, [NoOrderPolicy()], cs.State(0.0, 0.0), 0, seed=0)[0]
 
 
+def test_negative_initial_stock_rejected():
+    # under lost sales stock is never negative, so no path may start there
+    hz = make_horizon("u0_20", 2)
+    with pytest.raises(ValueError, match="initial stock -5 is negative"):
+        run_policies(hz, [NoOrderPolicy()], cs.State(-5.0, 0.0), 10, seed=0)
+
+
 def test_common_random_numbers_across_policies():
     # same seed, same demand draws: the value gap is much tighter than the CI
     hz = make_horizon("u0_20", 4)
