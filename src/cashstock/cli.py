@@ -33,7 +33,7 @@ from .demand import (QUAD_ORDER, Demand, DiscreteEmpirical, Uniform, ZeroInflate
                      integer_uniform)
 from .dp import Z_TOL, Grid, _require_on_grid, backward_induct
 from .model import HorizonSpec, InvalidHorizonError, PeriodParams, State
-from .sim import MyopicPolicy, ThresholdPolicy, run_policies
+from .sim import MyopicPolicy, ThresholdPolicy, history_periods, run_policies
 from .thresholds import ThresholdTable
 
 EXIT_OK = 0
@@ -301,6 +301,9 @@ class Emitter:
         #: per period, the binding threshold levels clipped into their
         #: brackets (solve and simulate); written to the manifest when set
         self.clipped_levels: list[dict] | None = None
+        #: the leading periods the Monte Carlo stepped once per demand
+        #: history (simulate); written to the manifest's solver when set
+        self.mc_history_periods: int | None = None
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
@@ -339,6 +342,8 @@ class Emitter:
             },
             "outputs": sorted(self.files),
         }
+        if self.mc_history_periods is not None:
+            manifest["solver"]["mc_history_periods"] = self.mc_history_periods
         if self.clipped_levels is not None:
             manifest["clipped_levels"] = self.clipped_levels
         (self.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -460,6 +465,7 @@ def cmd_simulate(cfg: RunConfig, out: Emitter) -> int:
     initial = State(*cfg.initial)
     policies = [ThresholdPolicy(table, label="optimal-thresholds"),
                 MyopicPolicy(horizon, "lower"), MyopicPolicy(horizon, "upper")]
+    out.mc_history_periods = history_periods(horizon, cfg.mc_paths)
     rows = []
     for res in run_policies(horizon, policies, initial, cfg.mc_paths, cfg.seed):
         rows.append((res.label, res.mean, res.half_width, res.paths))

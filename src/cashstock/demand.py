@@ -4,7 +4,8 @@ Every distribution exposes the same small surface: cdf, generalized-inverse
 quantile, the expected-leftover loss E[(x - D)^+], exact moments, quadrature
 node/weight sets for stagewise expectations (over demand, or over sales
 min(D, z) when unmet demand is lost). The Monte Carlo samples demand by
-inverting uniforms through `quantile`. Objects are immutable and safe to
+inverting uniforms through `quantile`, and atom demand's history by
+`atom_index`, the search `quantile` reads. Objects are immutable and safe to
 share across workers.
 
 Over sales the demand above z is one node at the support maximum: a
@@ -284,11 +285,15 @@ class _Atoms(Demand):
         cum = np.concatenate([[0.0], self._cum])
         return cum[idx]
 
+    def atom_index(self, u):
+        """Index in `atoms` of the quantile at each level u: the count of
+        CDF values below u. A level above the last CDF value, which rounding
+        can leave short of 1, takes the last atom."""
+        idx = self._cum_search(_levels(u), "left")
+        return np.minimum(idx, len(self.atoms) - 1, out=idx)
+
     def quantile(self, u):
-        u = _levels(u)
-        # a level above the last CDF value, which rounding can leave short of
-        # 1, takes the last atom: mode="clip" caps the count there
-        return self.atoms.take(self._cum_search(u, "left"), mode="clip")
+        return self.atoms.take(self.atom_index(u))
 
     def loss(self, x):
         x = np.asarray(x, dtype=float)

@@ -429,6 +429,7 @@ def test_solve_outputs_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert set(manifest["outputs"]) == on_disk
+    assert "mc_history_periods" not in manifest["solver"]  # no Monte Carlo ran
     assert (out / "thresholds.csv").exists()
     assert (out / "value_period_1.csv").exists()
     header, rows = read_csv(out / "thresholds.csv")
@@ -651,6 +652,8 @@ def test_simulate_csv(tmp_path):
     assert header == ["policy", "mean", "half_width", "paths"]
     assert {r[0] for r in rows} == {"optimal-thresholds", "myopic-lower", "myopic-upper"}
     assert all(int(float(r[3])) == 5000 for r in rows)
+    # continuous demand: every period runs per path
+    assert json.loads((out / "manifest.json").read_text())["solver"]["mc_history_periods"] == 0
 
 
 @pytest.mark.parametrize("demand", [None, {"kind": "zip", "pi": 0.0, "lambda": 10}],
@@ -675,6 +678,10 @@ def test_atom_demand_solves_and_simulates(tmp_path, capsys, demand):
     _, rows = read_csv(tmp_path / "sim" / "simulation.csv")
     mean, half = next((float(r[1]), float(r[2])) for r in rows if r[0] == "optimal-thresholds")
     assert abs(mean - v1) <= half + 0.01 * v1
+    # 21 and 40 atoms: 21^3 and 40^3 histories fit in 100,000 paths and
+    # MAX_HISTORIES, so the first three periods ran once per history
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest["solver"]["mc_history_periods"] == 3
 
 
 def test_grid_scale_override(tmp_path):

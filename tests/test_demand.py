@@ -247,11 +247,15 @@ def test_atom_quantile_equals_the_clipped_search(demand):
     cum, atoms = demand._cum, demand.atoms
     u = np.clip(np.concatenate([[0.0, 1.0], cum, np.nextafter(cum, -np.inf),
                                 np.nextafter(cum, np.inf)]), 0.0, 1.0)
-    want = atoms[np.minimum(np.searchsorted(cum, u, "left"), len(atoms) - 1)]
-    assert demand.quantile(u).tobytes() == want.tobytes()
-    for level in (0.0, float(cum[0]), 1.0):
+    index = np.minimum(np.searchsorted(cum, u, "left"), len(atoms) - 1)
+    assert demand.quantile(u).tobytes() == atoms[index].tobytes()
+    # the Monte Carlo's history index is the quantile's own search
+    assert demand.atom_index(u).tobytes() == index.tobytes()
+    for level in (0.0, float(cum[0]), min(float(cum[-1]), 1.0), 1.0):
         assert np.ndim(demand.quantile(level)) == 0
-        assert demand.quantile(level) == atoms[min(np.searchsorted(cum, level), len(atoms) - 1)]
+        want = min(np.searchsorted(cum, level), len(atoms) - 1)
+        assert demand.atom_index(level) == want
+        assert demand.quantile(level) == atoms[want]
 
 
 def sample(demand, rng, size):

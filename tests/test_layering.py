@@ -106,7 +106,8 @@ def test_monte_carlo_step_selects_without_masks():
     # the Monte Carlo's per-period kernels pick branches by min and max:
     # np.where and np.select cost over ten times an add per element there
     kernels = {("single_period", "optimal_order"), ("dp", "_next_state"),
-               ("sim", "run_policies"), ("thresholds", "bands_at")}
+               ("sim", "run_policies"), ("sim", "_terminal_wealth"),
+               ("sim", "_history_tree"), ("thresholds", "bands_at")}
     seen = set()
     for name, tree in _modules():
         for fn in ast.walk(tree):
