@@ -21,12 +21,14 @@ from .dp import (
     DPSolution,
     Grid,
     _axis_step,
+    _concave_stage,
     _demand_cap,
     _expected_next,
     _induct,
     _last_step,
     _lerp,
     _locate,
+    _myopic_targets,
     _out,
     _require_base_model,
     _require_on_grid,
@@ -83,7 +85,12 @@ def selling_back_dp(horizon: HorizonSpec, grid: Grid) -> list[WorthValueTable]:
     A run of `dp._induct` whose states are net worths at zero stock:
     period N is backward_induct's last-period step there, and each earlier
     period trades to the stock that maximizes the stage value, searched to
-    Z_TOL with the kink z = w evaluated exactly. Period 1 first.
+    Z_TOL by `dp.golden_max`. The search assumes the stage value concave in
+    z. Under continuous demand it is: the kink z = w and the period's
+    myopic levels are evaluated first, and a worth is settled at the best
+    of them unless its probes rise. Under atom demand it is not, so the
+    kink alone is evaluated and every worth's bracket is sectioned whole.
+    Period 1 first.
     """
     _require_no_sellback_profit(horizon)
     worth_nodes = default_worth_grid(grid)
@@ -93,8 +100,14 @@ def selling_back_dp(horizon: HorizonSpec, grid: Grid) -> list[WorthValueTable]:
         if n == horizon.n_periods:
             return _last_step(horizon, 0.0, worth_nodes, next_value)
         z_max = max(float(worth_nodes[-1]), 0.0) + _demand_cap(horizon, n)
-        return golden_max(lambda z: _expected_next(z, worth_nodes, horizon, n, next_value),
-                          zeros, z_max, Z_TOL, candidates=[np.clip(worth_nodes, 0.0, z_max)])
+        concave = _concave_stage(horizon, n)
+        # the myopic levels are where most worths of a concave stage settle
+        # (with the kink alone, nearly every worth of table2's stays open);
+        # an atom period keeps the kink alone and sections every bracket
+        targets = _myopic_targets(horizon, n) if concave else []
+        return golden_max(
+            lambda z, at: _expected_next(z, worth_nodes[at], horizon, n, next_value),
+            zeros, z_max, Z_TOL, [np.clip(worth_nodes, 0.0, z_max), *targets], concave=concave)
 
     return _induct(horizon, step, lambda n, z, v: WorthValueTable(n, worth_nodes, v, z))
 

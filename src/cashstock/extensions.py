@@ -17,8 +17,8 @@ import numpy as np
 
 from . import single_period
 from .demand import Demand
-from .dp import (Z_TOL, DPSolution, Grid, _demand_cap, _expected_next, _grid_solution,
-                 _smallest_argmax, backward_induct, worth_search)
+from .dp import (Z_TOL, DPSolution, Grid, _concave_stage, _demand_cap, _expected_next,
+                 _grid_solution, _smallest_argmax, backward_induct, worth_search)
 from .model import HorizonSpec, PeriodParams
 
 
@@ -157,7 +157,8 @@ def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
                                   bank=lambda amount: rate * amount)
 
         z, v, _ = worth_search(f, grid, z_max, Z_TOL,
-                               [(a / cost, b / cost) for _, a, b in tiers])
+                               [(a / cost, b / cost) for _, a, b in tiers],
+                               concave=_concave_stage(horizon, n))
         return z, v
 
     return _grid_solution(horizon, grid, step)

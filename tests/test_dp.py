@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import cashstock as cs
+from cashstock import bounds, dp
 from cashstock.demand import _Atoms
 from cashstock.dp import (
     Z_TOL,
     Grid,
     ValueTable,
-    _bracket_max,
+    _concave_stage,
     _expected_next,
     _grid_solution,
     _myopic_targets,
@@ -24,6 +25,7 @@ from cashstock.extensions import backorder_dp, backorder_grid
 
 from bisection import partials, solve_thresholds
 from conftest import BASE_ECON, SALVAGE, make_horizon
+from search_oracle import full_search, golden_section
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
 U20 = cs.Uniform(0, 20)
@@ -353,23 +355,54 @@ def test_policy_table_order_quantity(small_grid):
 def test_golden_max_quadratic():
     m = np.array([1.0, 4.0, 9.5])
     lo = np.zeros(3)
-    z, v = golden_max(lambda z: -((z - m) ** 2), lo, 10.0, 1e-6)
-    assert z == pytest.approx(m, abs=1e-4)
-    assert v == pytest.approx([0.0, 0.0, 0.0], abs=1e-8)
+    for concave in (True, False):
+        z, v = golden_max(lambda z, at: -((z - m[at]) ** 2), lo, 10.0, 1e-6, concave=concave)
+        assert z == pytest.approx(m, abs=1e-4)
+        assert v == pytest.approx([0.0, 0.0, 0.0], abs=1e-8)
 
 
 def test_golden_max_tie_prefers_smaller():
-    z, _ = golden_max(lambda z: np.zeros_like(z), np.full(2, 3.0), 8.0, 1e-6)
-    assert z == pytest.approx([3.0, 3.0])
+    for concave in (True, False):
+        z, _ = golden_max(lambda z, at: np.zeros_like(z), np.full(2, 3.0), 8.0, 1e-6,
+                          concave=concave)
+        assert z == pytest.approx([3.0, 3.0])
 
 
 def test_golden_max_candidate_beats_section():
     # kinked peak exactly at a candidate point
     peak = 4.0
-    z, v = golden_max(lambda z: -np.abs(z - peak), np.zeros(1), 10.0, 1e-3,
-                      candidates=[np.array([peak])])
-    assert z[0] == pytest.approx(peak, abs=1e-9)
-    assert v[0] == pytest.approx(0.0, abs=1e-12)
+    for concave in (True, False):
+        z, v = golden_max(lambda z, at: -np.abs(z - peak), np.zeros(1), 10.0, 1e-3,
+                          candidates=[np.array([peak])], concave=concave)
+        assert z[0] == pytest.approx(peak, abs=1e-9)
+        assert v[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_golden_max_settles_at_a_candidate_and_narrows_the_rest():
+    # peaks at a candidate (element 0), between two candidates (1), at the
+    # bracket's lower end (2) and above the largest candidate (3)
+    peak = np.array([4.0, 6.3, 0.0, 9.1])
+    points = []
+
+    def f(z, at):
+        points.append((z.copy(), at.copy()))
+        return -np.abs(z - peak[at]) - 0.1 * (z - peak[at]) ** 2
+
+    z, v = golden_max(f, np.zeros(4), 10.0, 1e-4, [4.0, 7.0], concave=True)
+    assert z == pytest.approx(peak, abs=1e-4)
+    assert v == pytest.approx(np.zeros(4), abs=1e-4)
+    seen = np.concatenate([at for _, at in points])
+    evaluated = np.bincount(seen, minlength=4)
+    # the lower end, two candidates and the probes that move: settled
+    # elements stop there, the others section their neighbours' span only
+    assert list(evaluated[[0, 2]]) == [5, 4]
+    assert np.all(evaluated[[1, 3]] > 20)
+    for zs, at in points[4:]:  # after the end, two candidates and one probe call
+        assert np.all((zs[at == 1] >= 4.0) & (zs[at == 1] <= 7.0))
+        assert np.all((zs[at == 3] >= 7.0) & (zs[at == 3] <= 10.0))
+    _, want_v = golden_section(lambda z: f(z, np.arange(4)), np.zeros(4), 10.0, 1e-4,
+                               [4.0, 7.0])
+    assert np.all(v >= want_v - 1e-9)
 
 
 def test_refinement_convergence():
@@ -399,7 +432,7 @@ def test_deeper_capital_axis_leaves_values_unchanged(small_grid, key):
 
 
 def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
-    """Value tables of a golden-section search at every node over [x, hi],
+    """Value tables of the oracle's golden-section search at every node over [x, hi],
     with the kink z = x + y and the myopic levels as candidates. The last
     period is the closed form, its order cut to z_cap(N, x, y) if given."""
     X, Y = grid.mesh()
@@ -417,8 +450,8 @@ def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
         lower, upper = cs.myopic_lower(hz, n), cs.myopic_upper(hz, n)
         cands = [x + y, lower.borrow, lower.deposit, upper.borrow, upper.deposit]
-        _, v = golden_max(lambda z, _n=n: _expected_next(z, x + y, hz, _n, values[_n]),
-                          x, hi, z_tol, candidates=cands)
+        _, v = golden_section(lambda z, _n=n: _expected_next(z, x + y, hz, _n, values[_n]),
+                              x, hi, z_tol, candidates=cands)
         values[n - 1] = ValueTable(n, grid, v.reshape(grid.shape))
     return values
 
@@ -460,7 +493,7 @@ def full_segment_oracle(hz, grid):
 
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
         z, v, _ = worth_search(f, grid, z_max, Z_TOL, [(-np.inf, np.inf)],
-                               _myopic_targets(hz, n))
+                               _myopic_targets(hz, n), concave=_concave_stage(hz, n))
         return z, v
 
     return _grid_solution(hz, grid, step)
@@ -556,9 +589,9 @@ def test_tail_offsets(small_grid):
 
 
 def clipped_worth_search(f, grid, hi, tol, branches, candidates=()):
-    """Reference: worth_search with each branch's node bounds built as
-    max(x, xi + a) and min(hi, xi + b) whatever its ends, and every branch's
-    empty ranges masked."""
+    """Reference: worth_search with the oracle's full section per worth,
+    each branch's node bounds built as max(x, xi + a) and min(hi, xi + b)
+    whatever its ends, and every branch's empty ranges masked."""
     X, Y = grid.mesh()
     x_flat = X.ravel()
     xi_flat = x_flat + Y.ravel()
@@ -568,10 +601,10 @@ def clipped_worth_search(f, grid, hi, tol, branches, candidates=()):
     z_parts, v_parts, z_worth = [], [], []
     for k, (a, b) in enumerate(branches):
         ends = [worth + b] if np.isfinite(b) else []
-        z_w, v_w = golden_max(lambda z, _k=k: f(z, worth, _k),
-                              np.maximum(worth + a, grid.x_nodes[0]),
-                              np.minimum(worth + b, hi.max()), tol,
-                              candidates=[worth, *ends, *candidates])
+        z_w, v_w = golden_section(lambda z, _k=k: f(z, worth, _k),
+                                  np.maximum(worth + a, grid.x_nodes[0]),
+                                  np.minimum(worth + b, hi.max()), tol,
+                                  candidates=[worth, *ends, *candidates])
         lo_k, hi_k = np.maximum(x_flat, xi_flat + a), np.minimum(hi, xi_flat + b)
         z = np.clip(z_w[at], lo_k, hi_k)
         v = v_w[at]
@@ -592,25 +625,30 @@ def clipped_worth_search(f, grid, hi, tol, branches, candidates=()):
                          ids=["infinite", "finite_tiers"])
 def test_worth_search_node_bounds_bit_identical(small_grid, branches):
     # an infinite end takes the node's own bound x or hi, uncopied, and
-    # masks no range; every result must match the clipped bounds bit for bit
+    # masks no range; searching every bracket whole, every result must match
+    # the clipped bounds and the oracle's section bit for bit. Settled at
+    # candidates, no value falls below the oracle's beyond the tie tolerance
     X, Y = small_grid.mesh()
 
     def f(z, xi, k):
         return -(z - 0.4 * xi - 6.0 + 2.0 * k) ** 2 + 0.3 * k * z
 
     for hi in (35.0, (X + np.maximum(Y, 0.0) + 3.0).ravel()):
-        got = worth_search(f, small_grid, hi, Z_TOL, branches, [12.5])
+        got = worth_search(f, small_grid, hi, Z_TOL, branches, [12.5], concave=False)
         want = clipped_worth_search(f, small_grid, hi, Z_TOL, branches, [12.5])
         for g, w in zip(got[:2], want[:2]):
             assert g.tobytes() == w.tobytes()
         assert [z.tobytes() for z in got[2]] == [z.tobytes() for z in want[2]]
+        _, v, _ = worth_search(f, small_grid, hi, Z_TOL, branches, [12.5], concave=True)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(want[1]))
+        assert np.all(v >= want[1] - 1e-9 * (1.0 + np.abs(want[1])))
 
 
 def test_closed_brackets_are_evaluated_once(small_grid):
     # tiered branches close many brackets (hi <= lo), where every point of a
-    # golden-section search is the lower end: a closed worth is evaluated
-    # once, at that end, with the numbers of one search over every bracket,
-    # bit for bit, under U(0, 20)
+    # golden-section search is the lower end: golden_max evaluates a closed
+    # worth once, at that end. Searching every open bracket whole, it gives
+    # the oracle's numbers over every bracket bit for bit, under U(0, 20)
     hz = make_horizon("u0_20", 2)
     branches = [(-np.inf, -3.0), (-3.0, 4.0), (4.0, np.inf)]
     calls = []
@@ -621,7 +659,7 @@ def test_closed_brackets_are_evaluated_once(small_grid):
         return _expected_next(z, xi, hz, 2, _terminal_wealth,
                               bank=lambda amount: rate * amount)
 
-    got = worth_search(f, small_grid, 35.0, Z_TOL, branches, [12.5])
+    got = worth_search(f, small_grid, 35.0, Z_TOL, branches, [12.5], concave=False)
     want = clipped_worth_search(f, small_grid, 35.0, Z_TOL, branches, [12.5])
     for g, w in zip(got[:2], want[:2]):
         assert g.tobytes() == w.tobytes()
@@ -633,15 +671,78 @@ def test_closed_brackets_are_evaluated_once(small_grid):
         closed = hi <= lo
         assert 0 < np.count_nonzero(closed) < len(worth)
         candidates = [worth, *([worth + b] if np.isfinite(b) else []), 12.5]
-        calls.clear()
-        z_w, v_w = _bracket_max(f, k, worth, lo, hi, Z_TOL, candidates)
-        seen = np.concatenate(calls)
-        evaluated = np.array([np.count_nonzero(seen == w) for w in worth])
-        assert np.all(evaluated[closed] == 1) and np.all(evaluated[~closed] > 20)
-        assert np.array_equal(z_w[closed], lo[closed])
-        z_ref, v_ref = golden_max(lambda z, _k=k: f(z, worth, _k), lo, hi, Z_TOL, candidates)
-        assert z_w.tobytes() == z_ref.tobytes() and v_w.tobytes() == v_ref.tobytes()
-    # with every bracket open the search is golden_max's own call
+        z_ref, v_ref = golden_section(lambda z, _k=k: f(z, worth, _k), lo, hi, Z_TOL,
+                                      candidates)
+        for concave in (False, True):
+            calls.clear()
+            z_w, v_w = golden_max(lambda z, at, _k=k: f(z, worth[at], _k), lo, hi, Z_TOL,
+                                  candidates, concave=concave)
+            seen = np.concatenate(calls)
+            evaluated = np.array([np.count_nonzero(seen == w) for w in worth])
+            assert np.all(evaluated[closed] == 1)
+            assert np.all(evaluated[~closed] > (1 if concave else 20))
+            assert np.array_equal(z_w[closed], lo[closed])
+            if concave:
+                assert np.all(v_w >= v_ref - 1e-9 * (1.0 + np.abs(v_ref)))
+            else:
+                assert z_w.tobytes() == z_ref.tobytes() and v_w.tobytes() == v_ref.tobytes()
+    # with every bracket open, the whole section evaluates every worth at once
     calls.clear()
-    _bracket_max(f, 0, worth, worth - 1.0, worth + 1.0, Z_TOL, [worth])
+    golden_max(lambda z, at: f(z, worth[at], 0), worth - 1.0, worth + 1.0, Z_TOL, [worth],
+               concave=False)
     assert calls and all(len(xi) == len(worth) for xi in calls)
+
+
+def searched_by(monkeypatch, search, run):
+    """run() with `search` in golden_max's place, in dp and in bounds, and
+    the count of points it passed to its objectives."""
+    points = []
+
+    def counted_search(f, *args, **kwargs):
+        def counted(z, at):
+            points.append(np.size(z))
+            return f(z, at)
+        return search(counted, *args, **kwargs)
+
+    monkeypatch.setattr(dp, "golden_max", counted_search)
+    monkeypatch.setattr(bounds, "golden_max", counted_search)
+    return run(), sum(points)
+
+
+@pytest.mark.parametrize("key, n_periods", [("zip18", 3), ("iu0_20", 4)])
+def test_atom_demand_keeps_the_full_section(small_grid, monkeypatch, key, n_periods):
+    # atom demand's stage value is not concave, so its periods settle no
+    # worth: the solve and the relaxation are the oracle's bit for bit, and
+    # pass their objectives exactly the oracle's points
+    hz = make_horizon(key, n_periods)
+
+    def run():
+        return cs.backward_induct(hz, small_grid), selling_back_dp(hz, small_grid)
+
+    (got, got_sb), got_points = searched_by(monkeypatch, golden_max, run)
+    (want, want_sb), want_points = searched_by(monkeypatch, full_search, run)
+    for g, w in zip(got.values, want.values, strict=True):
+        assert g.values.tobytes() == w.values.tobytes()
+    for g, w in zip(got.policies, want.policies, strict=True):
+        assert g.order_up_to.tobytes() == w.order_up_to.tobytes()
+    assert got.worth_argmax.tobytes() == want.worth_argmax.tobytes()
+    for g, w in zip(got_sb, want_sb, strict=True):
+        assert g.values.tobytes() == w.values.tobytes()
+        assert g.target.tobytes() == w.target.tobytes()
+    assert got_points == want_points
+
+
+def test_continuous_demand_search_evaluates_half_the_oracle_points(small_grid, monkeypatch):
+    # under U(0, 20) most worths settle at a candidate and the rest section
+    # a neighbour's span: the objective sees at most half the oracle's
+    # points, for values within 1e-9 of the table's maximum
+    hz = make_horizon("u0_20", 4)
+
+    def run():
+        return cs.backward_induct(hz, small_grid)
+
+    got, got_points = searched_by(monkeypatch, golden_max, run)
+    want, want_points = searched_by(monkeypatch, full_search, run)
+    assert 0 < got_points <= want_points / 2
+    for g, w in zip(got.values, want.values, strict=True):
+        assert np.abs(g.values - w.values).max() <= 1e-9 * np.abs(w.values).max()
