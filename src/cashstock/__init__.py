@@ -2,8 +2,8 @@
 
 A finite-horizon, single-product model where orders can be financed by cash
 on hand or a loan, idle cash earns deposit interest, and the objective is
-expected terminal wealth. Provides the single-period closed form, grid
-dynamic programming and the thresholds read off its net-worth search,
+expected terminal wealth. Provides the single-period two-threshold rule,
+grid dynamic programming and the thresholds read off its net-worth search,
 value-function bounds, model extensions, Monte Carlo policy evaluation, and
 a CLI.
 """
@@ -19,13 +19,11 @@ from .model import (
 from .single_period import (
     CriticalRatios,
     OrderBands,
-    expected_value_G,
     fractiles,
     myopic_lower,
     myopic_upper,
     optimal_order,
     order_bands,
-    value_closed_form,
 )
 from .dp import (
     DPSolution,
@@ -48,14 +46,10 @@ from .extensions import (
     BackorderParams,
     LoanLimit,
     PiecewiseRateSchedule,
-    ThresholdLadder,
     backorder_dp,
     backorder_grid,
     loan_limited_dp,
-    loan_limited_policy,
     piecewise_dp,
-    piecewise_optimal_order,
-    piecewise_thresholds,
 )
 from .sim import (
     MyopicPolicy,

@@ -1,12 +1,13 @@
 """Demand distributions and the functionals the ordering policies consume.
 
-Every distribution exposes the same small surface: cdf, generalized-inverse
-quantile, the expected-leftover loss E[(x - D)^+], exact moments, quadrature
-node/weight sets for stagewise expectations (over demand, or over sales
-min(D, z) when unmet demand is lost). The Monte Carlo samples demand by
-inverting uniforms through `quantile`, and atom demand's history by
-`atom_index`, the search `quantile` reads. Objects are immutable and safe to
-share across workers.
+Every distribution exposes the same small surface: generalized-inverse
+quantile, exact moments, quadrature node/weight sets for stagewise
+expectations (over demand, or over sales min(D, z) when unmet demand is
+lost). No solver reads the cdf or the expected leftover E[(x - D)^+]; they
+are the tests' oracle (tests/closed_form.py). The Monte Carlo samples
+demand by inverting uniforms through `quantile`, and atom demand's history
+by `atom_index`, the search `quantile` reads. Objects are immutable and
+safe to share across workers.
 
 Over sales the demand above z is one node at the support maximum: a
 continuous demand takes Gauss-Legendre points on [lo, z] beside it, atom
@@ -48,16 +49,8 @@ class Demand(ABC):
     support: tuple[float, float]
 
     @abstractmethod
-    def cdf(self, t):
-        """P(D <= t); nondecreasing and right-continuous."""
-
-    @abstractmethod
     def quantile(self, u):
         """Smallest t with cdf(t) >= u (left-continuous generalized inverse)."""
-
-    @abstractmethod
-    def loss(self, x):
-        """Expected leftover E[(x - D)^+]."""
 
     @abstractmethod
     def _mean_sd(self) -> tuple[float, float]: ...
@@ -218,20 +211,9 @@ class Uniform(Demand):
     def support(self):
         return (self.lo, self.hi)
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.clip((t - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
     def quantile(self, u):
         u = _levels(u)
         return self.lo + u * (self.hi - self.lo)
-
-    def loss(self, x):
-        # T(x) = (x - lo)^2 / (2 (hi - lo)) between the bounds, x - mean above
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.lo, self.hi)
-        inner = 0.5 * (xc - self.lo) ** 2 / (self.hi - self.lo)
-        return inner + np.maximum(x - self.hi, 0.0)
 
     def _mean_sd(self):
         return 0.5 * (self.lo + self.hi), (self.hi - self.lo) / np.sqrt(12.0)
@@ -279,12 +261,6 @@ class _Atoms(Demand):
     def support(self):
         return (float(self.atoms[0]), float(self.atoms[-1]))
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.atoms, t, side="right")
-        cum = np.concatenate([[0.0], self._cum])
-        return cum[idx]
-
     def atom_index(self, u):
         """Index in `atoms` of the quantile at each level u: the count of
         CDF values below u. A level above the last CDF value, which rounding
@@ -294,10 +270,6 @@ class _Atoms(Demand):
 
     def quantile(self, u):
         return self.atoms.take(self.atom_index(u))
-
-    def loss(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(x[..., None] - self.atoms, 0.0) @ self.probs
 
     def expectation_nodes(self, kink, out=None):
         return self.atoms[None, :], self.probs[None, :]

@@ -17,8 +17,9 @@ Every solver runs one backward loop, `_induct`, from terminal wealth
 (x, y) -> y and a per-period step: the grid solvers on the grid, and the
 selling-back relaxation (`bounds.selling_back_dp`) on net worth x + y at
 zero stock. Period N is a step like every other; backward_induct and the
-relaxation share it (`_last_step`: the closed form's order), and the closed
-form stays in `single_period` as the tests' independent cross-check.
+relaxation share it (`_last_step`: the closed form's order). The closed
+form's value is the tests' independent cross-check, kept in
+tests/closed_form.py where no solver can call it.
 Stage values are expectations of the next value over demand. Under lost
 sales the next state depends on demand only through sales min(D, z), so
 the demand above z is one node at the support maximum

@@ -1,10 +1,10 @@
 """Model extensions: tiered interest schedules, loan limits, backorders.
 
 Each keeps the two-threshold structure of the base model and is a parameter
-of the one backward recursion in dp. Tiered rates turn the single pair of
-order-up-to levels into ladders, each tier's level the base model's at the
-tier's rate; each tier (`PiecewiseRateSchedule.tiers`) is a branch of the
-net-worth search, at its own rate. A loan limit caps the order in every
+of the one backward recursion in dp. Under tiered rates each tier
+(`PiecewiseRateSchedule.tiers`) is a branch of the net-worth search, at its
+own rate, and has an order-up-to level of its own, the base model's at the
+tier's rate (tests/closed_form.py). A loan limit caps the order in every
 period, at that period's unit cost. Backorders are the transition's
 `backlog`: unmet demand is carried as negative stock at a per-unit penalty.
 """
@@ -15,11 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import single_period
-from .demand import Demand
 from .dp import (Z_TOL, DPSolution, Grid, _concave_stage, _demand_cap, _expected_next,
-                 _grid_solution, _smallest_argmax, backward_induct, worth_search)
-from .model import HorizonSpec, PeriodParams
+                 _grid_solution, backward_induct, worth_search)
+from .model import HorizonSpec
 
 
 # ---------------------------------------------------------------------------
@@ -68,68 +66,6 @@ class PiecewiseRateSchedule:
         loan = (0.0, *self.loan_breaks, np.inf)
         deposits = [(r, -hi, -lo) for r, lo, hi in zip(self.deposit_rates, dep, dep[1:])]
         return (*deposits[::-1], *zip(self.loan_rates, loan, loan[1:]))
-
-    def bank_flow(self, amount):
-        """End-of-period value of a signed bank position (currency)."""
-        amount = np.asarray(amount, dtype=float)
-        rates, _, highest = zip(*self.tiers)
-        # a balance above every finite edge is the last, unbounded tier's
-        rate = np.asarray(rates)[np.searchsorted(highest[:-1], -amount)]
-        return amount * (1.0 + rate)
-
-
-@dataclass(frozen=True)
-class ThresholdLadder:
-    """Per-tier order-up-to levels for a tiered rate schedule."""
-
-    borrow_levels: tuple[float, ...]    # one per loan tier, nonincreasing
-    deposit_levels: tuple[float, ...]   # one per deposit tier, nonincreasing
-
-
-def piecewise_thresholds(params: PeriodParams, salvage: float,
-                         schedule: PiecewiseRateSchedule, demand: Demand) -> ThresholdLadder:
-    """Each tier's level is the base model's at the tier's rate: a loan
-    tier's borrow level, a deposit tier's deposit level
-    (`single_period.order_bands`). A loan tier whose rate makes ordering
-    unprofitable gets level 0.
-    """
-
-    def bands(**rate):
-        ratios = single_period.fractiles(replace(params, **rate), salvage)
-        return single_period.order_bands(ratios, demand)
-
-    return ThresholdLadder(tuple(bands(loan_rate=r).borrow for r in schedule.loan_rates),
-                           tuple(bands(deposit_rate=r).deposit for r in schedule.deposit_rates))
-
-
-def _piecewise_G(q, x, y, params: PeriodParams, salvage: float,
-                 schedule: PiecewiseRateSchedule, demand: Demand):
-    z = x + np.asarray(q, dtype=float)
-    revenue = params.price * z - (params.price - salvage) * demand.loss(z)
-    return revenue + schedule.bank_flow(params.cost * (y - np.asarray(q)))
-
-
-def piecewise_optimal_order(x: float, y: float, params: PeriodParams, salvage: float,
-                            schedule: PiecewiseRateSchedule, demand: Demand) -> float:
-    """Maximize the tiered single-period objective exactly.
-
-    On each tier the objective is concave with interior optimum at that
-    tier's order-up-to level, so the global maximizer is found among the
-    tier-clamped levels, the tier boundaries, zero, and full cash use.
-    """
-    ladder = piecewise_thresholds(params, salvage, schedule, demand)
-    levels = (*ladder.deposit_levels[::-1], *ladder.borrow_levels)
-    c = params.cost
-    cands = [0.0, max(y, 0.0)]
-    # the tier's orders q >= 0 whose loan balance c(q - y) it holds; rolling
-    # existing debt (y < 0) counts toward the balance
-    for (_, lowest, highest), level in zip(schedule.tiers, levels):
-        lo, hi = max(y + lowest / c, 0.0), y + highest / c
-        if lo <= hi:
-            cands.append(float(np.clip(level - x, lo, hi)))
-    qs = np.unique(np.maximum(np.asarray(cands, dtype=float), 0.0))
-    vals = _piecewise_G(qs, x, y, params, salvage, schedule, demand)
-    return float(_smallest_argmax(qs, vals)[0])
 
 
 def piecewise_dp(horizon: HorizonSpec, schedule: PiecewiseRateSchedule,
@@ -180,17 +116,6 @@ class LoanLimit:
 
     def units(self, cost: float) -> float:
         return self.amount / cost
-
-
-def loan_limited_policy(x, y, bands: single_period.OrderBands, limit_units: float):
-    """Two-threshold rule with orders capped at cash plus loan capacity.
-
-    The single-period objective is concave in q, so the capped optimum is
-    the free rule's order cut to the feasible q <= y^+ + capacity.
-    """
-    cap = np.maximum(np.asarray(y, dtype=float), 0.0) + limit_units
-    q = np.minimum(single_period.optimal_order(x, y, bands), cap)
-    return q if q.ndim else float(q)
 
 
 def loan_limited_dp(horizon: HorizonSpec, limit: LoanLimit, grid: Grid) -> DPSolution:

@@ -1,16 +1,13 @@
-"""Closed-form solution of the one-period ordering/financing problem.
+"""Closed-form order of the one-period ordering/financing problem.
 
 With selling price p, unit cost c, salvage s < p, deposit rate i and loan
 rate l, the expected end-of-period net worth of ordering q from state (x, y)
-is
-
-    G(q, x, y) = p(x+q) - (p-s) T(x+q)
-                 + c (y-q) [(1+i) if q <= y else (1+l)],
-
-where T(z) = E[(z - D)^+]. G is concave in q, and the maximizer follows a
-two-threshold rule: order up to the deposit-financed level when net worth is
-high, spend exactly the available cash in between, and order up to the
-loan-financed level when net worth is low.
+is concave in q, and the maximizer follows a two-threshold rule: order up
+to the deposit-financed level when net worth is high, spend exactly the
+available cash in between, and order up to the loan-financed level when net
+worth is low. The levels are demand quantiles at two critical ratios. The
+solvers read only this order; the objective G and its maximum are the
+tests' oracle (tests/closed_form.py).
 
 The same closed form with a modified salvage value gives the two myopic
 policies that bracket the multi-period levels of every period before the
@@ -70,18 +67,6 @@ def order_bands(ratios: CriticalRatios, demand: Demand) -> OrderBands:
     return OrderBands(borrow, deposit)
 
 
-def expected_value_G(q, x, y, params: PeriodParams, salvage: float, demand: Demand):
-    """Expected end-of-period net worth of ordering q >= 0 from (x, y)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < -1e-12):
-        raise ValueError("order quantity must be nonnegative")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    z = x + q
-    revenue = params.price * z - (params.price - salvage) * demand.loss(z)
-    rate = np.where(q <= y, 1.0 + params.deposit_rate, 1.0 + params.loan_rate)
-    return revenue + params.cost * (y - q) * rate
-
-
 def optimal_order(x, y, bands: OrderBands):
     """Two-threshold rule on net worth x + y; ties go to the deposit branch.
 
@@ -95,16 +80,6 @@ def optimal_order(x, y, bands: OrderBands):
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return np.maximum(np.minimum(np.maximum(y, bands.borrow - x), bands.deposit - x), 0.0)
-
-
-def value_closed_form(x, y, params: PeriodParams, salvage: float, demand: Demand):
-    """max_q G(q, x, y), evaluated analytically at the threshold-rule order.
-
-    Handles negative capital too: with q* = 0 and y < 0 the debt accrues at
-    the loan rate, which the branch-wise threshold formula glosses over.
-    """
-    bands = order_bands(fractiles(params, salvage), demand)
-    return expected_value_G(optimal_order(x, y, bands), x, y, params, salvage, demand)
 
 
 def _myopic_pair(horizon: HorizonSpec, n: int, salvage: float) -> OrderBands:

@@ -42,10 +42,10 @@ from cashstock.extensions import (
     backorder_dp,
     backorder_grid,
     loan_limited_dp,
-    piecewise_optimal_order,
 )
 
 from bisection import EPSILON, bisection_iterations, solve_thresholds
+from closed_form import cdf, tier_order, value
 from conftest import DEMANDS, BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -199,12 +199,12 @@ def test_criterion_3_closed_form_equivalence(desk_grid):
     hz = make_horizon("u0_20", 1)
     sol = cs.backward_induct(hz, desk_grid)
     X, Y = desk_grid.mesh()
-    closed = cs.value_closed_form(X, Y, PARAMS, SALVAGE, DEMANDS["u0_20"])
+    closed = value(X, Y, PARAMS, SALVAGE, DEMANDS["u0_20"])
     rel = np.abs(sol.value(1).values - closed) / (np.abs(closed) + 1.0)
     if rel.max() > 5e-3:
         failures.append(f"grid DP vs closed form: max rel dev {rel.max():.2e} > 0.5%")
     # the speculation value: expected terminal worth from (0, 0)
-    spec = float(cs.value_closed_form(0.0, 0.0, PARAMS, SALVAGE, DEMANDS["u0_20"]))
+    spec = float(value(0.0, 0.0, PARAMS, SALVAGE, DEMANDS["u0_20"]))
     # independent oracle: (p - s) E[D 1{D < borrow level}] by quadrature
     bands = cs.order_bands(cs.fractiles(PARAMS, SALVAGE), DEMANDS["u0_20"])
     nodes, w = DEMANDS["u0_20"].expectation_nodes(np.array([bands.borrow]))
@@ -318,7 +318,7 @@ def test_criterion_6_extension_sanity(small_grid):
     rng = np.random.default_rng(29)
     for _ in range(200):
         x, y = rng.uniform(0, 20), rng.uniform(-10, 25)
-        q_pw = piecewise_optimal_order(x, y, PARAMS, SALVAGE, single, DEMANDS["u0_20"])
+        q_pw = tier_order(x, y, PARAMS, SALVAGE, single, DEMANDS["u0_20"])
         q_base = float(cs.optimal_order(x, y, bands))
         if abs(q_pw - q_base) > 1e-9:
             failures.append(f"single-segment schedule deviates at ({x:.2f}, {y:.2f})")
@@ -370,7 +370,7 @@ def test_criterion_8_zip_distribution_checks():
         if abs(m.cv - cv_ref) > 0.01:
             failures.append(f"ZIP({pi},{lam}): cv {m.cv:.4f} vs reference {cv_ref}")
         if p0_ref is not None:
-            p0 = float(dem.cdf(0.0))
+            p0 = float(cdf(dem, 0.0))
             if abs(p0 - p0_ref) > 1e-3:
                 failures.append(f"ZIP({pi},{lam}): P(D=0) {p0:.5f} vs {p0_ref}")
     report("criterion 8", failures)

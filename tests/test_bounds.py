@@ -12,6 +12,7 @@ from cashstock.bounds import (
 from cashstock.dp import Grid, _expected_next, _next_state
 from cashstock.sim import MyopicPolicy, run_policies
 
+from closed_form import value
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -43,7 +44,7 @@ def test_selling_back_single_period_equals_closed_form():
     tables = selling_back_dp(hz, Grid.regular(40, -40, 40, 41, 81))
     worth = tables[0].worth
     assert np.array_equal(worth, np.arange(-40.0, 81.0))
-    closed = cs.value_closed_form(0.0, worth, PARAMS, SALVAGE, U20)
+    closed = value(0.0, worth, PARAMS, SALVAGE, U20)
     assert np.allclose(tables[0].values, closed, rtol=1e-12)
 
 

@@ -24,6 +24,7 @@ from cashstock.bounds import WorthValueTable, selling_back_dp
 from cashstock.extensions import backorder_dp, backorder_grid
 
 from bisection import partials, solve_thresholds
+from closed_form import G, capped_order, value
 from conftest import BASE_ECON, SALVAGE, make_horizon
 from search_oracle import full_search, golden_section
 
@@ -172,7 +173,7 @@ def closed_form_table(grid, n):
     """Period n's table when it is the last: the single-period optimum under
     U(0,20) on the grid nodes, from the closed form."""
     X, Y = grid.mesh()
-    return ValueTable(n, grid, cs.value_closed_form(X, Y, PARAMS, SALVAGE, U20))
+    return ValueTable(n, grid, value(X, Y, PARAMS, SALVAGE, U20))
 
 
 def test_partials_terminal_table_deposit_slope(desk_grid):
@@ -251,26 +252,26 @@ def period_n_tables(solver, key, grid):
     X, Y = grid.mesh()
     if solver == "backward_induct":
         got = cs.backward_induct(hz, grid).value(2).values
-        return got, cs.value_closed_form(X, Y, PARAMS, SALVAGE, demand)
+        return got, value(X, Y, PARAMS, SALVAGE, demand)
     if solver == "loan_limited_dp":
         limit = cs.LoanLimit(5000.0)
         got = cs.loan_limited_dp(hz, limit, grid).value(2).values
-        q = cs.loan_limited_policy(X, Y, cs.myopic_lower(hz, 2), limit.units(PARAMS.cost))
-        return got, cs.expected_value_G(q, X, Y, PARAMS, SALVAGE, demand)
+        q = capped_order(X, Y, cs.myopic_lower(hz, 2), limit.units(PARAMS.cost))
+        return got, G(q, X, Y, PARAMS, SALVAGE, demand)
     if solver == "backorder_dp":
         b = 200.0
         grid = backorder_grid(hz, grid)
         X, Y = grid.mesh()
         got = backorder_dp(hz, cs.BackorderParams(b), grid).value(2).values
         priced = cs.PeriodParams(**{**BASE_ECON, "price": PARAMS.price + b})
-        return got, cs.value_closed_form(X, Y, priced, SALVAGE, demand) - b * demand.mean()
+        return got, value(X, Y, priced, SALVAGE, demand) - b * demand.mean()
     if solver == "policy_value_tables":
         policy = cs.MyopicPolicy(hz, "upper").order
         got = cs.policy_value_tables(hz, grid, policy)[1].values
         q = policy(2, X.ravel(), Y.ravel()).reshape(X.shape)
-        return got, cs.expected_value_G(q, X, Y, PARAMS, SALVAGE, demand)
+        return got, G(q, X, Y, PARAMS, SALVAGE, demand)
     table = selling_back_dp(hz, grid)[1]
-    return table.values, cs.value_closed_form(0.0, table.worth, PARAMS, SALVAGE, demand)
+    return table.values, value(0.0, table.worth, PARAMS, SALVAGE, demand)
 
 
 @pytest.mark.parametrize("solver, key", [
@@ -307,7 +308,7 @@ def test_stage_value_contract():
     # in period N the next value is terminal wealth: the closed form's G at
     # the order z - x, here from (1, 3)
     assert _expected_next(7.0, 4.0, hz, 2, _terminal_wealth) == pytest.approx(
-        [cs.expected_value_G(6.0, 1.0, 3.0, PARAMS, SALVAGE, U20)], rel=1e-12)
+        [G(6.0, 1.0, 3.0, PARAMS, SALVAGE, U20)], rel=1e-12)
 
 
 def brute_force_two_period(x, y, z_lattice, d_lattice):
@@ -317,7 +318,7 @@ def brute_force_two_period(x, y, z_lattice, d_lattice):
         xn = np.maximum(z - d_lattice, 0.0)
         rate = 1.01 if z <= x + y else 1.15
         yn = 2.0 * z - 2.5 * xn + (x + y - z) * rate
-        vals = cs.value_closed_form(xn, yn, PARAMS, SALVAGE, U20)
+        vals = value(xn, yn, PARAMS, SALVAGE, U20)
         best = max(best, float(np.mean(vals)))
     return best
 
@@ -339,7 +340,7 @@ def test_backward_induct_single_period_equals_closed_form(small_grid):
     hz = make_horizon("u0_20", 1)
     sol = cs.backward_induct(hz, small_grid)
     X, Y = small_grid.mesh()
-    closed = cs.value_closed_form(X, Y, PARAMS, SALVAGE, U20)
+    closed = value(X, Y, PARAMS, SALVAGE, U20)
     assert np.allclose(sol.value(1).values, closed, rtol=5e-3)
     # the transition's expectation of terminal wealth at the closed form's order
     assert np.max(np.abs(sol.value(1).values - closed)) < 1e-9
@@ -444,7 +445,7 @@ def per_node_oracle(hz, grid, z_tol=1e-4, z_cap=None):
         z = np.minimum(z, z_cap(n_last, X, Y))
     values = [None] * n_last
     values[-1] = ValueTable(n_last, grid,
-                            cs.expected_value_G(z - X, X, Y, params, hz.salvage, demand))
+                            G(z - X, X, Y, params, hz.salvage, demand))
     for n in range(hz.n_periods - 1, 0, -1):
         z_max = float(grid.x_nodes[-1] + hz.demand_in(n).quantile(0.999))
         hi = np.minimum(z_cap(n, x, y), z_max) if z_cap is not None else z_max
@@ -483,7 +484,7 @@ def full_segment_oracle(hz, grid):
     def step(n, next_table):
         if n == hz.n_periods:
             bands = cs.myopic_lower(hz, n)
-            closed = cs.value_closed_form(X, Y, hz.period(n), hz.salvage, hz.demand_in(n))
+            closed = value(X, Y, hz.period(n), hz.salvage, hz.demand_in(n))
             return X + cs.optimal_order(X, Y, bands), closed
 
         def f(z, xi, _k):
@@ -505,8 +506,10 @@ def test_lost_sales_solve_matches_full_segment_oracle(small_grid):
     oracle = full_segment_oracle(hz, small_grid)
     for got, want in zip(sol.values, oracle.values, strict=True):
         assert np.abs(got.values - want.values).max() <= 1e-12 * np.abs(want.values).max()
+    # the two expectations agree to 1e-12, not bit for bit, so a search may
+    # settle elsewhere within its own resolution
     for got, want in zip(sol.policies, oracle.policies, strict=True):
-        assert np.array_equal(got.order_up_to, want.order_up_to)
+        assert np.abs(got.order_up_to - want.order_up_to).max() <= Z_TOL
 
 
 def test_backorders_keep_the_full_segment_expectation(small_grid, monkeypatch):

@@ -14,6 +14,7 @@ from cashstock.dp import (BLOCK_ELEMENTS, Grid, ValueTable, _blocks, _expected_n
                           _next_state, _scratch_scope, _terminal_wealth, worth_grid)
 from cashstock.extensions import PiecewiseRateSchedule, piecewise_dp
 
+from closed_form import tier_flow
 from conftest import DEMANDS, make_horizon
 
 SCHEDULE = PiecewiseRateSchedule(loan_rates=(0.15, 0.30), loan_breaks=(5000.0,),
@@ -55,8 +56,8 @@ CASES = {
     "worth-table": (1, "worth", {}),
     "terminal-wealth": (N_PERIODS, "terminal", {}),
     "backlog": (1, "table", {"backlog": 300.0}),
-    "tiered-bank": (1, "table", {"bank": SCHEDULE.bank_flow}),
-    "tiered-bank-terminal": (N_PERIODS, "terminal", {"bank": SCHEDULE.bank_flow}),
+    "tiered-bank": (1, "table", {"bank": tier_flow(SCHEDULE)}),
+    "tiered-bank-terminal": (N_PERIODS, "terminal", {"bank": tier_flow(SCHEDULE)}),
 }
 
 

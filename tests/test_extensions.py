@@ -11,17 +11,14 @@ from cashstock.extensions import (
     BackorderParams,
     LoanLimit,
     PiecewiseRateSchedule,
-    _piecewise_G,
     backorder_dp,
     backorder_grid,
     loan_limited_dp,
-    loan_limited_policy,
     piecewise_dp,
-    piecewise_optimal_order,
-    piecewise_thresholds,
 )
 
 from bisection import solve_thresholds
+from closed_form import G, capped_order, tier_flow, tier_levels, tier_order
 from conftest import BASE_ECON, SALVAGE, make_horizon
 
 PARAMS = cs.PeriodParams(**BASE_ECON)
@@ -51,17 +48,17 @@ def test_schedule_validation():
 
 
 def test_bank_flow_whole_balance_tiering():
-    s = TWO_TIER
-    assert s.bank_flow(3000.0) == pytest.approx(3000 * 1.01)
-    assert s.bank_flow(-3000.0) == pytest.approx(-3000 * 1.15)
-    assert s.bank_flow(-6000.0) == pytest.approx(-6000 * 1.30)
-    assert s.bank_flow(-5000.0) == pytest.approx(-5000 * 1.15)  # break: cheaper tier
+    flow = tier_flow(TWO_TIER)
+    assert flow(3000.0) == pytest.approx(3000 * 1.01)
+    assert flow(-3000.0) == pytest.approx(-3000 * 1.15)
+    assert flow(-6000.0) == pytest.approx(-6000 * 1.30)
+    assert flow(-5000.0) == pytest.approx(-5000 * 1.15)  # break: cheaper tier
     tiered_dep = PiecewiseRateSchedule(loan_rates=(0.15,), deposit_rates=(0.01, 0.02),
                                        deposit_breaks=(8000.0,))
-    assert tiered_dep.bank_flow(8000.0) == pytest.approx(8000 * 1.02)  # break: richer tier
+    assert tier_flow(tiered_dep)(8000.0) == pytest.approx(8000 * 1.02)  # break: richer tier
     single = PiecewiseRateSchedule(loan_rates=(0.15,), deposit_rates=(0.01,))
     a = np.array([-2000.0, 0.0, 1500.0])
-    assert single.bank_flow(a) == pytest.approx([-2300.0, 0.0, 1515.0])
+    assert tier_flow(single)(a) == pytest.approx([-2300.0, 0.0, 1515.0])
 
 
 def test_tiers_run_in_balance_order():
@@ -93,26 +90,25 @@ def test_a_balance_on_a_break_takes_its_lower_balance_tier(schedule):
                               np.nextafter(breaks, -np.inf)])
     # bit for bit, so the sign of a zero flow counts too
     want = whole_balance_flow(schedule, amounts)
-    assert schedule.bank_flow(amounts).tobytes() == want.tobytes()
+    assert tier_flow(schedule)(amounts).tobytes() == want.tobytes()
 
 
 def test_piecewise_thresholds_examples():
-    ladder = piecewise_thresholds(PARAMS, SALVAGE, TWO_TIER, U20)
+    borrow, deposit = tier_levels(PARAMS, SALVAGE, TWO_TIER, U20)
     # tier 1 reproduces the base borrow level; tier 2: (2000-1300)/1400 = 0.5
-    assert ladder.borrow_levels[0] == pytest.approx(BANDS.borrow)
-    assert ladder.borrow_levels[1] == pytest.approx(10.0)
-    assert ladder.deposit_levels[0] == pytest.approx(BANDS.deposit)
+    assert borrow[0] == pytest.approx(BANDS.borrow)
+    assert borrow[1] == pytest.approx(10.0)
+    assert deposit[0] == pytest.approx(BANDS.deposit)
     single = PiecewiseRateSchedule(loan_rates=(0.15,), deposit_rates=(0.01,))
-    flat = piecewise_thresholds(PARAMS, SALVAGE, single, U20)
-    assert flat.borrow_levels == (pytest.approx(BANDS.borrow),)
-    assert flat.deposit_levels == (pytest.approx(BANDS.deposit),)
+    assert tier_levels(PARAMS, SALVAGE, single, U20) == ((pytest.approx(BANDS.borrow),),
+                                                         (pytest.approx(BANDS.deposit),))
 
 
 def test_piecewise_thresholds_unprofitable_tier_clips_to_zero():
     schedule = PiecewiseRateSchedule(loan_rates=(0.15, 1.2), loan_breaks=(5000.0,),
                                      deposit_rates=(0.01,))
-    ladder = piecewise_thresholds(PARAMS, SALVAGE, schedule, U20)
-    assert ladder.borrow_levels[1] == 0.0  # (1+1.2)c >= p
+    borrow, _ = tier_levels(PARAMS, SALVAGE, schedule, U20)
+    assert borrow[1] == 0.0  # (1+1.2)c >= p
 
 
 def test_piecewise_ladder_monotone():
@@ -124,17 +120,16 @@ def test_piecewise_ladder_monotone():
         schedule = PiecewiseRateSchedule(
             loan_rates=tuple(loan), loan_breaks=tuple(np.sort(rng.uniform(100, 9000, m - 1))),
             deposit_rates=tuple(dep), deposit_breaks=tuple(np.sort(rng.uniform(100, 9000, k - 1))))
-        ladder = piecewise_thresholds(PARAMS, SALVAGE, schedule, U20)
-        chain = list(ladder.deposit_levels) + list(ladder.borrow_levels)
+        borrow, deposit = tier_levels(PARAMS, SALVAGE, schedule, U20)
+        chain = deposit + borrow
         assert all(a >= b - 1e-12 for a, b in zip(chain, chain[1:]))
-        assert ladder.deposit_levels[-1] > max(ladder.borrow_levels)
-        assert min(ladder.borrow_levels) >= 0.0
+        assert deposit[-1] > max(borrow)
+        assert min(borrow) >= 0.0
 
 
 def brute_force_piecewise(x, y, schedule):
     qs = np.linspace(0.0, 40.0, 8001)
-    vals = _piecewise_G(qs, x, y, PARAMS, SALVAGE, schedule, U20)
-    return float(vals.max())
+    return float(G(qs, x, y, PARAMS, SALVAGE, U20, tier_flow(schedule)).max())
 
 
 def test_piecewise_order_matches_brute_force():
@@ -143,8 +138,8 @@ def test_piecewise_order_matches_brute_force():
         for _ in range(60):
             x = rng.uniform(0, 18)
             y = rng.uniform(-10, 20)
-            q = piecewise_optimal_order(x, y, PARAMS, SALVAGE, schedule, U20)
-            got = float(_piecewise_G(q, x, y, PARAMS, SALVAGE, schedule, U20))
+            q = tier_order(x, y, PARAMS, SALVAGE, schedule, U20)
+            got = float(G(q, x, y, PARAMS, SALVAGE, U20, tier_flow(schedule)))
             best = brute_force_piecewise(x, y, schedule)
             assert got >= best - 1e-6 * (1 + abs(best))
 
@@ -155,19 +150,19 @@ def test_piecewise_single_segment_reduces_to_base_rule():
     for _ in range(100):
         x = rng.uniform(0, 20)
         y = rng.uniform(-10, 25)
-        q = piecewise_optimal_order(x, y, PARAMS, SALVAGE, single, U20)
+        q = tier_order(x, y, PARAMS, SALVAGE, single, U20)
         assert q == pytest.approx(float(cs.optimal_order(x, y, BANDS)), abs=1e-9)
 
 
 def test_piecewise_band_case_orders_to_tier_one_level():
     # worth between the two borrow levels, tier-1 capacity ample
-    ladder = piecewise_thresholds(PARAMS, SALVAGE, TWO_TIER, U20)
+    borrow, deposit = tier_levels(PARAMS, SALVAGE, TWO_TIER, U20)
     x, y = 2.0, 9.0   # worth 11 in (10, 12.14)
-    q = piecewise_optimal_order(x, y, PARAMS, SALVAGE, TWO_TIER, U20)
-    assert q == pytest.approx(ladder.borrow_levels[0] - x, abs=1e-9)
+    q = tier_order(x, y, PARAMS, SALVAGE, TWO_TIER, U20)
+    assert q == pytest.approx(borrow[0] - x, abs=1e-9)
     # far above every level: order up to the top deposit level
-    q = piecewise_optimal_order(3.0, 50.0, PARAMS, SALVAGE, TWO_TIER, U20)
-    assert q == pytest.approx(ladder.deposit_levels[0] - 3.0, abs=1e-9)
+    q = tier_order(3.0, 50.0, PARAMS, SALVAGE, TWO_TIER, U20)
+    assert q == pytest.approx(deposit[0] - 3.0, abs=1e-9)
 
 
 def test_piecewise_dp_single_segment_matches_base():
@@ -197,7 +192,7 @@ def dense_oracle(hz, schedule, grid, n_z=801):
             z = np.column_stack([np.broadcast_to(np.linspace(x, z_max, n_z), (len(y), n_z)),
                                  *(np.clip(b, x, z_max) for b in breaks)])
             f = _expected_next(z.ravel(), np.repeat(x + y, z.shape[1]), hz, n, next_value,
-                               bank=schedule.bank_flow)
+                               bank=tier_flow(schedule))
             v[i] = f.reshape(z.shape).max(axis=1)
         values.append(ValueTable(n, grid, v))
         next_value = values[-1]
@@ -225,10 +220,9 @@ def test_piecewise_dp_terminal_period_is_the_ladder_rule(schedule):
     grid = Grid.regular(40, -60, 120, 21, 26)
     sol = piecewise_dp(hz, schedule, grid)
     X, Y = grid.mesh()
-    q = np.vectorize(lambda x, y: piecewise_optimal_order(x, y, PARAMS, SALVAGE, schedule,
-                                                          U20))(X, Y)
+    q = np.vectorize(lambda x, y: tier_order(x, y, PARAMS, SALVAGE, schedule, U20))(X, Y)
     assert sol.policy(1).order_up_to == pytest.approx(X + q, abs=Z_TOL)
-    want = _piecewise_G(q, X, Y, PARAMS, SALVAGE, schedule, U20)
+    want = G(q, X, Y, PARAMS, SALVAGE, U20, tier_flow(schedule))
     assert np.abs(sol.value(1).values - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -248,15 +242,15 @@ def test_loan_limited_policy_cases():
         x = rng.uniform(0, 20)
         y = rng.uniform(-10, 25)
         q_free = float(cs.optimal_order(x, y, BANDS))
-        assert loan_limited_policy(x, y, BANDS, 1e9) == pytest.approx(q_free)
+        assert capped_order(x, y, BANDS, 1e9) == pytest.approx(q_free)
     # worth below borrow - capacity: spend the cash and max out the loan
-    assert loan_limited_policy(0.0, 0.0, BANDS, limit_units) == pytest.approx(limit_units)
-    assert loan_limited_policy(2.0, 1.0, BANDS, limit_units) == pytest.approx(1.0 + limit_units)
+    assert capped_order(0.0, 0.0, BANDS, limit_units) == pytest.approx(limit_units)
+    assert capped_order(2.0, 1.0, BANDS, limit_units) == pytest.approx(1.0 + limit_units)
     # inside [borrow - capacity, borrow): reach the borrow level
-    assert loan_limited_policy(0.0, 10.0, BANDS, limit_units) == pytest.approx(
+    assert capped_order(0.0, 10.0, BANDS, limit_units) == pytest.approx(
         BANDS.borrow, abs=1e-12)
     # slack constraint above the deposit level
-    assert loan_limited_policy(0.0, 30.0, BANDS, limit_units) == pytest.approx(BANDS.deposit)
+    assert capped_order(0.0, 30.0, BANDS, limit_units) == pytest.approx(BANDS.deposit)
 
 
 @pytest.mark.parametrize("x, y", [(11.64, -5.0), (14.14, -10.0), (13.14, -4.5)])
@@ -265,10 +259,10 @@ def test_loan_limited_policy_matches_brute_force_with_debt(x, y):
     # can order less than cash plus capacity
     capacity = 3.0
     qs = np.linspace(0.0, max(y, 0.0) + capacity, 3001)
-    vals = cs.expected_value_G(qs, x, y, PARAMS, SALVAGE, U20)
-    q = loan_limited_policy(x, y, BANDS, capacity)
+    vals = G(qs, x, y, PARAMS, SALVAGE, U20)
+    q = capped_order(x, y, BANDS, capacity)
     assert 0.0 <= q <= max(y, 0.0) + capacity
-    got = float(cs.expected_value_G(q, x, y, PARAMS, SALVAGE, U20))
+    got = float(G(q, x, y, PARAMS, SALVAGE, U20))
     assert got >= vals.max() - 1e-6 * abs(vals.max())
 
 

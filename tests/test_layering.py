@@ -6,16 +6,20 @@ from pathlib import Path
 
 import cashstock as cs
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cashstock"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cashstock"
 
 #: the modules, lowest layer first
 LAYERS = ("demand", "model", "single_period", "dp", "thresholds", "sim",
           "bounds", "extensions", "cli")
 
 
+def _parse(paths):
+    return [(path.stem, ast.parse(path.read_text())) for path in paths]
+
+
 def _modules():
-    return [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))
-            if path.stem != "__init__"]
+    return _parse(path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__")
 
 
 def test_no_import_inside_a_function():
@@ -44,18 +48,15 @@ def test_exported_names():
     exported = {name for name, obj in vars(cs).items()
                 if not name.startswith("_") and not inspect.ismodule(obj)}
     assert exported == {
-        "BackorderParams", "CriticalRatios", "DPSolution",
-        "Demand", "DiscreteEmpirical", "Grid", "HorizonSpec", "InvalidHorizonError",
-        "LoanLimit", "MyopicPolicy", "OrderBands", "PeriodParams", "PiecewiseRateSchedule",
-        "PolicyTable", "SimResult", "State", "ThresholdLadder", "ThresholdPolicy",
-        "ThresholdTable", "Uniform", "ValueTable", "WorthValueTable",
-        "ZeroInflatedPoisson", "backorder_dp", "backorder_grid", "backward_induct",
-        "compare_bounds", "expected_value_G", "fractiles", "integer_uniform",
-        "loan_limited_dp", "loan_limited_policy", "myopic_lower", "myopic_upper",
-        "normalized_params", "optimal_order", "order_bands", "piecewise_dp",
-        "piecewise_optimal_order", "piecewise_thresholds", "policy_from_thresholds",
+        "BackorderParams", "CriticalRatios", "DPSolution", "Demand", "DiscreteEmpirical",
+        "Grid", "HorizonSpec", "InvalidHorizonError", "LoanLimit", "MyopicPolicy",
+        "OrderBands", "PeriodParams", "PiecewiseRateSchedule", "PolicyTable", "SimResult",
+        "State", "ThresholdPolicy", "ThresholdTable", "Uniform", "ValueTable",
+        "WorthValueTable", "ZeroInflatedPoisson", "backorder_dp", "backorder_grid",
+        "backward_induct", "compare_bounds", "fractiles", "integer_uniform",
+        "loan_limited_dp", "myopic_lower", "myopic_upper", "normalized_params",
+        "optimal_order", "order_bands", "piecewise_dp", "policy_from_thresholds",
         "policy_value_tables", "run_policies", "selling_back_dp",
-        "value_closed_form",
     }
 
 
@@ -71,24 +72,25 @@ def test_exported_functions_keep_their_defaulted_parameters():
     }
 
 
-def test_only_single_period_calls_the_closed_form():
+def test_no_src_module_defines_the_closed_form():
     # every solver's last period is a step through the one transition; the
-    # closed form is the tests' independent cross-check, so no other module
-    # may call it (a call would fork the recursion again)
-    closed = {"expected_value_G", "value_closed_form"}
+    # closed form's value, the tiered and capped single-period rules and the
+    # demand's cdf and loss are the tests' independent cross-check
+    # (tests/closed_form.py), so no solver may be able to call them
+    oracle = {"expected_value_G", "value_closed_form", "ThresholdLadder",
+              "piecewise_thresholds", "_piecewise_G", "piecewise_optimal_order",
+              "loan_limited_policy", "bank_flow", "cdf", "loss"}
     for name, tree in _modules():
-        if name == "single_period":
-            continue
-        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and (getattr(node.func, "id", None) in closed
-                      or getattr(node.func, "attr", None) in closed)]
-        assert not calls, f"{name} calls the closed form at lines {calls}"
+        defined = [(node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name in oracle]
+        assert not defined, f"{name} defines {defined}"
 
 
 def test_every_module_top_import_is_used():
     # a name imported at module top and never read is left over from code
     # that moved or went; __future__ imports bind no name
-    for name, tree in _modules():
+    for name, tree in _modules() + _parse(sorted(TESTS.glob("*.py"))):
         imported = {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

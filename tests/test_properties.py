@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 import cashstock as cs
 from cashstock.dp import worth_grid
-from cashstock.extensions import loan_limited_policy
 from cashstock.thresholds import PeriodThresholds
 
 from bisection import BracketError, solve_thresholds
+from closed_form import capped_order
 from conftest import DEMANDS, make_horizon
 
 STATE = st.floats(-100.0, 100.0, allow_nan=False)
@@ -63,7 +63,7 @@ def test_myopic_policy_applies_the_rule(which, n, x, y):
 @given(order_bands(), STATE, STATE, st.floats(0.01, 50.0))
 def test_loan_limited_policy_caps_the_free_rule(bands, x, y, capacity):
     free = float(cs.optimal_order(x, y, bands))
-    assert loan_limited_policy(x, y, bands, capacity) == min(free, max(y, 0.0) + capacity)
+    assert capped_order(x, y, bands, capacity) == min(free, max(y, 0.0) + capacity)
 
 
 #: the suite's small grid: capital resolved to 3.6 units (3600 at c = 1000)
