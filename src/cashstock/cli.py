@@ -2,11 +2,11 @@
 
 Subcommands: solve, tables, figures, simulate. Config is a JSON document;
 see README for the schema. Every run writes a manifest listing the emitted
-files; CSV bodies are deterministic for a fixed config and seed. A CSV is
-written in blocks of CSV_BLOCK_ROWS rows, so no command holds a whole table
-as text: with that and the net-worth search's uncopied node bounds, the
-peak resident set of `solve` fell from 52.5 to 46.4 MB on the desk grid
-(161x201) and from 90.6 to 63.9 MB at 321x401 (README, Outputs).
+files; CSV bodies are deterministic for a fixed config and seed. A CSV's
+numbers are turned into their %.6g text by array arithmetic (`_encode`),
+byte for byte as Python formats them, and written in blocks of
+CSV_BLOCK_ROWS rows, so no command holds a whole table as text (README,
+Outputs).
 
 Exit codes: 0 success, 2 config error.
 """
@@ -55,9 +55,11 @@ MAX_DEMANDS = MAX_PERIODS
 MAX_TABLE_STATES = 100_000
 #: the default of a config field that has none: the config must give it
 REQUIRED = object()
-#: rows a CSV is formatted and written in at a time: writing a desk value
-#: table (32,361 x 5) peaks at 1.15 MB traced, against 7.41 MB in one piece
-CSV_BLOCK_ROWS = 4_096
+#: rows a CSV is encoded and written in at a time: writing a desk value
+#: table (32,361 x 5) peaks at 1.48 MB traced, against 7.41 MB in one piece.
+#: At 4,096 rows the encoder's temporaries (160 KiB per array) peak at 2.93
+#: MB traced, and `solve`'s resident set at 49.6 MB against 46.0 MB
+CSV_BLOCK_ROWS = 2_048
 
 
 class ConfigError(ValueError):
@@ -283,13 +285,68 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _fmt_column(column) -> list[str]:
-    # each distinct float formatted once; distinct by bit pattern, so that
-    # -0.0, 0.0 and NaN keep their own text
-    bits = np.asarray(column, dtype=float).view(np.uint64)
-    distinct, at = np.unique(bits, return_inverse=True)
-    text = np.array([_fmt(v) for v in distinct.view(float).tolist()], dtype=object)
-    return text[at].tolist()
+# `_encode` writes a cell with 0.1 <= |v| < 1e6 after rounding, or v = +-0,
+# with array arithmetic: but for its sign, its %.6g text is at most six
+# digits and a point, or "0." and six digits, one little-endian uint64
+_POWERS = 10.0 ** np.arange(-1, 8)  # the nearest floats to 10^-1..10^7
+_k = np.arange(1000, dtype=np.uint64)
+#: the three ASCII digits of 0..999 in one word each, first digit lowest
+_TRIPLES = (_k // 100 + 48) | (_k // 10 % 10 + 48) << 8 | (_k % 10 + 48) << 16
+#: their trailing zeros
+_TRAILING = sum((_k % 10**j == 0).astype(int) for j in (1, 2, 3))
+_BYTES = (1 << 8 * np.arange(7, dtype=np.uint64)) - 1  # the first k bytes of a word
+_POINTS = 46 << 8 * np.arange(7, dtype=np.uint64)  # "." as byte k of a word
+
+
+def _encode(numbers: np.ndarray, text: dict) -> np.ndarray:
+    """The CSV lines of `numbers`, a rows x columns float array, as bytes:
+    each cell as `_fmt` writes it, but column j's cells are the strings
+    text[j] where j is in `text`."""
+    cols = numbers.shape[1]
+    v = numbers.ravel()
+    a = np.abs(v)
+    zero = a == 0
+    a[zero] = 1.0  # written as "1", whose digit is turned into "0" below
+    # floor(log10 a) from 0.1 to 1e6, -2 below (and for NaN): no float lies
+    # between 10^-1 and the nearest float to it, so comparisons find it
+    exp = sum((a >= p).view(np.int8) for p in _POWERS[:7]) - 2
+    with np.errstate(invalid="ignore"):  # inf - inf, or a signalling NaN
+        a *= _POWERS[6 - exp]  # the six digits' scale: one rounding, as 10^(5-exp) is exact
+        m = np.rint(a)
+        # rounding is monotone and m + 0.5 is a float, so the scaled cell and
+        # its exact value lie on one side of each tie. A cell on a tie, or
+        # whose rounding carries into a seventh digit, is left to `_fmt`, as
+        # are NaN, infinities and |v| < 0.1 or >= 1e6
+        fast = (np.abs(a - m) < 0.5) & (m < 1e6) & (exp >= -1)
+    m[~fast] = 1e5
+    hi = np.floor(m / 1000)  # exact, as m is an integer below 1e6
+    hi, lo = hi.astype(np.intp), (m - 1000 * hi).astype(np.intp)
+    # the digits before the point stay; those after it, but for trailing
+    # zeros, move up one byte; below 1 the text starts "0."
+    point = np.maximum(exp + 1, 0)
+    digits = np.maximum(6 - np.where(lo == 0, 3 + _TRAILING[hi], _TRAILING[lo]), point)
+    word = (_TRIPLES[hi] | _TRIPLES[lo] << 24) & _BYTES[digits]
+    whole = word & _BYTES[point]
+    word = whole | (word - whole) << 8 | _POINTS[point] * (digits > point)
+    lead = (point == 0).view(np.uint8)
+    word = (word << (lead << 3) | lead * 48) - zero
+    # each cell: its sign, its text NUL-padded to 8 bytes and its separator
+    cells = np.empty((len(v), 10), np.uint8)
+    cells[:, 0] = np.signbit(v) * fast * 45
+    np.ndarray(len(v), "<u8", cells, 1, (10,))[:] = word * fast  # bytes 1-8 of each cell
+    cells[:, 9] = 44
+    cells[cols - 1::cols, 9] = 10
+    kept = cells.ravel() != 0
+    body = np.compress(kept, cells)
+    slow = np.flatnonzero(~fast)
+    if not slow.size:
+        return body
+    row, col = np.divmod(slow, cols)
+    pieces = [(text[j][i] if j in text else _fmt(x)).encode()
+              for i, j, x in zip(row.tolist(), col.tolist(), v[slow].tolist())]
+    at = np.cumsum(kept.reshape(-1, 10).sum(1))[slow] - 1  # each slow cell's separator
+    return np.insert(body, np.repeat(at, list(map(len, pieces))),
+                     np.frombuffer(b"".join(pieces), np.uint8))
 
 
 class Emitter:
@@ -309,23 +366,23 @@ class Emitter:
     def write_csv(self, name: str, header: list[str], rows) -> None:
         """Write `rows`, a 2-D array or a list of rows, under `header`.
 
-        Numbers are written as `_fmt` writes them, each distinct number of a
-        column formatted once per block, and string cells as they are; each
-        column holds numbers or strings throughout, as its first row does.
-        The rows are formatted and written in blocks of CSV_BLOCK_ROWS, each
-        block before the next is built, so the command's peak holds one
-        block's text: 1.15 MB traced for a desk value table, against 7.41
-        MB when the table was joined in one piece.
+        Numbers are written as `_fmt` writes them, by `_encode`, and string
+        cells as they are; each column holds numbers or strings throughout,
+        as its first row does. The rows are encoded and written in blocks of
+        CSV_BLOCK_ROWS, each block before the next is built, so the
+        command's peak holds one block's arrays: 1.48 MB traced for a desk
+        value table, against 7.41 MB when the table was joined in one piece.
         """
-        with open(self.out_dir / name, "w") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(self.out_dir / name, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
             for start in range(0, len(rows), CSV_BLOCK_ROWS):
                 block = rows[start:start + CSV_BLOCK_ROWS]
                 columns = list(block.T) if isinstance(block, np.ndarray) else list(zip(*block))
-                cells = [col if isinstance(col[0], str) else _fmt_column(col)
-                         for col in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))))
-                fh.write("\n")
+                text = {j: col for j, col in enumerate(columns) if isinstance(col[0], str)}
+                # a string column enters as NaN, which `_encode` leaves to `text`
+                fh.write(_encode(np.column_stack(
+                    [np.full(len(col), np.nan) if j in text else np.asarray(col, dtype=float)
+                     for j, col in enumerate(columns)]), text))
         self.files.append(name)
 
     def write_manifest(self, command: str, cfg: RunConfig) -> None:

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cashstock.bounds import compare_bounds
 from cashstock.cli import (CSV_BLOCK_ROWS, DEMAND_KINDS, GRID_FIELDS, PERIOD_FIELDS,
-                           ROOT_FIELDS, SOLVER_FIELDS, ConfigError, Emitter, _fmt_column,
-                           build_parser, load_config, main)
+                           ROOT_FIELDS, SOLVER_FIELDS, ConfigError, Emitter, build_parser,
+                           load_config, main)
 from cashstock.demand import DiscreteEmpirical
 from cashstock.dp import backward_induct
 from cashstock.model import HorizonSpec
@@ -402,6 +402,59 @@ def per_cell_csv(header, rows) -> str:
                    for row in [header, *rows])
 
 
+def assert_written_per_cell(tmp_path, numbers):
+    out = Emitter(tmp_path)
+    cols = numbers.shape[1]
+    out.write_csv("numbers.csv", [f"c{k}" for k in range(cols)], numbers)
+    # per_cell_csv's format, in one list cut into lines: per_cell_csv itself
+    # takes seconds on a million cells
+    cells = [f"{v:.6g}" for v in numbers.ravel().tolist()]
+    lines = map(",".join, zip(*[iter(cells)] * cols))
+    want = ",".join(f"c{k}" for k in range(cols)) + "\n" + "\n".join(lines) + "\n"
+    assert (tmp_path / "numbers.csv").read_bytes() == want.encode()
+
+
+def test_write_csv_encodes_every_mantissa(tmp_path):
+    # every six-digit mantissa, 100.000 to 999.999, of either sign
+    v = np.arange(100_000, 1_000_000) / 1_000
+    assert_written_per_cell(tmp_path, np.concatenate([v, -v])[:, None])
+
+
+def test_write_csv_encodes_random_mantissas(tmp_path):
+    # 10^5 mantissas in [1, 10), of either sign, at each exponent from -4 to 5
+    rng = np.random.default_rng(34)
+    signs = rng.choice([-1.0, 1.0], (100_000, 10))
+    assert_written_per_cell(
+        tmp_path, signs * rng.uniform(1.0, 10.0, (100_000, 10)) * 10.0 ** np.arange(-4, 6))
+
+
+def test_write_csv_encodes_the_neighbours_of_rounding_ties(tmp_path):
+    # the float nearest to (m + 0.5) 10^(X-5), halfway between two six-digit
+    # texts (exactly so at X = 5), and the floats on either side of it
+    m = np.random.default_rng(7).integers(100_000, 1_000_000, (2_000, 1))
+    ties = (2 * m + 1) / (2 * 10.0 ** (5 - np.arange(-4, 6)))
+    assert_written_per_cell(tmp_path, np.hstack(
+        [np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf)]))
+
+
+#: any float, and NaN of either sign, which st.floats() may not draw
+ANY_FLOAT = st.floats() | st.sampled_from([np.nan, np.copysign(np.nan, -1.0)])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.text("ab -.,", max_size=3), ANY_FLOAT, ANY_FLOAT,
+                          st.integers(-2**70, 2**70)), min_size=1, max_size=30))
+def test_write_csv_writes_any_row_as_per_cell(tmp_path_factory, rows):
+    out = Emitter(tmp_path_factory.mktemp("csv"))
+    numbers = np.array([(a, b) for _, a, b, _ in rows])
+    out.write_csv("array.csv", ["a", "b"], numbers)
+    out.write_csv("rows.csv", ["s", "a", "b", "i"], rows)
+    assert (out.out_dir / "array.csv").read_bytes() == per_cell_csv(["a", "b"],
+                                                                     numbers).encode()
+    assert (out.out_dir / "rows.csv").read_bytes() == per_cell_csv(["s", "a", "b", "i"],
+                                                                   rows).encode()
+
+
 def test_write_csv_bytes_match_per_cell_format(tmp_path):
     label = DiscreteEmpirical(tuple(range(21)), (1 / 21,) * 21).label  # as `tables` writes it
     # each column formats its distinct numbers once: -0.0 and 0.0, NaNs of
@@ -693,19 +746,11 @@ def test_grid_scale_override(tmp_path):
     assert manifest["solver"]["grid_shape"] == [21, 26]
 
 
-def one_piece_csv(header, rows) -> bytes:
-    """Reference: the writer that joined the whole table in one piece."""
-    columns = list(rows.T) if isinstance(rows, np.ndarray) else list(zip(*rows))
-    cells = [col if isinstance(col[0], str) else _fmt_column(col)
-             for col in columns if len(col)]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    return ("\n".join(lines) + "\n").encode()
-
-
-@pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                    CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS,
+                                    2 * CSV_BLOCK_ROWS + 1, 6 * CSV_BLOCK_ROWS + 5])
 def test_streamed_csv_matches_one_piece_writer(tmp_path, n_rows):
-    # the same numbers recur in every block, so each block formats its own
+    # around the end of the second block, and over several; the same numbers
+    # recur in every block, and every cell is checked against its own format
     specials = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 7, 1e-7]
     k = np.arange(n_rows)
     numbers = np.column_stack([np.take(specials, k % len(specials)),
@@ -716,9 +761,10 @@ def test_streamed_csv_matches_one_piece_writer(tmp_path, n_rows):
     out = Emitter(tmp_path)
     out.write_csv("array.csv", ["a", "b", "c", "d"], numbers)
     out.write_csv("list.csv", ["s", "a", "b", "c", "d", "i"], rows)
-    assert (tmp_path / "array.csv").read_bytes() == one_piece_csv(["a", "b", "c", "d"], numbers)
-    assert (tmp_path / "list.csv").read_bytes() == one_piece_csv(["s", "a", "b", "c", "d", "i"],
-                                                                  rows)
+    assert (tmp_path / "array.csv").read_bytes() == per_cell_csv(["a", "b", "c", "d"],
+                                                                 numbers).encode()
+    assert (tmp_path / "list.csv").read_bytes() == per_cell_csv(["s", "a", "b", "c", "d", "i"],
+                                                                rows).encode()
 
 
 def test_write_csv_holds_one_block_of_text(tmp_path):

@@ -60,19 +60,14 @@ def test_myopic_policy_applies_the_rule(which, n, x, y):
     assert got[0] == float(cs.optimal_order(x, y, pair))
 
 
-@given(order_bands(), STATE, STATE, st.floats(0.01, 50.0))
-def test_loan_limited_policy_caps_the_free_rule(bands, x, y, capacity):
-    free = float(cs.optimal_order(x, y, bands))
-    assert capped_order(x, y, bands, capacity) == min(free, max(y, 0.0) + capacity)
-
-
 #: the suite's small grid: capital resolved to 3.6 units (3600 at c = 1000)
 SOLVER_GRID = cs.Grid.regular(40, -60, 120, 41, 51)
 
 
 @st.composite
-def horizons(draw):
-    """Valid stationary economics at c = 1000, N = 2 or 3, demand from a short list.
+def horizons(draw, lengths=st.integers(2, 3)):
+    """Valid stationary economics at c = 1000, N from `lengths` (2 or 3),
+    demand from a short list.
 
     The loan-financed margin p / c(1+l) - 1 is at least 5%: below that V1
     can be a few tens of currency, far less than one capital cell (3600),
@@ -84,8 +79,23 @@ def horizons(draw):
     price = cost * (1.0 + loan) * (1.0 + draw(st.floats(0.05, 1.5)))
     params = cs.PeriodParams(price, cost, draw(st.floats(0.0, 800.0)), deposit, loan)
     demand = DEMANDS[draw(st.sampled_from(["u0_20", "u4_16", "zip18", "iu0_20"]))]
-    return cs.HorizonSpec.stationary(draw(st.integers(2, 3)), params, demand,
+    return cs.HorizonSpec.stationary(draw(lengths), params, demand,
                                      draw(st.floats(0.0, 900.0)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(horizons(st.just(2)), st.floats(500.0, 30_000.0))
+def test_loan_limited_dp_orders_within_the_loan_limit(horizon, amount):
+    # no period orders beyond its cash and the loan the limit allows, and in
+    # period N the order is the free rule's cut to that, the closed form
+    limit = cs.LoanLimit(amount)
+    solution = cs.loan_limited_dp(horizon, limit, SOLVER_GRID)
+    X, Y = SOLVER_GRID.mesh()
+    for n in (1, 2):
+        q = solution.policy(n).order_quantity()
+        assert np.all(q <= np.maximum(Y, 0.0) + limit.units(horizon.period(n).cost) + TOL)
+    want = capped_order(X, Y, cs.myopic_lower(horizon, 2), limit.units(horizon.period(2).cost))
+    assert np.abs(solution.policy(2).order_quantity() - want).max() <= TOL
 
 
 @settings(max_examples=30, deadline=None)
